@@ -32,7 +32,7 @@ from .choi import (
     partition_diag_pairs,
     trace_preservation_residual,
 )
-from .linalg import dagger, eig_hermitian, fold, is_hermitian, kron, max_abs, partial_transpose
+from .linalg import EigenSystem, dagger, eig_hermitian, fold, is_hermitian, kron, max_abs, partial_transpose
 
 __all__ = [
     "ChannelReport",
@@ -125,11 +125,14 @@ def pdc_apply(rho, co: Ad2Coefficients) -> np.ndarray:
 # positivity diagnostics
 
 
-def is_ppt(m, dim_a: int, dim_b: int, tol: float = 1e-10) -> bool:
-    """True if the partial transpose has no eigenvalue below -tol."""
+def is_ppt(m, dim_a: int, dim_b: int, tol: float = 1e-10) -> bool | np.ndarray:
+    """True if the partial transpose has no eigenvalue below -tol.
+
+    For a stack of matrices, returns one flag per matrix as a bool array.
+    """
     pt = partial_transpose(m, dim_a, dim_b)
-    smallest = eig_hermitian(pt, tol=1e-12).values[-1]
-    return bool(smallest >= -tol)
+    flags = eig_hermitian(pt, tol=1e-12).values[..., -1] >= -tol
+    return bool(flags) if flags.ndim == 0 else flags
 
 
 @dataclass(frozen=True)
@@ -318,30 +321,38 @@ def _clip_spectrum(values: np.ndarray, floor: float) -> np.ndarray:
     through the square root.
     """
     out = np.clip(values, 0.0, None)
-    out[out < floor * max(float(out[0]), 1.0)] = 0.0
+    out[out < floor * np.maximum(out[..., :1], 1.0)] = 0.0
     return out
 
 
-def concurrence(rho, floor: float = 1e-13) -> float:
+def concurrence(rho, floor: float = 1e-13) -> float | np.ndarray:
     """Wootters concurrence of a two-qubit state.
 
     Uses the Hermitian form sqrt(rho) rho~ sqrt(rho): its eigenvalue square
     roots, descending, give C = max(0, l1 - l2 - l3 - l4).  Eigenvalue dust
     below ``floor`` (relative) is zeroed before each square root; the root
     would otherwise amplify O(1e-16) dust of rank-deficient states to O(1e-8)
-    in the result.
+    in the result.  A stack of states of shape (m, 4, 4) gives an array of
+    m concurrences.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
         raise ValueError("concurrence is defined here for two-qubit states")
     if not is_hermitian(rho, 1e-10):
         raise ValueError("state must be Hermitian")
     sys = eig_hermitian(rho, tol=1e-13)
-    root = (sys.vectors * np.sqrt(_clip_spectrum(sys.values, floor))) @ dagger(sys.vectors)
+    root = EigenSystem(np.sqrt(_clip_spectrum(sys.values, floor)), sys.vectors).reconstruct()
     middle = root @ _spin_flip(rho) @ root
     vals = eig_hermitian((middle + dagger(middle)) / 2.0, tol=1e-13).values
     lam = np.sqrt(_clip_spectrum(vals, floor))
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    return float(c) if c.ndim == 0 else c
+
+
+# Choi index 4 j + a holds input j and output a; the effective state is
+# ordered (system output a, copy j) over {e, g} = {0, 3}, so its (a, j)
+# entry sits at Choi index 4 j + a: the two tensor factors swap.
+_EFFECTIVE_STATE_ENTRIES = np.ix_((0, 12, 3, 15), (0, 12, 3, 15))
 
 
 def pdc_effective_state(co: Ad2Coefficients) -> np.ndarray:
@@ -350,25 +361,15 @@ def pdc_effective_state(co: Ad2Coefficients) -> np.ndarray:
 
     The input is the even superposition of the doubly excited and ground
     states on system + copy; only the system side passes through the
-    sub-channel, applied operator by operator as K (x) 1.  The output keeps
-    its support on that correlated two-dimensional subspace, so reading it as
-    a two-qubit state (excited -> 0, ground -> 1 on each side) is exact.
+    sub-channel.  The output is half the sub-channel's Choi matrix
+    restricted to {e, g} (x) {e, g}, with the two tensor factors swapped;
+    reading it as a two-qubit state (excited -> 0, ground -> 1 on each side)
+    is exact.  A coherence of magnitude at most 1e-12 reads as 0, as it does
+    when the state is built from ``pdc_kraus`` operators (default cutoff).
     """
-    psi = np.zeros(16, dtype=complex)
-    psi[0 * 4 + 0] = 1.0 / np.sqrt(2.0)  # |e> |e'>
-    psi[3 * 4 + 3] = 1.0 / np.sqrt(2.0)  # |g> |g'>
-    rho_in = np.outer(psi, psi.conj())
-    eye4 = np.eye(4, dtype=complex)
-    ks = pdc_kraus(co)
-    out = np.zeros((16, 16), dtype=complex)
-    for k in ks.positive:
-        big = kron(k, eye4)
-        out += big @ rho_in @ dagger(big)
-    for k in ks.negative:
-        big = kron(k, eye4)
-        out -= big @ rho_in @ dagger(big)
-    sub = np.ix_((0, 3, 12, 15), (0, 3, 12, 15))  # {|e>,|g>} (x) {|e'>,|g'>}
-    return out[sub]
+    b = pdc_choi(co)[_EFFECTIVE_STATE_ENTRIES]
+    b[(np.abs(b) <= 1e-12) & ~np.eye(4, dtype=bool)] = 0.0
+    return 0.5 * b
 
 
 def pdc_entanglement_trace(params: Ad2Params, t_max: float, steps: int = 50) -> np.ndarray:
@@ -381,8 +382,6 @@ def pdc_entanglement_trace(params: Ad2Params, t_max: float, steps: int = 50) -> 
         raise ValueError("steps must be at least 2")
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
-    rows = []
-    for t in np.linspace(0.0, float(t_max), int(steps)):
-        co = ad2_coefficients(params.at(float(t)))
-        rows.append((t, concurrence(pdc_effective_state(co))))
-    return np.array(rows)
+    ts = np.linspace(0.0, float(t_max), int(steps))
+    states = np.stack([pdc_effective_state(ad2_coefficients(params.at(float(t)))) for t in ts])
+    return np.column_stack((ts, concurrence(states)))

@@ -271,6 +271,8 @@ class Ad2Params:
     omega12   collective coupling shift
     omega0    bare transition frequency
     t         evolution time (>= 0)
+
+    Every parameter must be finite.
     """
 
     gamma: float
@@ -280,6 +282,10 @@ class Ad2Params:
     t: float
 
     def __post_init__(self):
+        for name in ("gamma", "gamma12", "omega12", "omega0", "t"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.gamma > 0.0:
             raise ValueError("gamma must be positive")
         if not abs(self.gamma12) < self.gamma:
@@ -336,8 +342,12 @@ def ad2_coefficients(params: Ad2Params) -> Ad2Coefficients:
     c = (gp / gm) * f_m * b
     d = math.exp(-gm * t)
     e = (gm / gp) * f_p * d
-    h = (gp / (2.0 * gamma)) * (1.0 - (2.0 / gm) * ((gp / 2.0) * f_m + gm / 2.0) * b) + (gm / gp) * (
-        f_m - (gm / (2.0 * gamma)) * (-math.expm1(-2.0 * gamma * t))
+    # The second term of H is (gm/gp) (f_m - (gm/2gamma)(1 - a)), rewritten
+    # with gm + gp = 2 gamma so that nothing cancels as gp -> 0; gp > 0
+    # because Ad2Params keeps |gamma12| < gamma, so expm1(gp t) / gp needs
+    # no limit at gp = 0.
+    h = (gp / (2.0 * gamma)) * (1.0 - (2.0 / gm) * ((gp / 2.0) * f_m + gm / 2.0) * b) + gm * (
+        -a * math.expm1(gp * t) / gp - math.expm1(-2.0 * gamma * t) / (2.0 * gamma)
     )
 
     def osc(freq: float, rate: float) -> complex:

@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from datetime import datetime, timezone
 from typing import Sequence
@@ -55,6 +56,10 @@ EXPORT_FORMAT = "sumdiff-kraus/1"
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_CUTOFF = 1e-12
 TOLERANCE_ENV = "SUMDIFF_TOLERANCE"
+# sweep evaluates its per-row diagnostics as stacked solves over blocks of
+# this many rows: enough to spread each numpy call over many matrices while
+# the stacks stay small in memory
+SWEEP_BLOCK_ROWS = 25
 
 _CHANNEL_PARAMS = {
     "gad": ("p", "lam"),
@@ -73,7 +78,16 @@ class ExportError(Exception):
     """Export file is readable but not a well-formed export."""
 
 
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1e-05" as a flag because its own pattern knows no
+        # exponent form; no option of this CLI looks like a number.
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     # argparse exits with status 2 on bad flags; the exit-code contract
     # reserves 2 for verification failures, so route through UsageError.
     def error(self, message):
@@ -212,14 +226,18 @@ def _kraus_json(ks: SignedKrausSet) -> dict:
 
 
 def _kraus_from_json(data: dict) -> SignedKrausSet:
-    pos = [( entry["label"], _matrix_from_json(entry["matrix"]) ) for entry in data["positive"]]
-    neg = [( entry["label"], _matrix_from_json(entry["matrix"]) ) for entry in data["negative"]]
-    return SignedKrausSet(
-        tuple(op for _, op in pos),
-        tuple(op for _, op in neg),
-        tuple(lab for lab, _ in pos),
-        tuple(lab for lab, _ in neg),
-    )
+    """Operator set of an export's ``operators`` object; ExportError if malformed."""
+    try:
+        pos = [(entry["label"], _matrix_from_json(entry["matrix"])) for entry in data["positive"]]
+        neg = [(entry["label"], _matrix_from_json(entry["matrix"])) for entry in data["negative"]]
+        return SignedKrausSet(
+            tuple(op for _, op in pos),
+            tuple(op for _, op in neg),
+            tuple(lab for lab, _ in pos),
+            tuple(lab for lab, _ in neg),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ExportError(f"export file has malformed operators: {exc!r}") from exc
 
 
 def _report_json(report) -> dict:
@@ -252,9 +270,9 @@ def _reference_choi(channel: str, params: dict) -> np.ndarray:
     return choi_2ad(ad2_coefficients(Ad2Params(**params)))
 
 
-def _reference_action(channel: str, params: dict, against: str):
+def _reference_action(channel: str, params: dict, against: str, choi: np.ndarray):
     if against == "standard-kraus":
-        std = standard_kraus_from_choi(_reference_choi(channel, params))
+        std = standard_kraus_from_choi(choi)
         return lambda rho: apply_signed_kraus(rho, std)
     if channel == "gad":
         ks = gad_kraus(**params)
@@ -322,6 +340,8 @@ def cmd_verify(args) -> int:
     config = _load_config(args.config)
     with open(args.export, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ExportError("export file does not hold a JSON object")
     if data.get("format") != EXPORT_FORMAT:
         raise ExportError(f"unrecognized export format {data.get('format')!r}")
     try:
@@ -332,16 +352,24 @@ def cmd_verify(args) -> int:
         operators = data["operators"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ExportError(f"export file is missing or corrupts required fields: {exc}") from exc
+    if not isinstance(channel, str) or channel not in _CHANNEL_PARAMS:
+        raise ExportError(f"export names unknown channel {channel!r}")
+    if sorted(params) != sorted(_CHANNEL_PARAMS[channel]):
+        raise ExportError(f"export params {sorted(params)} do not fit channel {channel!r}")
     # fall back to the tolerance the export was produced with
     tolerance = _resolve_tolerance(args, config, fallback=stored_tolerance)
     count = _resolve(args, config, "count", default=100, cast=int)
     seed = _resolve(args, config, "seed", default=meta.get("seed", 0), cast=int)
 
     ks = _kraus_from_json(operators)
-    action = _reference_action(channel, params, args.against)
+    try:
+        reference = _reference_choi(channel, params)
+    except ValueError as exc:
+        raise ExportError(f"export params are invalid: {exc}") from exc
+    action = _reference_action(channel, params, args.against, reference)
 
     completeness = check_completeness(ks)
-    reconstruction = max_abs(reconstruct_choi(ks) - _reference_choi(channel, params))
+    reconstruction = max_abs(reconstruct_choi(ks) - reference)
     rng = np.random.default_rng(seed)
     action_dev = 0.0
     for _ in range(count):
@@ -387,22 +415,29 @@ def cmd_sweep(args) -> int:
                     + ["completeness", "reconstruction", "min_choi_eigenvalue",
                        "operator_count", "mdc_choi_ppt", "pdc_choi_ppt", "pdc_concurrence"])
     worst = 0.0
-    for t in np.linspace(t_min, t_max, steps):
-        co = ad2_coefficients(base.at(float(t)))
-        b = choi_2ad(co)
-        ks = ad2_signed_kraus(co, cutoff=cutoff)
-        completeness = check_completeness(ks)
-        reconstruction = max_abs(reconstruct_choi(ks) - b)
-        worst = max(worst, completeness, reconstruction)
-        row = [repr(float(t))]
-        row += [repr(abs(getattr(co, name))) for name in _COEFF_ORDER]
-        row += [repr(float(completeness)), repr(float(reconstruction)),
-                repr(float(eig_hermitian(b, tol=1e-12).values[-1])),
-                str(ks.count),
-                str(bool(is_ppt(mdc_choi(co), 4, 4, tol=tolerance))),
-                str(bool(is_ppt(pdc_choi(co), 4, 4, tol=tolerance))),
-                repr(float(concurrence(pdc_effective_state(co))))]
-        writer.writerow(row)
+    grid = np.linspace(t_min, t_max, steps)
+    for start in range(0, steps, SWEEP_BLOCK_ROWS):
+        ts = grid[start:start + SWEEP_BLOCK_ROWS]
+        cos = [ad2_coefficients(base.at(float(t))) for t in ts]
+        chois = np.stack([choi_2ad(co) for co in cos])
+        min_eigs = eig_hermitian(chois, tol=1e-12).values[:, -1]
+        mdc_ppt = is_ppt(np.stack([mdc_choi(co) for co in cos]), 4, 4, tol=tolerance)
+        pdc_ppt = is_ppt(np.stack([pdc_choi(co) for co in cos]), 4, 4, tol=tolerance)
+        conc = concurrence(np.stack([pdc_effective_state(co) for co in cos]))
+        for t, co, b, smallest, mdc, pdc, c in zip(ts, cos, chois, min_eigs, mdc_ppt, pdc_ppt, conc):
+            ks = ad2_signed_kraus(co, cutoff=cutoff)
+            completeness = check_completeness(ks)
+            reconstruction = max_abs(reconstruct_choi(ks) - b)
+            worst = max(worst, completeness, reconstruction)
+            row = [repr(float(t))]
+            row += [repr(abs(getattr(co, name))) for name in _COEFF_ORDER]
+            row += [repr(float(completeness)), repr(float(reconstruction)),
+                    repr(float(smallest)),
+                    str(ks.count),
+                    str(bool(mdc)),
+                    str(bool(pdc)),
+                    repr(float(c))]
+            writer.writerow(row)
     _write_text(out_path, buf.getvalue())
     print(f"sweep: {steps} rows, worst residual {worst:.3e} "
           f"{'ok' if worst <= tolerance else 'FAIL'}", file=sys.stderr)

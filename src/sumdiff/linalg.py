@@ -13,6 +13,7 @@ Two conventions are fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,8 +36,8 @@ __all__ = [
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
+    """Conjugate transpose (of each matrix, for a stack)."""
+    return np.asarray(a).conj().swapaxes(-1, -2)
 
 
 def max_abs(a) -> float:
@@ -46,9 +47,12 @@ def max_abs(a) -> float:
 
 
 def is_hermitian(a, tol: float = 1e-12) -> bool:
-    """True if ``a`` is square and equals its conjugate transpose within ``tol``."""
+    """True if ``a`` is square and equals its conjugate transpose within ``tol``.
+
+    For a stack of matrices, true if every one of them is.
+    """
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         return False
     return max_abs(a - dagger(a)) <= tol
 
@@ -82,7 +86,9 @@ class EigenSystem:
     """Real eigenvalues in descending order with matching unit eigenvectors.
 
     ``vectors[:, i]`` belongs to ``values[i]``.  May hold fewer pairs than the
-    ambient dimension when the remaining eigenvalues are known to vanish.
+    ambient dimension when the remaining eigenvalues are known to vanish.  A
+    stacked solve holds ``values`` of shape (m, n) and ``vectors`` of shape
+    (m, n, n), with ``vectors[k, :, i]`` belonging to ``values[k, i]``.
     """
 
     values: np.ndarray
@@ -90,95 +96,165 @@ class EigenSystem:
 
     def reconstruct(self) -> np.ndarray:
         """Sum of values[i] * v_i v_i^dag over the stored pairs."""
-        return (self.vectors * self.values) @ dagger(self.vectors)
+        return (self.vectors * self.values[..., None, :]) @ dagger(self.vectors)
 
 
 class JacobiConvergenceError(RuntimeError):
-    """Cyclic Jacobi iteration failed to reach the target off-diagonal norm."""
+    """Jacobi iteration failed to reach the target off-diagonal norm."""
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    # summed directly over off-diagonal entries; total minus diagonal would
-    # cancel catastrophically once the off-diagonal part is tiny
-    off = np.abs(a) ** 2
-    np.fill_diagonal(off, 0.0)
-    return math.sqrt(float(np.sum(off)))
+def _round_robin(members: list) -> list:
+    """Rounds of disjoint pairs that meet every pair of ``members`` once.
+
+    Circle method: the first seat stays put, the others turn one place per
+    round, and seat i faces seat len - 1 - i.  An odd count gets an empty
+    seat, whose partner sits the round out.
+    """
+    seats = list(members) + ([None] if len(members) % 2 else [])
+    half = len(seats) // 2
+    rounds = []
+    for _ in range(len(seats) - 1):
+        rounds.append([(min(p, q), max(p, q))
+                       for p, q in zip(seats[:half], reversed(seats[half:]))
+                       if p is not None and q is not None])
+        seats = [seats[0], seats[-1]] + seats[1:-1]
+    return rounds
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate a vector so its largest-magnitude component is real nonnegative."""
-    i = int(np.argmax(np.abs(v)))
-    a = v[i]
-    if abs(a) > 0.0:
-        v = v * (np.conj(a) / abs(a))
-        v[i] = abs(a)
-    return v
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Read-only array: a cached schedule is shared by every call."""
+    a = np.asarray(a)
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=64)
+def _jacobi_schedule(pattern: bytes, n: int) -> tuple:
+    """Rotation rounds for an n x n nonzero pattern (row-major bool bytes).
+
+    Rotations never couple two connected components of the pattern, so each
+    component runs its own round-robin; round k of every component forms one
+    global round of disjoint pivots.  Each round is returned as flat indices
+    into a row-major n x n matrix: (pivot, p-diagonal, q-diagonal) entries,
+    the four entries of the rotation, and the mirrored pivot entry.
+    """
+    reach = (np.frombuffer(pattern, dtype=bool).reshape(n, n) | np.eye(n, dtype=bool)).astype(int)
+    for _ in range(n.bit_length()):  # each squaring doubles the path length covered
+        reach = np.minimum(reach @ reach, 1)
+    components = sorted({tuple(np.flatnonzero(row).tolist()) for row in reach})
+    per_component = [_round_robin(c) for c in components if len(c) > 1]
+    rounds = []
+    for k in range(max((len(r) for r in per_component), default=0)):
+        pairs = [pair for r in per_component if k < len(r) for pair in r[k]]
+        p = np.array([pq[0] for pq in pairs])
+        q = np.array([pq[1] for pq in pairs])
+        rounds.append((_frozen(np.concatenate((p * n + q, p * (n + 1), q * (n + 1)))),
+                       _frozen(np.concatenate((p * (n + 1), p * n + q, q * n + p, q * (n + 1)))),
+                       _frozen(q * n + p)))
+    return tuple(rounds)
+
+
+def _rotate(a: np.ndarray, vecs: np.ndarray, step: tuple, hold) -> tuple:
+    """Apply one round of disjoint Jacobi rotations to every matrix of a stack.
+
+    The rotation of pivot (p, q) has rows (c, -s e) and (s conj(e), c), with
+    e the pivot's phase and tan(2 theta) = 2 |a_pq| / (a_pp - a_qq), and
+    zeroes the pivot.  A pivot that is exactly 0, or that belongs to a
+    matrix flagged in ``hold``, gets the identity rotation.
+    """
+    m, n = a.shape[:2]
+    gather, place, mirror = step
+    k = len(mirror)
+    g = a.reshape(m, n * n)[:, gather]
+    b = g[:, :k] if hold is None else np.where(hold, 0.0, g[:, :k])
+    mag = np.abs(b)
+    theta = np.arctan2(2.0 * mag, (g[:, k:2 * k] - g[:, 2 * k:]).real)
+    theta *= 0.5
+    dead = mag == 0.0
+    if dead.any():
+        theta[dead] = 0.0
+        mag = mag + dead
+    cs = np.cos(theta)
+    se = np.sin(theta) * (b / mag)
+    rot = np.zeros((m, n * n), dtype=complex)
+    rot[:, ::n + 1] = 1.0
+    rot[:, place] = np.concatenate((cs, -se, se.conj(), cs), axis=1)
+    rot = rot.reshape(m, n, n)
+    a = dagger(rot) @ a @ rot
+    flat = a.reshape(m, n * n)
+    flat[:, gather[:k]] = flat[:, mirror].conj()  # keep each zeroed pair exactly Hermitian
+    return a, vecs @ rot
 
 
 def eig_hermitian(h, tol: float = 1e-13, max_sweeps: int = 100) -> EigenSystem:
-    """Diagonalize a Hermitian matrix by cyclic complex Jacobi rotations.
+    """Diagonalize a Hermitian matrix, or a stack of them, by Jacobi rotations.
 
-    Each rotation zeroes one off-diagonal entry via a phased 2x2 rotation;
-    sweeps repeat until the off-diagonal Frobenius norm drops below ``tol``.
-    Input must be Hermitian within ``tol``.  Raises JacobiConvergenceError if
+    ``h`` is one n x n matrix or a stack of shape (m, n, n); a stack returns
+    ``values`` (m, n) and ``vectors`` (m, n, n).  Rotations follow the
+    round-robin ordering of Brent & Luk (1985) inside each connected
+    component of the stack's combined nonzero pattern, so every round is a
+    set of disjoint pivots applied to the whole stack at once.  Sweeps
+    repeat until each matrix's off-diagonal Frobenius norm drops below
+    ``tol``; a matrix that got there takes identity rotations from then on,
+    so its result does not depend on the rest of the stack.  Each matrix
+    must be Hermitian within ``tol``.  Raises JacobiConvergenceError if
     ``max_sweeps`` full sweeps do not reach the target.
     """
-    a = np.array(h, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("eig_hermitian expects a square matrix")
-    if max_abs(a - dagger(a)) > tol:
+    h = np.asarray(h, dtype=complex)
+    if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
+        raise ValueError("eig_hermitian expects a square matrix or a stack of them")
+    if h.shape[-1] == 0:
+        return EigenSystem(np.zeros(h.shape[:-1]), h.copy())
+    single = h.ndim == 2
+    h = h[None] if single else h
+    m, n = h.shape[:2]
+    hh = dagger(h)
+    if max_abs(h - hh) > tol:
         raise ValueError("matrix is not Hermitian within tol")
-    n = a.shape[0]
-    a = (a + dagger(a)) / 2.0
-    vecs = np.eye(n, dtype=complex)
+    a = (h + hh) / 2.0
+    vecs = np.zeros((m, n * n), dtype=complex)
+    vecs[:, ::n + 1] = 1.0
+    vecs = vecs.reshape(m, n, n)
+    schedule = _jacobi_schedule((a != 0.0).any(axis=0).tobytes(), n)
 
+    done = np.zeros(m, dtype=bool)  # converged matrices stay converged
     for sweep in range(max_sweeps + 1):
-        if _offdiag_norm(a) < tol:
+        # summed directly over off-diagonal entries; total minus diagonal
+        # would cancel catastrophically once the off-diagonal part is tiny
+        off = np.abs(a).reshape(m, n * n)
+        off *= off
+        off[:, ::n + 1] = 0.0
+        norms = np.sqrt(off.sum(axis=1))
+        done |= norms < tol
+        if done.all():
             break
         if sweep == max_sweeps:
             raise JacobiConvergenceError(
-                f"off-diagonal norm {_offdiag_norm(a):.3e} after {max_sweeps} sweeps (target {tol:.1e})"
+                f"off-diagonal norm {np.max(norms[~done]):.3e} after {max_sweeps} sweeps (target {tol:.1e})"
             )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                b = a[p, q]
-                if abs(b) == 0.0:
-                    continue
-                # Phase the pivot real, then rotate as in the real symmetric case.
-                phase = b / abs(b)
-                theta = 0.5 * math.atan2(2.0 * abs(b), (a[p, p] - a[q, q]).real)
-                cs = math.cos(theta)
-                sn = math.sin(theta)
-                u00, u01 = cs, -sn
-                u10, u11 = sn * np.conj(phase), cs * np.conj(phase)
-                # columns p, q of a
-                cp = a[:, p] * u00 + a[:, q] * u10
-                cq = a[:, p] * u01 + a[:, q] * u11
-                a[:, p] = cp
-                a[:, q] = cq
-                # rows p, q of a
-                rp = np.conj(u00) * a[p, :] + np.conj(u10) * a[q, :]
-                rq = np.conj(u01) * a[p, :] + np.conj(u11) * a[q, :]
-                a[p, :] = rp
-                a[q, :] = rq
-                a[p, q] = np.conj(a[q, p])  # keep the zeroed pair exactly Hermitian
-                # accumulate the rotation
-                vp = vecs[:, p] * u00 + vecs[:, q] * u10
-                vq = vecs[:, p] * u01 + vecs[:, q] * u11
-                vecs[:, p] = vp
-                vecs[:, q] = vq
+        hold = done[:, None] if done.any() else None
+        for step in schedule:
+            a, vecs = _rotate(a, vecs, step, hold)
 
-    values = np.diagonal(a).real.copy()
-    order = np.argsort(-values)
-    values = values[order]
-    vecs = vecs[:, order]
-    for i in range(n):
-        vecs[:, i] = _fix_phase(vecs[:, i])
-    sys = EigenSystem(values, vecs)
-    residual = max_abs(sys.reconstruct() - np.asarray(h, dtype=complex))
-    if residual > 10 * max(tol, 1e-15) * max(1.0, max_abs(h)):
-        raise JacobiConvergenceError(f"reconstruction residual {residual:.3e} exceeds budget")
-    return sys
+    values = a.diagonal(axis1=1, axis2=2).real
+    order = (-values).argsort(axis=1, kind="stable")
+    rows = np.arange(m)[:, None]
+    values = values[rows, order]
+    cols = vecs[rows, :, order]  # cols[k, i] is eigenvector i of matrix k
+    # phase-fix: each vector's largest-magnitude component becomes real
+    # nonnegative (a unit vector has one of magnitude >= 1/sqrt(n))
+    at = (rows, np.arange(n), np.abs(cols).argmax(axis=2))
+    lead = cols[at]
+    size = np.abs(lead)
+    cols *= (lead.conj() / size)[:, :, None]
+    cols[at] = size
+    vecs = cols.swapaxes(1, 2)
+    residual = np.abs((vecs * values[:, None, :]) @ cols.conj() - h).max(axis=(1, 2), initial=0.0)
+    budget = 10 * max(tol, 1e-15) * np.maximum(1.0, np.abs(h).max(axis=(1, 2), initial=0.0))
+    over = residual > budget
+    if over.any():
+        raise JacobiConvergenceError(f"reconstruction residual {np.max(residual[over]):.3e} exceeds budget")
+    return EigenSystem(values[0], vecs[0]) if single else EigenSystem(values, vecs)
 
 
 def eig_rank2_pair(z: complex, r: int, c: int, dim: int) -> EigenSystem:
@@ -207,12 +283,16 @@ def eig_rank2_pair(z: complex, r: int, c: int, dim: int) -> EigenSystem:
 
 
 def partial_transpose(m, dim_a: int, dim_b: int) -> np.ndarray:
-    """Transpose the second tensor factor of an operator on A (x) B."""
+    """Transpose the second tensor factor of an operator on A (x) B.
+
+    Accepts one matrix or a stack of shape (k, n, n).
+    """
     m = np.asarray(m, dtype=complex)
     n = dim_a * dim_b
-    if m.shape != (n, n):
-        raise ValueError(f"expected a {n} x {n} matrix")
-    return m.reshape(dim_a, dim_b, dim_a, dim_b).transpose(0, 3, 2, 1).reshape(n, n)
+    if m.shape[-2:] != (n, n) or m.ndim not in (2, 3):
+        raise ValueError(f"expected a {n} x {n} matrix or a stack of them")
+    lead = m.shape[:-2]
+    return m.reshape(lead + (dim_a, dim_b, dim_a, dim_b)).swapaxes(-3, -1).reshape(m.shape)
 
 
 def partial_trace(m, dim_a: int, dim_b: int, keep: str = "first") -> np.ndarray:

@@ -429,3 +429,42 @@ def test_entanglement_trace_positive_and_decaying():
 def test_entanglement_trace_rejects_bad_steps():
     with pytest.raises(ValueError):
         pdc_entanglement_trace(PROBE, t_max=1.0, steps=1)
+
+
+def kraus_route_effective_state(co):
+    """Reference: push half of (|e e'> + |g g'>)/sqrt(2) through pdc_kraus
+    operator by operator as K (x) 1, then read off {e, g} (x) {e, g}."""
+    psi = np.zeros(16, dtype=complex)
+    psi[0] = psi[15] = 1.0 / np.sqrt(2.0)
+    rho_in = np.outer(psi, psi.conj())
+    ks = pdc_kraus(co)
+    out = np.zeros((16, 16), dtype=complex)
+    for sign, ops in ((1.0, ks.positive), (-1.0, ks.negative)):
+        for k in ops:
+            big = kron(k, np.eye(4))
+            out += sign * (big @ rho_in @ dagger(big))
+    return out[np.ix_((0, 3, 12, 15), (0, 3, 12, 15))]
+
+
+def test_effective_state_matches_kraus_route():
+    rng = np.random.default_rng(64)
+    params = [random_params(rng) for _ in range(20)]
+    params += [PROBE.at(0.0), PROBE.at(28.0), PROBE.at(40.0)]  # |L| above and below the cutoff
+    for p in params:
+        co = ad2_coefficients(p)
+        assert max_abs(pdc_effective_state(co) - kraus_route_effective_state(co)) <= 1e-15
+
+
+def test_stacked_diagnostics_match_single_calls():
+    rng = np.random.default_rng(65)
+    cos = [ad2_coefficients(random_params(rng)) for _ in range(7)] + [ad2_coefficients(PROBE.at(0.0))]
+    states = np.stack([pdc_effective_state(co) for co in cos])
+    chois = np.stack([pdc_choi(co) for co in cos])
+    conc = concurrence(states)
+    ppt = is_ppt(chois, 4, 4)
+    assert conc.shape == ppt.shape == (len(cos),)
+    for state, choi, c, flag in zip(states, chois, conc, ppt):
+        assert abs(c - concurrence(state)) <= 1e-14
+        assert flag == is_ppt(choi, 4, 4)
+    assert isinstance(concurrence(states[0]), float)
+    assert isinstance(is_ppt(chois[0], 4, 4), bool)

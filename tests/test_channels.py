@@ -192,6 +192,15 @@ def test_ad2_params_validation():
         Ad2Params(gamma=1.0, gamma12=0.0, omega12=1.0, omega0=1.0, t=-0.1)
 
 
+@pytest.mark.parametrize("name", ["t", "omega12", "omega0", "gamma", "gamma12"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ad2_params_reject_non_finite(name, bad):
+    values = dict(gamma=1.0, gamma12=0.3, omega12=1.0, omega0=1.0, t=0.5)
+    values[name] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        Ad2Params(**values)
+
+
 def test_ad2_params_at_rebinds_time():
     pa = Ad2Params(gamma=1.0, gamma12=0.2, omega12=1.0, omega0=3.0, t=0.0)
     pb = pa.at(2.5)
@@ -231,6 +240,20 @@ def test_ad2_trace_identities():
                     abs(co.B + co.F - 1),
                     abs(co.D + co.G - 1))
     assert worst < 1e-10
+
+
+@pytest.mark.parametrize("gap", [1e-6, 1e-8, 1e-10])
+def test_ad2_trace_identities_near_negative_collective_rate(gap):
+    # gamma12 -> -gamma used to cost H its trace identity through cancellation
+    worst = 0.0
+    for gamma in (0.7, 1.0, 2.0):
+        for t in np.linspace(0.0, 40.0 / gamma, 81):
+            co = ad2_coefficients(Ad2Params(gamma, -gamma * (1.0 - gap), 1.3, 10.0, float(t)))
+            worst = max(worst,
+                        abs(co.A + co.C + co.E + co.H - 1),
+                        abs(co.B + co.F - 1),
+                        abs(co.D + co.G - 1))
+    assert worst <= 1e-14
 
 
 def test_ad2_coefficient_bounds():

@@ -8,10 +8,11 @@ import sys
 import numpy as np
 import pytest
 
+from sumdiff.analysis import concurrence, is_ppt, mdc_choi, pdc_choi, pdc_effective_state
 from sumdiff.channels import Ad2Params, ad2_coefficients
-from sumdiff.choi import ad2_signed_kraus
+from sumdiff.choi import ad2_signed_kraus, choi_2ad
 from sumdiff.cli import _kraus_from_json, main
-from sumdiff.linalg import max_abs
+from sumdiff.linalg import eig_hermitian, max_abs
 
 GAD_ARGS = ["--channel", "gad", "--p", "0.5", "--lam", "0.36"]
 AD2_ARGS = ["--channel", "ad2", "--gamma", "1", "--gamma12", "0.3",
@@ -164,6 +165,12 @@ def test_verify_wrong_format_marker_is_io_error(tmp_path):
     assert main(["verify", str(bad)]) == 3
 
 
+def test_verify_non_object_json_is_io_error(tmp_path):
+    bad = tmp_path / "list.json"
+    bad.write_text("[1, 2]")
+    assert main(["verify", str(bad)]) == 3
+
+
 def test_verify_missing_fields_is_io_error(tmp_path):
     bad = tmp_path / "fields.json"
     bad.write_text(json.dumps({"format": "sumdiff-kraus/1", "metadata": {}}))
@@ -294,3 +301,97 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     assert "ok" in proc.stderr
     assert json.loads(out.read_text())["format"] == "sumdiff-kraus/1"
+
+
+@pytest.mark.parametrize("gap", [1e-6, 1e-8, 1e-10])
+def test_extract_near_negative_collective_rate(tmp_path, gap):
+    gamma12 = repr(-(1.0 - gap))
+    args = ["--channel", "ad2", "--gamma", "1", f"--gamma12={gamma12}",
+            "--omega12", "2", "--omega0", "10", "--t", "0.7"]
+    code, out = run_extract(tmp_path, "edge.json", args=args)
+    assert code == 0
+    assert json.loads(out.read_text())["residuals"]["completeness"] < 1e-14
+
+
+@pytest.mark.parametrize("flag", [["--gamma12", "-1e-05"], ["--gamma12=-1e-05"]])
+def test_negative_exponent_values_parse(tmp_path, flag):
+    args = ["--channel", "ad2", "--gamma", "1", *flag, "--omega12", "2", "--omega0", "10", "--t", "0.7"]
+    code, out = run_extract(tmp_path, "neg.json", args=args)
+    assert code == 0
+    assert json.loads(out.read_text())["metadata"]["params"]["gamma12"] == -1e-05
+
+
+@pytest.mark.parametrize("flag, name", [
+    (["--t=nan"], "t"),
+    (["--t", "inf"], "t"),
+    (["--omega12", "nan"], "omega12"),
+    (["--omega0=-inf"], "omega0"),
+])
+def test_non_finite_parameters_exit_one(capsys, flag, name):
+    values = {"t": "0.7", "omega12": "2", "omega0": "10"}
+    args = ["--channel", "ad2", "--gamma", "1", "--gamma12", "0.3"]
+    for key, value in values.items():
+        if key != name:
+            args += [f"--{key}", value]
+    assert main(["extract", *args, *flag]) == 1
+    assert f"{name} must be finite" in capsys.readouterr().err
+
+
+def _tampered_export(tmp_path, change):
+    _, out = run_extract(tmp_path, "base.json", args=AD2_ARGS)
+    data = json.loads(out.read_text())
+    change(data)
+    out.write_text(json.dumps(data))
+    return out
+
+
+def test_verify_unknown_channel_is_export_error(tmp_path, capsys):
+    out = _tampered_export(tmp_path, lambda d: d["metadata"].update(channel="xyz"))
+    assert main(["verify", str(out)]) == 3
+    assert "'xyz'" in capsys.readouterr().err
+
+
+def test_verify_params_that_do_not_fit_the_channel_are_export_errors(tmp_path):
+    nan = _tampered_export(tmp_path, lambda d: d["metadata"]["params"].update(t=float("nan")))
+    assert main(["verify", str(nan)]) == 3
+    extra = _tampered_export(tmp_path, lambda d: d["metadata"]["params"].update(p=0.5))
+    assert main(["verify", str(extra)]) == 3
+
+
+def test_verify_missing_negative_list_is_export_error(tmp_path):
+    out = _tampered_export(tmp_path, lambda d: d["operators"].pop("negative"))
+    assert main(["verify", str(out)]) == 3
+
+
+def test_verify_matrix_entry_not_a_pair_is_export_error(tmp_path):
+    def change(d):
+        d["operators"]["positive"][0]["matrix"][0][0] = 1.0
+    out = _tampered_export(tmp_path, change)
+    assert main(["verify", str(out)]) == 3
+
+
+def test_verify_operators_given_as_list_is_export_error(tmp_path):
+    def change(d):
+        d["operators"] = d["operators"]["positive"]
+    out = _tampered_export(tmp_path, change)
+    assert main(["verify", str(out)]) == 3
+
+
+def test_sweep_block_diagnostics_match_row_by_row(tmp_path):
+    # 30 rows span a full block and a partial one
+    out = tmp_path / "blocks.csv"
+    code = main(["sweep", "--channel", "ad2", "--gamma", "1", "--gamma12", "0.3",
+                 "--omega12", "2", "--omega0", "10", "--t-min", "0", "--t-max", "12",
+                 "--steps", "30", "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().splitlines()
+    header = lines[0].split(",")
+    base = Ad2Params(gamma=1.0, gamma12=0.3, omega12=2.0, omega0=10.0, t=0.0)
+    for t, line in zip(np.linspace(0.0, 12.0, 30), lines[1:]):
+        row = dict(zip(header, line.split(",")))
+        co = ad2_coefficients(base.at(float(t)))
+        smallest = eig_hermitian(choi_2ad(co), tol=1e-12).values[-1]
+        assert abs(float(row["min_choi_eigenvalue"]) - smallest) <= 1e-14
+        assert row["mdc_choi_ppt"] == str(is_ppt(mdc_choi(co), 4, 4))
+        assert row["pdc_choi_ppt"] == str(is_ppt(pdc_choi(co), 4, 4))
+        assert abs(float(row["pdc_concurrence"]) - concurrence(pdc_effective_state(co))) <= 1e-14

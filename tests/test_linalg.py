@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from sumdiff.analysis import mdc_choi, pdc_choi
+from sumdiff.channels import Ad2Params, ad2_coefficients
+from sumdiff.choi import choi_2ad
 from sumdiff.linalg import (
     JacobiConvergenceError,
     dagger,
@@ -298,3 +301,95 @@ def test_dagger():
 
 def test_jacobi_error_is_exported():
     assert issubclass(JacobiConvergenceError, Exception)
+
+
+# ---------------------------------------------------------------------------
+# stacked solves
+
+
+def _ad2_choi_stack():
+    # a t = 0 row, rows at omega12 = 0, and deep-t rows whose decaying
+    # coefficients fall below the extraction cutoff
+    rows = [(1.0, 0.3, 2.0, 10.0, 0.0), (1.0, 0.3, 0.0, 10.0, 0.7), (0.8, -0.5, 0.0, 3.0, 4.0),
+            (1.3, 0.9, 1.5, 7.0, 2.0), (1.0, 0.3, 2.0, 10.0, 30.0), (2.0, -1.2, -3.0, 1.0, 18.0)]
+    return np.stack([choi_2ad(ad2_coefficients(Ad2Params(*row))) for row in rows])
+
+
+def test_eig_stack_matches_single_solves():
+    stack = _ad2_choi_stack()
+    got = eig_hermitian(stack, tol=1e-12)
+    assert got.values.shape == (len(stack), 16)
+    assert got.vectors.shape == (len(stack), 16, 16)
+    for h, values, vectors in zip(stack, got.values, got.vectors):
+        alone = eig_hermitian(h, tol=1e-12)
+        bound = 1e-14 * max(1.0, max_abs(h))
+        assert max_abs(values - alone.values) <= bound
+        assert max_abs(vectors - alone.vectors) <= bound
+
+
+def test_eig_single_matrix_keeps_its_shapes():
+    sys = eig_hermitian(_ad2_choi_stack()[1], tol=1e-12)
+    assert sys.values.shape == (16,)
+    assert sys.vectors.shape == (16, 16)
+    empty = eig_hermitian(np.zeros((0, 0)))
+    assert empty.values.shape == (0,) and empty.vectors.shape == (0, 0)
+
+
+def test_eig_stack_values_match_reference_solver():
+    cos = [ad2_coefficients(Ad2Params(1.0, 0.3, 2.0, 10.0, t)) for t in np.linspace(0.0, 30.0, 13)]
+    rng = np.random.default_rng(22)
+    stacks = [
+        np.stack([partial_transpose(mdc_choi(co), 4, 4) for co in cos]),
+        np.stack([partial_transpose(pdc_choi(co), 4, 4) for co in cos]),
+        _ad2_choi_stack(),
+        np.stack([random_hermitian(rng, 16) for _ in range(5)]),
+    ]
+    for stack in stacks:
+        sys = eig_hermitian(stack, tol=1e-12)
+        want = np.linalg.eigvalsh(stack)[:, ::-1]
+        assert max_abs(sys.values - want) < 1e-12
+        assert max_abs(sys.reconstruct() - stack) < 1e-11
+
+
+def test_eig_stack_rejects_one_non_hermitian_matrix():
+    stack = _ad2_choi_stack()
+    stack[2, 0, 5] += 1e-6
+    with pytest.raises(ValueError):
+        eig_hermitian(stack)
+
+
+def test_eig_stack_results_do_not_depend_on_stack_mates():
+    # a matrix that converges early takes identity rotations while its
+    # stack mates keep going, so its result is bitwise the one it gets alone
+    rng = np.random.default_rng(23)
+    easy = np.diag([3.0, 1.0, 2.0, 0.5]).astype(complex)
+    easy[0, 1] = easy[1, 0] = 1e-3
+    hard = random_hermitian(rng, 4)
+    together = eig_hermitian(np.stack([easy, hard]))
+    alone = eig_hermitian(np.stack([easy, np.zeros((4, 4))]))
+    assert np.array_equal(together.values[0], alone.values[0])
+    assert np.array_equal(together.vectors[0], alone.vectors[0])
+
+
+def test_eig_stack_sweep_limit_raises():
+    # one diagonal matrix converges at once; its stack mate needs sweeps
+    rng = np.random.default_rng(25)
+    stack = np.stack([np.diag([1.0, 2.0, 3.0]).astype(complex), random_hermitian(rng, 3)])
+    with pytest.raises(JacobiConvergenceError):
+        eig_hermitian(stack, max_sweeps=1)
+    assert eig_hermitian(stack[:1], max_sweeps=0).values.shape == (1, 3)
+
+
+def test_eig_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        eig_hermitian(np.zeros((2, 3), dtype=complex))
+    with pytest.raises(ValueError):
+        eig_hermitian(np.zeros((2, 2, 2, 2), dtype=complex))
+
+
+def test_partial_transpose_of_stack_is_per_matrix():
+    rng = np.random.default_rng(24)
+    stack = np.stack([random_matrix(rng, 6) for _ in range(3)])
+    got = partial_transpose(stack, 2, 3)
+    for m, pt in zip(stack, got):
+        assert max_abs(pt - partial_transpose(m, 2, 3)) == 0.0
