@@ -338,7 +338,7 @@ def concurrence(rho, floor: float = 1e-13) -> float | np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
         raise ValueError("concurrence is defined here for two-qubit states")
-    if not is_hermitian(rho, 1e-10):
+    if not max_abs(rho - dagger(rho)) <= 1e-10:
         raise ValueError("state must be Hermitian")
     sys = eig_hermitian(rho, tol=1e-13)
     root = EigenSystem(np.sqrt(_clip_spectrum(sys.values, floor)), sys.vectors).reconstruct()

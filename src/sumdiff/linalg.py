@@ -47,12 +47,9 @@ def max_abs(a) -> float:
 
 
 def is_hermitian(a, tol: float = 1e-12) -> bool:
-    """True if ``a`` is square and equals its conjugate transpose within ``tol``.
-
-    For a stack of matrices, true if every one of them is.
-    """
+    """True if ``a`` is square and equals its conjugate transpose within ``tol``."""
     a = np.asarray(a)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
     return max_abs(a - dagger(a)) <= tol
 
