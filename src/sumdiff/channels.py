@@ -344,10 +344,10 @@ def ad2_coefficients(params: Ad2Params) -> Ad2Coefficients:
     e = (gm / gp) * f_p * d
     # The second term of H is (gm/gp) (f_m - (gm/2gamma)(1 - a)), rewritten
     # with gm + gp = 2 gamma so that nothing cancels as gp -> 0; gp > 0
-    # because Ad2Params keeps |gamma12| < gamma, so expm1(gp t) / gp needs
-    # no limit at gp = 0.
+    # because Ad2Params keeps |gamma12| < gamma, so f_p / gp needs no limit
+    # at gp = 0.  d f_p equals a expm1(gp t) but cannot overflow at large t.
     h = (gp / (2.0 * gamma)) * (1.0 - (2.0 / gm) * ((gp / 2.0) * f_m + gm / 2.0) * b) + gm * (
-        -a * math.expm1(gp * t) / gp - math.expm1(-2.0 * gamma * t) / (2.0 * gamma)
+        -d * f_p / gp - math.expm1(-2.0 * gamma * t) / (2.0 * gamma)
     )
 
     def osc(freq: float, rate: float) -> complex:

@@ -13,7 +13,6 @@ Two conventions are fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -118,16 +117,8 @@ def _round_robin(members: list) -> list:
     return rounds
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """Read-only array: a cached schedule is shared by every call."""
-    a = np.asarray(a)
-    a.flags.writeable = False
-    return a
-
-
-@functools.lru_cache(maxsize=64)
-def _jacobi_schedule(pattern: bytes, n: int) -> tuple:
-    """Rotation rounds for an n x n nonzero pattern (row-major bool bytes).
+def _jacobi_schedule(pattern: np.ndarray) -> list:
+    """Rotation rounds for an n x n boolean nonzero pattern.
 
     Rotations never couple two connected components of the pattern, so each
     component runs its own round-robin; round k of every component forms one
@@ -135,20 +126,35 @@ def _jacobi_schedule(pattern: bytes, n: int) -> tuple:
     into a row-major n x n matrix: (pivot, p-diagonal, q-diagonal) entries,
     the four entries of the rotation, and the mirrored pivot entry.
     """
-    reach = (np.frombuffer(pattern, dtype=bool).reshape(n, n) | np.eye(n, dtype=bool)).astype(int)
-    for _ in range(n.bit_length()):  # each squaring doubles the path length covered
-        reach = np.minimum(reach @ reach, 1)
-    components = sorted({tuple(np.flatnonzero(row).tolist()) for row in reach})
-    per_component = [_round_robin(c) for c in components if len(c) > 1]
+    n = len(pattern)
+    links = [[] for _ in range(n)]
+    for i, j in zip(*(ix.tolist() for ix in np.nonzero(pattern))):
+        links[i].append(j)
+    seen = [False] * n
+    per_component = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        component = [start]
+        for i in component:  # breadth-first: the list grows as it is walked
+            for j in links[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    component.append(j)
+        if len(component) > 1:
+            per_component.append(_round_robin(sorted(component)))
     rounds = []
     for k in range(max((len(r) for r in per_component), default=0)):
         pairs = [pair for r in per_component if k < len(r) for pair in r[k]]
-        p = np.array([pq[0] for pq in pairs])
-        q = np.array([pq[1] for pq in pairs])
-        rounds.append((_frozen(np.concatenate((p * n + q, p * (n + 1), q * (n + 1)))),
-                       _frozen(np.concatenate((p * (n + 1), p * n + q, q * n + p, q * (n + 1)))),
-                       _frozen(q * n + p)))
-    return tuple(rounds)
+        pivot = [p * n + q for p, q in pairs]
+        p_diag = [p * (n + 1) for p, _ in pairs]
+        q_diag = [q * (n + 1) for _, q in pairs]
+        mirror = [q * n + p for p, q in pairs]
+        rounds.append((np.array(pivot + p_diag + q_diag),
+                       np.array(p_diag + pivot + mirror + q_diag),
+                       np.array(mirror)))
+    return rounds
 
 
 def _rotate(a: np.ndarray, vecs: np.ndarray, step: tuple, hold) -> tuple:
@@ -192,9 +198,11 @@ def eig_hermitian(h, tol: float = 1e-13, max_sweeps: int = 100) -> EigenSystem:
     component of the stack's combined nonzero pattern, so every round is a
     set of disjoint pivots applied to the whole stack at once.  Sweeps
     repeat until each matrix's off-diagonal Frobenius norm drops below
-    ``tol``; a matrix that got there takes identity rotations from then on,
-    so its result does not depend on the rest of the stack.  Each matrix
-    must be Hermitian within ``tol``.  Raises JacobiConvergenceError if
+    ``tol``; a matrix that got there takes identity rotations from then on.
+    A matrix's result is bitwise the one it gets alone when its stack mates
+    leave the components of its own pattern unchanged; a mate that joins
+    two components reorders the rounds, and the result agrees to rounding.
+    Each matrix must be Hermitian within ``tol``.  Raises JacobiConvergenceError if
     ``max_sweeps`` full sweeps do not reach the target.
     """
     h = np.asarray(h, dtype=complex)
@@ -212,7 +220,7 @@ def eig_hermitian(h, tol: float = 1e-13, max_sweeps: int = 100) -> EigenSystem:
     vecs = np.zeros((m, n * n), dtype=complex)
     vecs[:, ::n + 1] = 1.0
     vecs = vecs.reshape(m, n, n)
-    schedule = _jacobi_schedule((a != 0.0).any(axis=0).tobytes(), n)
+    schedule = _jacobi_schedule((a != 0.0).any(axis=0))
 
     done = np.zeros(m, dtype=bool)  # converged matrices stay converged
     for sweep in range(max_sweeps + 1):

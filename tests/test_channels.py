@@ -256,6 +256,14 @@ def test_ad2_trace_identities_near_negative_collective_rate(gap):
     assert worst <= 1e-14
 
 
+@pytest.mark.parametrize("gamma12, t", [(0.9, 400.0), (0.5, 500.0), (-0.9, 1e4), (0.999999, 800.0)])
+def test_ad2_coefficients_at_large_time(gamma12, t):
+    # exp(gp t) overflows a float once gp t exceeds about 709.78
+    co = ad2_coefficients(Ad2Params(1.0, gamma12, 2.0, 10.0, t))
+    assert abs(co.A + co.C + co.E + co.H - 1) <= 1e-14
+    assert 0.0 <= co.H <= 1.0
+
+
 def test_ad2_coefficient_bounds():
     rng = np.random.default_rng(6)
     for _ in range(100):

@@ -313,6 +313,15 @@ def test_extract_near_negative_collective_rate(tmp_path, gap):
     assert json.loads(out.read_text())["residuals"]["completeness"] < 1e-14
 
 
+def test_extract_verify_and_sweep_at_large_time(tmp_path):
+    args = ["--channel", "ad2", "--gamma", "1", "--gamma12", "0.9", "--omega12", "2", "--omega0", "10"]
+    code, out = run_extract(tmp_path, "late.json", args=[*args, "--t", "400"])
+    assert code == 0
+    assert main(["verify", str(out)]) == 0
+    assert main(["sweep", *args, "--t-min", "0", "--t-max", "800", "--steps", "9",
+                 "--out", str(tmp_path / "late.csv")]) == 0
+
+
 @pytest.mark.parametrize("flag", [["--gamma12", "-1e-05"], ["--gamma12=-1e-05"]])
 def test_negative_exponent_values_parse(tmp_path, flag):
     args = ["--channel", "ad2", "--gamma", "1", *flag, "--omega12", "2", "--omega0", "10", "--t", "0.7"]

@@ -360,15 +360,27 @@ def test_eig_stack_rejects_one_non_hermitian_matrix():
 
 def test_eig_stack_results_do_not_depend_on_stack_mates():
     # a matrix that converges early takes identity rotations while its
-    # stack mates keep going, so its result is bitwise the one it gets alone
+    # stack mates keep going.  Mates that leave the components of the
+    # combined nonzero pattern as they are leave the rotation order as it
+    # is, so the result is bitwise the one the matrix gets alone; a mate
+    # that joins two components reorders the rounds, and the result then
+    # agrees with the solo one to rounding.
     rng = np.random.default_rng(23)
-    easy = np.diag([3.0, 1.0, 2.0, 0.5]).astype(complex)
-    easy[0, 1] = easy[1, 0] = 1e-3
-    hard = random_hermitian(rng, 4)
+    easy = np.diag([3.0, 1.0, 2.0, 0.5, -1.5]).astype(complex)  # components {0..3}, {4}
+    easy[:4, :4] += 1e-3 * (np.ones((4, 4)) - np.eye(4))
+    hard = np.zeros((5, 5), dtype=complex)
+    hard[:4, :4] = random_hermitian(rng, 4)
+    hard[4, 4] = 1.0
+    alone = eig_hermitian(easy)
     together = eig_hermitian(np.stack([easy, hard]))
-    alone = eig_hermitian(np.stack([easy, np.zeros((4, 4))]))
-    assert np.array_equal(together.values[0], alone.values[0])
-    assert np.array_equal(together.vectors[0], alone.vectors[0])
+    assert np.array_equal(together.values[0], alone.values)
+    assert np.array_equal(together.vectors[0], alone.vectors)
+
+    hard[3, 4] = hard[4, 3] = 0.7  # joins the two components
+    joined = eig_hermitian(np.stack([easy, hard]))
+    bound = 1e-14 * max(1.0, max_abs(easy))
+    assert max_abs(joined.values[0] - alone.values) <= bound
+    assert max_abs(joined.vectors[0] - alone.vectors) <= bound
 
 
 def test_eig_stack_sweep_limit_raises():
