@@ -44,10 +44,13 @@ __all__ = [
     "holevo_point_form",
     "is_ppt",
     "mdc_choi",
+    "mdc_choi_from_choi",
     "mdc_kraus",
     "pdc_apply",
     "pdc_choi",
+    "pdc_choi_from_choi",
     "pdc_effective_state",
+    "pdc_effective_state_from_choi",
     "pdc_entanglement_trace",
     "pdc_kraus",
     "qc_form_test",
@@ -60,7 +63,14 @@ __all__ = [
 
 def mdc_choi(co: Ad2Coefficients) -> np.ndarray:
     """Choi matrix of the measurement-dominated sub-channel: the diagonal alone."""
-    return np.diag(np.diagonal(choi_2ad(co))).astype(complex)
+    return mdc_choi_from_choi(choi_2ad(co))
+
+
+def mdc_choi_from_choi(b) -> np.ndarray:
+    """``mdc_choi`` of a two-qubit damping Choi matrix, or of each matrix of a
+    stack (m, 16, 16)."""
+    b = np.asarray(b, dtype=complex)
+    return np.where(np.eye(16, dtype=bool), b, 0.0)
 
 
 def mdc_kraus(co: Ad2Coefficients) -> SignedKrausSet:
@@ -92,11 +102,18 @@ def pdc_choi(co: Ad2Coefficients) -> np.ndarray:
     entry of a state untouched while coherences evolve exactly as under the
     full channel.
     """
-    b = choi_2ad(co)
-    np.fill_diagonal(b, 0.0)
-    for i in (0, 5, 10, 15):
-        b[i, i] = 1.0
-    return b
+    return pdc_choi_from_choi(choi_2ad(co))
+
+
+# identity-channel diagonal of the phase-damping Choi matrix: 1 at |jj>|jj>
+_PDC_DIAGONAL = np.isin(np.arange(16), (0, 5, 10, 15)).astype(complex)
+
+
+def pdc_choi_from_choi(b) -> np.ndarray:
+    """``pdc_choi`` of a two-qubit damping Choi matrix, or of each matrix of a
+    stack (m, 16, 16)."""
+    b = np.asarray(b, dtype=complex)
+    return np.where(np.eye(16, dtype=bool), _PDC_DIAGONAL, b)
 
 
 def pdc_kraus(co: Ad2Coefficients, cutoff: float = 1e-12) -> SignedKrausSet:
@@ -367,9 +384,15 @@ def pdc_effective_state(co: Ad2Coefficients) -> np.ndarray:
     is exact.  A coherence of magnitude at most 1e-12 reads as 0, as it does
     when the state is built from ``pdc_kraus`` operators (default cutoff).
     """
-    b = pdc_choi(co)[_EFFECTIVE_STATE_ENTRIES]
-    b[(np.abs(b) <= 1e-12) & ~np.eye(4, dtype=bool)] = 0.0
-    return 0.5 * b
+    return pdc_effective_state_from_choi(choi_2ad(co))
+
+
+def pdc_effective_state_from_choi(b) -> np.ndarray:
+    """``pdc_effective_state`` of a two-qubit damping Choi matrix, or of each
+    matrix of a stack (m, 16, 16), giving (m, 4, 4)."""
+    s = pdc_choi_from_choi(b)[(...,) + _EFFECTIVE_STATE_ENTRIES]
+    s[(np.abs(s) <= 1e-12) & ~np.eye(4, dtype=bool)] = 0.0
+    return 0.5 * s
 
 
 def pdc_entanglement_trace(params: Ad2Params, t_max: float, steps: int = 50) -> np.ndarray:

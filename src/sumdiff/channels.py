@@ -28,6 +28,7 @@ __all__ = [
     "apply_signed_kraus",
     "check_completeness",
     "check_density_matrix",
+    "completeness_residuals",
     "gad_choi",
     "gad_kraus",
     "gad_split_choi",
@@ -80,6 +81,13 @@ class SignedKrausSet:
     def count(self) -> int:
         return len(self.positive) + len(self.negative)
 
+    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """The operators as a stack of one, ``(1, count, d, d)``, with their
+        signs ``(1, count)``: positive operators (+1) first, then negative (-1)."""
+        ops = np.stack(self.positive + self.negative)[None]
+        signs = np.array([1] * len(self.positive) + [-1] * len(self.negative))[None]
+        return ops, signs
+
 
 def apply_signed_kraus(rho, ks: SignedKrausSet) -> np.ndarray:
     """Evaluate sum K+ rho K+^dag - sum K- rho K-^dag."""
@@ -94,17 +102,28 @@ def apply_signed_kraus(rho, ks: SignedKrausSet) -> np.ndarray:
     return out
 
 
+def completeness_residuals(ops, signs) -> np.ndarray:
+    """Max-entry residual of sum_k signs_k K_k^dag K_k against the identity,
+    for each row of a stack.
+
+    ``ops`` has shape (m, k, d, d) and ``signs`` shape (m, k); a sign of 0
+    leaves its operator out.  Row i of operator k becomes row k*d + i of one
+    (m, k*d, d) matrix, so the sum is a single batched product.
+    """
+    ops = np.asarray(ops, dtype=complex)
+    m, k, d, _ = ops.shape
+    rows = ops.reshape(m, k * d, d)
+    weights = np.repeat(signs, d, axis=1)
+    acc = (dagger(rows) * weights[:, None, :]) @ rows
+    return np.abs(acc - np.eye(d)).max(axis=(1, 2))
+
+
 def check_completeness(ks: SignedKrausSet) -> float:
     """Max-entry residual of sum K+^dag K+ - sum K-^dag K- against the identity.
 
     Zero residual is equivalent to the represented map preserving trace.
     """
-    acc = np.zeros((ks.dim, ks.dim), dtype=complex)
-    for k in ks.positive:
-        acc += dagger(k) @ k
-    for k in ks.negative:
-        acc -= dagger(k) @ k
-    return max_abs(acc - np.eye(ks.dim))
+    return float(completeness_residuals(*ks.stacked())[0])
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ reproduces the channel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -28,7 +29,6 @@ from .linalg import (
     is_hermitian,
     max_abs,
     partial_trace,
-    unfold,
 )
 
 __all__ = [
@@ -36,6 +36,8 @@ __all__ = [
     "AD2_DIAG_LABELS",
     "AD2_PAIR_LABELS",
     "HermitianPartition",
+    "PARTITION_REL_THRESHOLD",
+    "ad2_diag_pairs_operators",
     "ad2_partition",
     "ad2_signed_kraus",
     "charpoly_checks",
@@ -47,9 +49,14 @@ __all__ = [
     "partition_from_masks",
     "partition_full",
     "reconstruct_choi",
+    "reconstruct_choi_stack",
     "standard_kraus_from_choi",
     "trace_preservation_residual",
 ]
+
+# Entries of at most this fraction of the largest Choi entry are structural
+# zeros to the partitions, and so to the stacked diag-pairs extraction.
+PARTITION_REL_THRESHOLD = 1e-14
 
 
 def choi_from_channel(action: Callable[[np.ndarray], np.ndarray], dim: int,
@@ -210,7 +217,7 @@ def partition_full(b, label: str = "full") -> HermitianPartition:
     return HermitianPartition((np.asarray(b, dtype=complex),), (label,))
 
 
-def partition_diag_pairs(b, rel_threshold: float = 1e-14,
+def partition_diag_pairs(b, rel_threshold: float = PARTITION_REL_THRESHOLD,
                          labels: Mapping[tuple[int, int], str] | None = None) -> HermitianPartition:
     """Split a Hermitian matrix into its diagonal plus one element per
     off-diagonal pair.
@@ -246,7 +253,7 @@ def partition_diag_pairs(b, rel_threshold: float = 1e-14,
 
 
 def partition_from_masks(b, masks: Sequence, labels: Sequence[str] = (),
-                         rel_threshold: float = 1e-14) -> HermitianPartition:
+                         rel_threshold: float = PARTITION_REL_THRESHOLD) -> HermitianPartition:
     """Partition by disjoint boolean masks over entry positions.
 
     Each mask must be symmetric (include (c, r) with (r, c)); together the
@@ -275,7 +282,7 @@ def partition_from_masks(b, masks: Sequence, labels: Sequence[str] = (),
 
 
 def ad2_partition(co: Ad2Coefficients, strategy: str = "diag-pairs",
-                  rel_threshold: float = 1e-14) -> HermitianPartition:
+                  rel_threshold: float = PARTITION_REL_THRESHOLD) -> HermitianPartition:
     """Partition the two-qubit damping Choi matrix by the named strategy.
 
     diag-pairs        diagonal plus one element per coherence position (1 + up to 8)
@@ -403,17 +410,22 @@ def extract_signed_kraus(partition: HermitianPartition, cutoff: float = 1e-12,
     return SignedKrausSet(tuple(pos), tuple(neg), tuple(plab), tuple(nlab))
 
 
+def reconstruct_choi_stack(ops, signs) -> np.ndarray:
+    """Rebuild sum_k signs_k |unfold(K_k)><unfold(K_k)| for each row of a stack.
+
+    ``ops`` has shape (m, k, d, d) and ``signs`` shape (m, k); a sign of 0
+    leaves its operator out.  Returns (m, d^2, d^2), one batched product of
+    the (m, d^2, k) and (m, k, d^2) matrices of unfolded operators.
+    """
+    ops = np.asarray(ops, dtype=complex)
+    m, k, d, _ = ops.shape
+    vecs = ops.swapaxes(-1, -2).reshape(m, k, d * d)  # row k is unfold(K_k)
+    return (vecs.swapaxes(-1, -2) * signs[:, None, :]) @ vecs.conj()
+
+
 def reconstruct_choi(ks: SignedKrausSet) -> np.ndarray:
     """Rebuild sum |unfold(K+)><unfold(K+)| - sum |unfold(K-)><unfold(K-)|."""
-    d2 = ks.dim * ks.dim
-    out = np.zeros((d2, d2), dtype=complex)
-    for k in ks.positive:
-        v = unfold(k)
-        out += np.outer(v, v.conj())
-    for k in ks.negative:
-        v = unfold(k)
-        out -= np.outer(v, v.conj())
-    return out
+    return reconstruct_choi_stack(*ks.stacked())[0]
 
 
 def standard_kraus_from_choi(b, cutoff: float = 1e-12, jacobi_tol: float = 1e-13) -> SignedKrausSet:
@@ -425,14 +437,89 @@ def standard_kraus_from_choi(b, cutoff: float = 1e-12, jacobi_tol: float = 1e-13
     return extract_signed_kraus(partition_full(b, label="S"), cutoff=cutoff, jacobi_tol=jacobi_tol)
 
 
+# Operator slots of the stacked diag-pairs extraction: the diagonal positions
+# in export order, then a + and a - slot per coherence position, ascending.
+_AD2_PAIRS = tuple(sorted(AD2_PAIR_LABELS))
+_AD2_DIAG_SLOTS = len(AD2_DIAG_EXPORT_ORDER)
+_AD2_SLOTS = _AD2_DIAG_SLOTS + 2 * len(_AD2_PAIRS)
+_AD2_POSITIVE_LABELS = tuple(AD2_DIAG_LABELS[i] for i in AD2_DIAG_EXPORT_ORDER) + tuple(
+    f"{AD2_PAIR_LABELS[pos]}{side}" for pos in _AD2_PAIRS for side in "+-")
+_AD2_NEGATIVE_LABELS = tuple(f"diag[{i}]" for i in AD2_DIAG_EXPORT_ORDER) + _AD2_POSITIVE_LABELS[_AD2_DIAG_SLOTS:]
+# negative diagonal operators keep the extraction order, ascending Choi index
+_AD2_NEGATIVE_ORDER = tuple(sorted(range(_AD2_DIAG_SLOTS), key=lambda k: AD2_DIAG_EXPORT_ORDER[k])) + tuple(
+    range(_AD2_DIAG_SLOTS, _AD2_SLOTS))
+
+
+def ad2_diag_pairs_operators(chois, cutoff: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """Diag-pairs signed operators of a stack of two-qubit damping Choi matrices.
+
+    Every element of the diag-pairs partition of ``choi_2ad`` has a closed
+    form at fixed positions, so the whole stack (m, 16, 16) is extracted at
+    once.  Returns the folded operators (m, 25, 4, 4) and their signs
+    (m, 25) in {1, -1, 0}: slots 0-8 hold the diagonal positions in
+    ``AD2_DIAG_EXPORT_ORDER``, then each position of ``AD2_PAIR_LABELS``
+    (ascending) holds a + and a - slot.  A slot is dropped (sign 0, zero
+    operator) under the rules of ``extract_signed_kraus`` on
+    ``partition_diag_pairs``: a diagonal value with |value| <= cutoff, a pair
+    with |z| <= cutoff or |z| <= PARTITION_REL_THRESHOLD * max|B|.  Only the
+    upper triangle at those positions is read; the operators are bitwise the
+    ones the general path gives.
+    """
+    b = np.asarray(chois, dtype=complex)
+    if b.ndim != 3 or b.shape[1:] != (16, 16):
+        raise ValueError("expected a stack of 16 x 16 Choi matrices")
+    m = b.shape[0]
+    diag = np.array(AD2_DIAG_EXPORT_ORDER)
+    rows, cols = np.array(_AD2_PAIRS).T
+    plus = np.arange(_AD2_DIAG_SLOTS, _AD2_SLOTS, 2)
+
+    vals = b[:, diag, diag].real
+    z = b[:, rows, cols]
+    keep_diag = ~(np.abs(vals) <= cutoff)
+    thresh = PARTITION_REL_THRESHOLD * np.abs(b).max(axis=(1, 2), initial=0.0)
+    mag = np.abs(z)
+    keep_pair = ~(mag <= cutoff) & ~(mag <= thresh[:, None])
+
+    # the eigenvectors of eig_rank2_pair, (|r> +- phase |c>)/sqrt(2); it takes
+    # |z| from Python's complex abs, which np.hypot matches bitwise and np.abs
+    # does not
+    absz = np.hypot(z.real, z.imag)
+    root2 = math.sqrt(2.0)
+    phase = np.divide(np.conj(z), absz, out=np.zeros_like(z), where=keep_pair)
+    vecs = np.zeros((m, _AD2_SLOTS, 16), dtype=complex)
+    vecs[:, np.arange(_AD2_DIAG_SLOTS), diag] = 1.0
+    vecs[:, plus, rows] = vecs[:, plus + 1, rows] = 1.0 / root2
+    vecs[:, plus, cols] = phase / root2
+    vecs[:, plus + 1, cols] = -phase / root2
+    weights = np.concatenate([np.where(keep_diag, np.sqrt(np.abs(vals)), 0.0),
+                              np.repeat(np.where(keep_pair, np.sqrt(absz), 0.0), 2, axis=1)], axis=1)
+    signs = np.concatenate([np.where(keep_diag, np.where(vals > 0, 1, -1), 0),
+                            np.repeat(keep_pair, 2, axis=1) * np.tile([1, -1], len(_AD2_PAIRS))], axis=1)
+    if not (signs > 0).any(axis=1).all():
+        raise ValueError("extraction produced no positive operators")
+    ops = (weights[..., None] * vecs).reshape(m, _AD2_SLOTS, 4, 4).swapaxes(-1, -2)
+    return ops, signs
+
+
 def ad2_signed_kraus(co: Ad2Coefficients, strategy: str = "diag-pairs",
                      cutoff: float = 1e-12, jacobi_tol: float = 1e-13) -> SignedKrausSet:
     """Signed operators of the two-qubit damping channel, export-ordered.
 
     Diagonal operators are relabeled by their population coefficient and
     ordered (H, G, F, E, D, C, A, 1, B); pair operators follow by ascending
-    Choi position, + before -.
+    Choi position, + before -.  A negative diagonal operator keeps its
+    ``diag[i]`` label and its place in the negative list, ahead of the pairs.
+    Diag-pairs is ``ad2_diag_pairs_operators`` on a stack of one.
     """
+    if strategy == "diag-pairs":
+        ops, signs = ad2_diag_pairs_operators(choi_2ad(co)[None], cutoff=cutoff)
+        ops, signs = ops[0], signs[0]
+        pos = [k for k in range(_AD2_SLOTS) if signs[k] > 0]
+        neg = [k for k in _AD2_NEGATIVE_ORDER if signs[k] < 0]
+        return SignedKrausSet(tuple(ops[k] for k in pos), tuple(ops[k] for k in neg),
+                              tuple(_AD2_POSITIVE_LABELS[k] for k in pos),
+                              tuple(_AD2_NEGATIVE_LABELS[k] for k in neg))
+
     part = ad2_partition(co, strategy)
     ks = extract_signed_kraus(part, cutoff=cutoff, jacobi_tol=jacobi_tol)
     if strategy == "full-spectral":

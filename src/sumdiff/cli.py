@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -29,7 +30,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import eb_report, is_ppt, mdc_choi, pdc_choi, pdc_effective_state, concurrence
+from .analysis import (
+    concurrence,
+    eb_report,
+    is_ppt,
+    mdc_choi_from_choi,
+    pdc_choi_from_choi,
+    pdc_effective_state_from_choi,
+)
 from .channels import (
     Ad2Params,
     SignedKrausSet,
@@ -37,17 +45,20 @@ from .channels import (
     ad2_coefficients,
     apply_signed_kraus,
     check_completeness,
+    completeness_residuals,
     gad_choi,
     gad_kraus,
     random_density_matrix,
 )
 from .choi import (
+    ad2_diag_pairs_operators,
     ad2_signed_kraus,
     choi_2ad,
     extract_signed_kraus,
     partition_diag_pairs,
     partition_full,
     reconstruct_choi,
+    reconstruct_choi_stack,
     standard_kraus_from_choi,
 )
 from .linalg import eig_hermitian, max_abs
@@ -56,9 +67,9 @@ EXPORT_FORMAT = "sumdiff-kraus/1"
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_CUTOFF = 1e-12
 TOLERANCE_ENV = "SUMDIFF_TOLERANCE"
-# sweep evaluates its per-row diagnostics as stacked solves over blocks of
-# this many rows: enough to spread each numpy call over many matrices while
-# the stacks stay small in memory
+# sweep extracts the operators and evaluates its per-row diagnostics stacked
+# over blocks of this many rows: enough to spread each numpy call over many
+# matrices while the stacks stay small in memory
 SWEEP_BLOCK_ROWS = 25
 
 _CHANNEL_PARAMS = {
@@ -190,8 +201,18 @@ def _resolve_tolerance(args, config: dict, fallback: float = DEFAULT_TOLERANCE) 
         value = float(value)
     except (TypeError, ValueError):
         raise UsageError(f"bad tolerance value {value!r}")
+    if not math.isfinite(value):
+        raise UsageError(f"tolerance must be finite, got {value}")
     if value <= 0:
         raise UsageError("tolerance must be positive")
+    return value
+
+
+def _resolve_cutoff(args, config: dict) -> float:
+    """Flag > config > default; a NaN or negative cutoff would keep zero-weight operators."""
+    value = _resolve(args, config, "cutoff", default=DEFAULT_CUTOFF, cast=float)
+    if not value >= 0:
+        raise UsageError(f"cutoff must be a nonnegative number, got {value}")
     return value
 
 
@@ -289,7 +310,7 @@ def cmd_extract(args) -> int:
     if strategy not in ("diag-pairs", "split-real-imag", "full-spectral"):
         raise UsageError(f"unknown partition strategy {strategy!r}")
     tolerance = _resolve_tolerance(args, config)
-    cutoff = _resolve(args, config, "cutoff", default=DEFAULT_CUTOFF, cast=float)
+    cutoff = _resolve_cutoff(args, config)
     seed = _resolve(args, config, "seed", default=0, cast=int)
     out_path = _resolve(args, config, "out", default=None)
 
@@ -352,6 +373,8 @@ def cmd_verify(args) -> int:
         operators = data["operators"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ExportError(f"export file is missing or corrupts required fields: {exc}") from exc
+    if not 0 < stored_tolerance < math.inf:
+        raise ExportError(f"export holds a bad tolerance {stored_tolerance}")
     if not isinstance(channel, str) or channel not in _CHANNEL_PARAMS:
         raise ExportError(f"export names unknown channel {channel!r}")
     if sorted(params) != sorted(_CHANNEL_PARAMS[channel]):
@@ -359,6 +382,8 @@ def cmd_verify(args) -> int:
     # fall back to the tolerance the export was produced with
     tolerance = _resolve_tolerance(args, config, fallback=stored_tolerance)
     count = _resolve(args, config, "count", default=100, cast=int)
+    if count < 1:
+        raise UsageError("--count must be at least 1")
     seed = _resolve(args, config, "seed", default=meta.get("seed", 0), cast=int)
 
     ks = _kraus_from_json(operators)
@@ -399,7 +424,7 @@ def cmd_sweep(args) -> int:
     t_max = _resolve(args, config, "t_max", cast=float)
     steps = _resolve(args, config, "steps", cast=int)
     tolerance = _resolve_tolerance(args, config)
-    cutoff = _resolve(args, config, "cutoff", default=DEFAULT_CUTOFF, cast=float)
+    cutoff = _resolve_cutoff(args, config)
     out_path = _resolve(args, config, "out", default=None)
     if steps < 2:
         raise UsageError("--steps must be at least 2")
@@ -420,20 +445,22 @@ def cmd_sweep(args) -> int:
         ts = grid[start:start + SWEEP_BLOCK_ROWS]
         cos = [ad2_coefficients(base.at(float(t))) for t in ts]
         chois = np.stack([choi_2ad(co) for co in cos])
+        ops, signs = ad2_diag_pairs_operators(chois, cutoff=cutoff)
+        completeness = completeness_residuals(ops, signs)
+        reconstruction = np.abs(reconstruct_choi_stack(ops, signs) - chois).max(axis=(1, 2))
+        counts = np.count_nonzero(signs, axis=1)
         min_eigs = eig_hermitian(chois, tol=1e-12).values[:, -1]
-        mdc_ppt = is_ppt(np.stack([mdc_choi(co) for co in cos]), 4, 4, tol=tolerance)
-        pdc_ppt = is_ppt(np.stack([pdc_choi(co) for co in cos]), 4, 4, tol=tolerance)
-        conc = concurrence(np.stack([pdc_effective_state(co) for co in cos]))
-        for t, co, b, smallest, mdc, pdc, c in zip(ts, cos, chois, min_eigs, mdc_ppt, pdc_ppt, conc):
-            ks = ad2_signed_kraus(co, cutoff=cutoff)
-            completeness = check_completeness(ks)
-            reconstruction = max_abs(reconstruct_choi(ks) - b)
-            worst = max(worst, completeness, reconstruction)
+        mdc_ppt = is_ppt(mdc_choi_from_choi(chois), 4, 4, tol=tolerance)
+        pdc_ppt = is_ppt(pdc_choi_from_choi(chois), 4, 4, tol=tolerance)
+        conc = concurrence(pdc_effective_state_from_choi(chois))
+        rows = zip(ts, cos, completeness, reconstruction, counts, min_eigs, mdc_ppt, pdc_ppt, conc)
+        for t, co, comp, recon, count, smallest, mdc, pdc, c in rows:
+            worst = max(worst, comp, recon)
             row = [repr(float(t))]
             row += [repr(abs(getattr(co, name))) for name in _COEFF_ORDER]
-            row += [repr(float(completeness)), repr(float(reconstruction)),
+            row += [repr(float(comp)), repr(float(recon)),
                     repr(float(smallest)),
-                    str(ks.count),
+                    str(count),
                     str(bool(mdc)),
                     str(bool(pdc)),
                     repr(float(c))]

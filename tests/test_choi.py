@@ -12,6 +12,7 @@ from sumdiff.channels import (
     ad2_coefficients,
     apply_signed_kraus,
     check_completeness,
+    completeness_residuals,
     gad_choi,
     gad_kraus,
     gad_split_choi,
@@ -22,6 +23,7 @@ from sumdiff.choi import (
     AD2_DIAG_LABELS,
     AD2_PAIR_LABELS,
     HermitianPartition,
+    ad2_diag_pairs_operators,
     ad2_partition,
     ad2_signed_kraus,
     charpoly_checks,
@@ -33,6 +35,7 @@ from sumdiff.choi import (
     partition_from_masks,
     partition_full,
     reconstruct_choi,
+    reconstruct_choi_stack,
     standard_kraus_from_choi,
     trace_preservation_residual,
 )
@@ -405,6 +408,31 @@ def test_ad2_signed_kraus_cutoff_drops_decayed_blocks():
         want = np.zeros((4, 4), dtype=complex)
         want[targets[label]] = 1.0
         assert max_abs(op - want) < 1e-8
+
+
+def test_ad2_diag_pairs_operators_stack_rows_match_solo_extraction():
+    chois = np.stack([choi_2ad(ad2_coefficients(PROBE.at(t))) for t in (0.0, 0.7, 9.0, 40.0)])
+    ops, signs = ad2_diag_pairs_operators(chois)
+    assert ops.shape == (4, 25, 4, 4) and signs.shape == (4, 25)
+    for b, row_ops, row_signs in zip(chois, ops, signs):
+        solo_ops, solo_signs = ad2_diag_pairs_operators(b[None])
+        assert row_ops.tobytes() == solo_ops[0].tobytes()
+        assert np.array_equal(row_signs, solo_signs[0])
+    with pytest.raises(ValueError, match="no positive operators"):
+        ad2_diag_pairs_operators(chois, cutoff=2.0)
+
+
+def test_stacked_residual_kernels_match_loops():
+    rng = np.random.default_rng(5)
+    ops = rng.standard_normal((3, 6, 4, 4)) + 1j * rng.standard_normal((3, 6, 4, 4))
+    signs = rng.choice([1, -1, 0], size=(3, 6))
+    completeness = completeness_residuals(ops, signs)
+    recon = reconstruct_choi_stack(ops, signs)
+    for i in range(3):
+        acc = sum(s * dagger(k) @ k for s, k in zip(signs[i], ops[i]))
+        assert abs(completeness[i] - max_abs(acc - np.eye(4))) <= 1e-13
+        want = sum(s * np.outer(unfold(k), unfold(k).conj()) for s, k in zip(signs[i], ops[i]))
+        assert max_abs(recon[i] - want) <= 1e-13
 
 
 def test_charpoly_checks_generic_point():

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from sumdiff.analysis import concurrence, is_ppt, mdc_choi, pdc_choi, pdc_effective_state
-from sumdiff.channels import Ad2Params, ad2_coefficients
-from sumdiff.choi import ad2_signed_kraus, choi_2ad
+from sumdiff.channels import Ad2Params, ad2_coefficients, check_completeness
+from sumdiff.choi import ad2_partition, ad2_signed_kraus, choi_2ad, extract_signed_kraus, reconstruct_choi
 from sumdiff.cli import _kraus_from_json, main
 from sumdiff.linalg import eig_hermitian, max_abs
 
@@ -386,21 +386,87 @@ def test_verify_operators_given_as_list_is_export_error(tmp_path):
     assert main(["verify", str(out)]) == 3
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_verify_count_below_one_exits_one(tmp_path, capsys, source):
+    _, out = run_extract(tmp_path, "gad.json")
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"count": 0}))
+    extra = ["--count", "-5"] if source == "flag" else ["--config", str(config)]
+    assert main(["verify", str(out), *extra]) == 1
+    assert "--count must be at least 1" in capsys.readouterr().err
+
+
+def _option_source(tmp_path, monkeypatch, source, name, value):
+    """Extra argv that supplies ``value`` for ``name`` from the given source."""
+    if source == "flag":
+        return [f"--{name}={value}"]
+    if source == "config":
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({name: float(value)}))  # json writes NaN/Infinity
+        return ["--config", str(config)]
+    monkeypatch.setenv("SUMDIFF_TOLERANCE", value)
+    return []
+
+
+SWEEP_ARGS = ["--channel", "ad2", "--gamma", "1", "--gamma12", "0.3", "--omega12", "2",
+              "--omega0", "10", "--t-min", "0", "--t-max", "1", "--steps", "3"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+def test_non_finite_tolerance_exits_one(tmp_path, monkeypatch, capsys, source, value):
+    _, export = run_extract(tmp_path, "good.json")
+    extra = _option_source(tmp_path, monkeypatch, source, "tolerance", value)
+    code, out = run_extract(tmp_path, "bad.json", extra=extra)
+    assert code == 1 and not out.exists()
+    assert main(["verify", str(export), *extra]) == 1
+    assert main(["sweep", *SWEEP_ARGS, *extra]) == 1
+    assert capsys.readouterr().err.count("tolerance must be finite") == 3
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_nan_or_negative_cutoff_exits_one(tmp_path, monkeypatch, capsys, source, value):
+    extra = _option_source(tmp_path, monkeypatch, source, "cutoff", value)
+    for args in (GAD_ARGS, AD2_ARGS):
+        code, out = run_extract(tmp_path, "bad.json", extra=extra, args=args)
+        assert code == 1 and not out.exists()
+    assert main(["sweep", *SWEEP_ARGS, *extra]) == 1
+    assert capsys.readouterr().err.count("cutoff must be a nonnegative number") == 3
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1e-10])
+def test_verify_bad_stored_tolerance_is_export_error(tmp_path, tolerance):
+    out = _tampered_export(tmp_path, lambda d: d["metadata"].update(tolerance=tolerance))
+    assert main(["verify", str(out), "--tolerance", "1e-10"]) == 3
+
+
 def test_sweep_block_diagnostics_match_row_by_row(tmp_path):
-    # 30 rows span a full block and a partial one
-    out = tmp_path / "blocks.csv"
-    code = main(["sweep", "--channel", "ad2", "--gamma", "1", "--gamma12", "0.3",
-                 "--omega12", "2", "--omega0", "10", "--t-min", "0", "--t-max", "12",
-                 "--steps", "30", "--out", str(out)])
-    assert code == 0
-    lines = out.read_text().splitlines()
-    header = lines[0].split(",")
+    # 30 rows span a full block and a partial one; on the deep-time grid the
+    # populations and coherences fall below the cutoff one after another
     base = Ad2Params(gamma=1.0, gamma12=0.3, omega12=2.0, omega0=10.0, t=0.0)
-    for t, line in zip(np.linspace(0.0, 12.0, 30), lines[1:]):
-        row = dict(zip(header, line.split(",")))
-        co = ad2_coefficients(base.at(float(t)))
-        smallest = eig_hermitian(choi_2ad(co), tol=1e-12).values[-1]
-        assert abs(float(row["min_choi_eigenvalue"]) - smallest) <= 1e-14
-        assert row["mdc_choi_ppt"] == str(is_ppt(mdc_choi(co), 4, 4))
-        assert row["pdc_choi_ppt"] == str(is_ppt(pdc_choi(co), 4, 4))
-        assert abs(float(row["pdc_concurrence"]) - concurrence(pdc_effective_state(co))) <= 1e-14
+    for t_max in (12.0, 40.0):
+        out = tmp_path / "blocks.csv"
+        code = main(["sweep", "--channel", "ad2", "--gamma", "1", "--gamma12", "0.3",
+                     "--omega12", "2", "--omega0", "10", "--t-min", "0", "--t-max", repr(t_max),
+                     "--steps", "30", "--out", str(out)])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        header = lines[0].split(",")
+        counts = []
+        for t, line in zip(np.linspace(0.0, t_max, 30), lines[1:]):
+            row = dict(zip(header, line.split(",")))
+            co = ad2_coefficients(base.at(float(t)))
+            b = choi_2ad(co)
+            smallest = eig_hermitian(b, tol=1e-12).values[-1]
+            assert abs(float(row["min_choi_eigenvalue"]) - smallest) <= 1e-14
+            assert row["mdc_choi_ppt"] == str(is_ppt(mdc_choi(co), 4, 4))
+            assert row["pdc_choi_ppt"] == str(is_ppt(pdc_choi(co), 4, 4))
+            assert abs(float(row["pdc_concurrence"]) - concurrence(pdc_effective_state(co))) <= 1e-14
+            oracle = extract_signed_kraus(ad2_partition(co, "diag-pairs"))
+            assert row["operator_count"] == str(oracle.count)
+            assert abs(float(row["completeness"]) - check_completeness(oracle)) <= 1e-14
+            assert abs(float(row["reconstruction"]) - max_abs(reconstruct_choi(oracle) - b)) <= 1e-14
+            counts.append(oracle.count)
+        if t_max == 40.0:  # the last row keeps fewer operators (12) than t = 0 (16)
+            assert counts[-1] < counts[0]
