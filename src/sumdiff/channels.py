@@ -12,6 +12,7 @@ excitations, 3 the ground state.  Equivalently (e, s, a, g) <-> (0, 1, 2, 3).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -88,18 +89,33 @@ class SignedKrausSet:
         signs = np.array([1] * len(self.positive) + [-1] * len(self.negative))[None]
         return ops, signs
 
+    def superoperator(self) -> np.ndarray:
+        """The d^2 x d^2 matrix S = sum_k s_k conj(K_k) (x) K_k of the map in the
+        ``unfold`` (column-stacking) convention: unfold(E(rho)) = S unfold(rho).
+
+        S is a reshuffle of the Choi matrix (Wood, Biamonte & Cory 2015):
+        S[(a, b), (k, j)] = B[(j, b), (k, a)].
+        """
+        ops, signs = self.stacked()
+        d = self.dim
+        return np.einsum("k,kac,kbe->abce", signs[0], ops[0].conj(), ops[0]).reshape(d * d, d * d)
+
 
 def apply_signed_kraus(rho, ks: SignedKrausSet) -> np.ndarray:
-    """Evaluate sum K+ rho K+^dag - sum K- rho K-^dag."""
+    """Evaluate sum K+ rho K+^dag - sum K- rho K-^dag on one state or a stack.
+
+    ``rho`` has shape (..., d, d).  The whole stack goes through one matmul
+    with the set's superoperator, not one product per operator.  Each state is
+    its own 1 x d^2 row product there, so its result does not depend on the
+    size of the stack it comes in.
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (ks.dim, ks.dim):
-        raise ValueError(f"state dimension {rho.shape} does not match operators ({ks.dim})")
-    out = np.zeros_like(rho)
-    for k in ks.positive:
-        out += k @ rho @ dagger(k)
-    for k in ks.negative:
-        out -= k @ rho @ dagger(k)
-    return out
+    d = ks.dim
+    if rho.ndim < 2 or rho.shape[-2:] != (d, d):
+        raise ValueError(f"state dimension {rho.shape} does not match operators ({d})")
+    vecs = rho.swapaxes(-1, -2).reshape(-1, 1, d * d)  # unfold(rho_n) as a row
+    out = vecs @ ks.superoperator().T
+    return out.reshape(rho.shape).swapaxes(-1, -2)
 
 
 def completeness_residuals(ops, signs) -> np.ndarray:
@@ -130,11 +146,18 @@ def check_completeness(ks: SignedKrausSet) -> float:
 # density matrices
 
 
-def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random full-rank state: normalize G G^dag with G complex Gaussian."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def random_density_matrix(dim: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
+    """Random full-rank state: normalize G G^dag with G complex Gaussian.
+
+    With ``count`` given, returns a stack (count, dim, dim) drawn as ``count``
+    successive single calls would draw it: each state takes the real and then
+    the imaginary part of its G from the generator.
+    """
+    parts = rng.standard_normal((1 if count is None else count, 2, dim, dim))
+    g = parts[:, 0] + 1j * parts[:, 1]
     rho = g @ dagger(g)
-    return rho / rho.trace()
+    rho /= np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
+    return rho[0] if count is None else rho
 
 
 def check_density_matrix(rho, tol: float = 1e-10) -> None:
@@ -260,15 +283,8 @@ def gad_split_report(p: float, lam: float) -> dict:
     neg_ratios = (recon_neg[corner] / minus[corner]).real
     pos_corner_ratios = (recon_pos[corner] / plus[corner]).real
 
-    rng = np.random.default_rng(0)
-    action_dev = 0.0
-    oracle = gad_kraus(p, lam)
-    for _ in range(20):
-        rho = random_density_matrix(2, rng)
-        action_dev = max(
-            action_dev,
-            max_abs(apply_signed_kraus(rho, ks) - apply_signed_kraus(rho, oracle)),
-        )
+    states = random_density_matrix(2, np.random.default_rng(0), count=20)
+    action_dev = max_abs(apply_signed_kraus(states, ks) - apply_signed_kraus(states, gad_kraus(p, lam)))
     return {
         "negative_reconstruction_ratio": float(np.mean(neg_ratios)),
         "negative_ratio_spread": float(np.ptp(neg_ratios)),
@@ -379,48 +395,65 @@ def ad2_coefficients(params: Ad2Params) -> Ad2Coefficients:
     q = osc(om0 - om12, gm / 2.0)
     tt = osc(om0 + om12, gp / 2.0)
 
+    # R, S, U and V carry (gamma, 2 omega12) / (gamma^2 + 4 omega12^2).  The
+    # rates are scaled by 2^-n, n the exponent of max(gamma, 2|omega12|), so
+    # the squares cannot underflow to a zero denominator for tiny rates.  A
+    # power of two scales exactly, so elsewhere the scaling changes no value.
+    n = math.frexp(max(gamma, 2.0 * abs(om12)))[1]
+    g_s, w_s = math.ldexp(gamma, -n), math.ldexp(2.0 * om12, -n)
     decay = math.exp(-gamma * t)
-    bracket_cos = 2.0 * om12 * decay * math.sin(2.0 * om12 * t) + gamma * (1.0 - decay * math.cos(2.0 * om12 * t))
-    bracket_sin = 2.0 * om12 * (1.0 - decay * math.cos(2.0 * om12 * t)) - gamma * decay * math.sin(2.0 * om12 * t)
-    denom = gamma**2 + 4.0 * om12**2
-    r = (gm / denom) * osc(om0 - om12, gm / 2.0) * bracket_cos
-    s = (gm / denom) * osc(om0 - om12, gm / 2.0) * bracket_sin
-    u = (gp / denom) * osc(om0 + om12, gp / 2.0) * bracket_cos
-    v = (gp / denom) * osc(om0 + om12, gp / 2.0) * bracket_sin
+    bracket_cos = w_s * decay * math.sin(2.0 * om12 * t) + g_s * (1.0 - decay * math.cos(2.0 * om12 * t))
+    bracket_sin = w_s * (1.0 - decay * math.cos(2.0 * om12 * t)) - g_s * decay * math.sin(2.0 * om12 * t)
+    denom = g_s * g_s + w_s * w_s
+    gm_s, gp_s = math.ldexp(gm, -n), math.ldexp(gp, -n)
+    r = (gm_s / denom) * osc(om0 - om12, gm / 2.0) * bracket_cos
+    s = (gm_s / denom) * osc(om0 - om12, gm / 2.0) * bracket_sin
+    u = (gp_s / denom) * osc(om0 + om12, gp / 2.0) * bracket_cos
+    v = (gp_s / denom) * osc(om0 + om12, gp / 2.0) * bracket_sin
 
+    # finite parameters can still overflow, as 2 omega0 does for omega0 = 1e308
+    if not all(map(cmath.isfinite, (a, b, c, d, e, f_p, f_m, h, j, l, m, pp, q, tt, r, s, u, v))):
+        raise ValueError(f"the coefficients are not finite at {params}")
     return Ad2Coefficients(
         A=a, B=b, C=c, D=d, E=e, F=f_p, G=f_m, H=h,
         J=j, L=l, M=m, P=pp, Q=q, T=tt, R=r, S=s, U=u, V=v,
     )
 
 
+# Terms out[i, j] += c * rho[k, l] of the closed-form action, as (i, j, k, l)
+# in the order of the coefficient list in ad2_apply; each term comes with its
+# mirror out[j, i] += conj(c) * rho[l, k], so the action preserves Hermiticity.
+_AD2_TERMS = np.array([
+    (0, 0, 0, 0),  # A
+    (1, 1, 1, 1), (1, 1, 0, 0),  # B, C
+    (2, 2, 2, 2), (2, 2, 0, 0),  # D, E
+    (3, 3, 3, 3), (3, 3, 1, 1), (3, 3, 2, 2), (3, 3, 0, 0),  # 1, F, G, H
+    (0, 1, 0, 1), (0, 2, 0, 2), (0, 3, 0, 3), (1, 2, 1, 2),  # J, M, L, P
+    (1, 3, 1, 3), (1, 3, 0, 1),  # T, U + iV
+    (2, 3, 2, 3), (2, 3, 0, 2),  # Q, iS - R
+])
+# positions of the terms, and of their mirrors, in the 16 x 16 matrix that
+# maps the row-major entries 4 k + l of rho to the entries 4 i + j of the result
+_AD2_AT = (4 * _AD2_TERMS[:, 0] + _AD2_TERMS[:, 1], 4 * _AD2_TERMS[:, 2] + _AD2_TERMS[:, 3])
+_AD2_MIRROR_AT = (4 * _AD2_TERMS[:, 1] + _AD2_TERMS[:, 0], 4 * _AD2_TERMS[:, 3] + _AD2_TERMS[:, 2])
+
+
 def ad2_apply(rho, co: Ad2Coefficients) -> np.ndarray:
-    """Closed-form action of the two-qubit damping channel on a 4 x 4 state.
+    """Closed-form action of the two-qubit damping channel on a 4 x 4 state,
+    or on each state of a stack (..., 4, 4).
 
     Populations cascade toward the ground state (index 3); coherences pick up
     the complex coefficients, with the (e, s) and (e, a) coherences feeding
-    the (s, g) and (a, g) ones through U + iV and iS - R.
+    the (s, g) and (a, g) ones through U + iV and iS - R.  Each state goes
+    through its own product with the 16 x 16 matrix of these terms, so its
+    result does not depend on the stack it comes in.
     """
     r = np.asarray(rho, dtype=complex)
-    if r.shape != (4, 4):
+    if r.ndim < 2 or r.shape[-2:] != (4, 4):
         raise ValueError("expected a 4 x 4 state")
-    uiv = co.U + 1j * co.V
-    isr = 1j * co.S - co.R
-    out = np.zeros((4, 4), dtype=complex)
-    out[0, 0] = co.A * r[0, 0]
-    out[1, 1] = co.B * r[1, 1] + co.C * r[0, 0]
-    out[2, 2] = co.D * r[2, 2] + co.E * r[0, 0]
-    out[3, 3] = r[3, 3] + co.F * r[1, 1] + co.G * r[2, 2] + co.H * r[0, 0]
-    out[0, 1] = co.J * r[0, 1]
-    out[0, 2] = co.M * r[0, 2]
-    out[0, 3] = co.L * r[0, 3]
-    out[1, 2] = co.P * r[1, 2]
-    out[1, 3] = co.T * r[1, 3] + uiv * r[0, 1]
-    out[2, 3] = co.Q * r[2, 3] + isr * r[0, 2]
-    out[1, 0] = np.conj(co.J) * r[1, 0]
-    out[2, 0] = np.conj(co.M) * r[2, 0]
-    out[3, 0] = np.conj(co.L) * r[3, 0]
-    out[2, 1] = np.conj(co.P) * r[2, 1]
-    out[3, 1] = np.conj(co.T) * r[3, 1] + np.conj(uiv) * r[1, 0]
-    out[3, 2] = np.conj(co.Q) * r[3, 2] + np.conj(isr) * r[2, 0]
-    return out
+    coeffs = np.array([co.A, co.B, co.C, co.D, co.E, 1.0, co.F, co.G, co.H, co.J, co.M, co.L, co.P,
+                       co.T, co.U + 1j * co.V, co.Q, 1j * co.S - co.R], dtype=complex)
+    action = np.zeros((16, 16), dtype=complex)
+    action[_AD2_MIRROR_AT] = coeffs.conj()
+    action[_AD2_AT] = coeffs  # the diagonal terms are their own mirrors, with real coefficients
+    return (r.reshape(-1, 1, 16) @ action.T).reshape(r.shape)

@@ -71,6 +71,10 @@ TOLERANCE_ENV = "SUMDIFF_TOLERANCE"
 # over blocks of this many rows: enough to spread each numpy call over many
 # matrices while the stacks stay small in memory
 SWEEP_BLOCK_ROWS = 25
+# verify draws, applies and compares its random states in blocks of this many,
+# so memory stays bounded whatever --count is; the states are drawn in
+# sequence, so they do not depend on the block size
+VERIFY_BLOCK_STATES = 1000
 
 _CHANNEL_PARAMS = {
     "gad": ("p", "lam"),
@@ -216,6 +220,14 @@ def _resolve_cutoff(args, config: dict) -> float:
     return value
 
 
+def _resolve_seed(args, config: dict, default):
+    """Flag > config > default; numpy's generators take no negative seed."""
+    value = _resolve(args, config, "seed", default=default, cast=int)
+    if value is not None and value < 0:
+        raise UsageError(f"--seed must be nonnegative, got {value}")
+    return value
+
+
 def _channel_params(args, config: dict, channel: str, skip=()) -> dict:
     params = {}
     for name in _CHANNEL_PARAMS[channel]:
@@ -257,7 +269,7 @@ def _kraus_from_json(data: dict) -> SignedKrausSet:
             tuple(lab for lab, _ in pos),
             tuple(lab for lab, _ in neg),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ExportError(f"export file has malformed operators: {exc!r}") from exc
 
 
@@ -311,7 +323,7 @@ def cmd_extract(args) -> int:
         raise UsageError(f"unknown partition strategy {strategy!r}")
     tolerance = _resolve_tolerance(args, config)
     cutoff = _resolve_cutoff(args, config)
-    seed = _resolve(args, config, "seed", default=0, cast=int)
+    seed = _resolve_seed(args, config, default=0)
     out_path = _resolve(args, config, "out", default=None)
 
     if channel == "gad":
@@ -370,8 +382,9 @@ def cmd_verify(args) -> int:
         channel = meta["channel"]
         params = {k: float(v) for k, v in meta["params"].items()}
         stored_tolerance = float(meta["tolerance"])
+        stored_seed = meta.get("seed", 0)
         operators = data["operators"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise ExportError(f"export file is missing or corrupts required fields: {exc}") from exc
     if not 0 < stored_tolerance < math.inf:
         raise ExportError(f"export holds a bad tolerance {stored_tolerance}")
@@ -384,22 +397,29 @@ def cmd_verify(args) -> int:
     count = _resolve(args, config, "count", default=100, cast=int)
     if count < 1:
         raise UsageError("--count must be at least 1")
-    seed = _resolve(args, config, "seed", default=meta.get("seed", 0), cast=int)
+    seed = _resolve_seed(args, config, default=None)
+    if seed is None:
+        if type(stored_seed) is not int or stored_seed < 0:
+            raise ExportError(f"export holds a bad seed {stored_seed!r}")
+        seed = stored_seed
 
     ks = _kraus_from_json(operators)
     try:
         reference = _reference_choi(channel, params)
     except ValueError as exc:
         raise ExportError(f"export params are invalid: {exc}") from exc
+    dim = math.isqrt(reference.shape[0])
+    if ks.dim != dim:
+        raise ExportError(f"export operators are {ks.dim} x {ks.dim}, channel {channel!r} acts on dimension {dim}")
     action = _reference_action(channel, params, args.against, reference)
 
     completeness = check_completeness(ks)
     reconstruction = max_abs(reconstruct_choi(ks) - reference)
     rng = np.random.default_rng(seed)
     action_dev = 0.0
-    for _ in range(count):
-        rho = random_density_matrix(ks.dim, rng)
-        action_dev = max(action_dev, max_abs(apply_signed_kraus(rho, ks) - action(rho)))
+    for start in range(0, count, VERIFY_BLOCK_STATES):
+        states = random_density_matrix(dim, rng, count=min(VERIFY_BLOCK_STATES, count - start))
+        action_dev = max(action_dev, max_abs(apply_signed_kraus(states, ks) - action(states)))
 
     checks = [
         ("completeness", completeness),

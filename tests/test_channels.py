@@ -88,6 +88,16 @@ def test_random_density_matrix_is_valid():
             check_density_matrix(random_density_matrix(dim, rng))
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("count", [1, 3, 17])
+def test_random_density_matrix_stack_is_successive_single_draws(dim, count):
+    stack = random_density_matrix(dim, np.random.default_rng(5), count=count)
+    rng = np.random.default_rng(5)
+    singles = np.stack([random_density_matrix(dim, rng) for _ in range(count)])
+    assert stack.shape == (count, dim, dim)
+    assert stack.tobytes() == singles.tobytes()
+
+
 def test_check_density_matrix_rejects_bad_inputs():
     with pytest.raises(ValueError):
         check_density_matrix(np.eye(2, dtype=complex))  # trace 2
@@ -352,6 +362,17 @@ def test_ad2_apply_identity_at_time_zero():
         for k in range(4):
             unit = matrix_unit(j, k)
             assert max_abs(ad2_apply(unit, co) - unit) < 1e-12
+
+
+def test_ad2_apply_stack_matches_single_states():
+    rng = np.random.default_rng(12)
+    co = ad2_coefficients(random_params(rng))
+    states = random_density_matrix(4, rng, count=6).reshape(2, 3, 4, 4)
+    out = ad2_apply(states, co)
+    assert out.shape == states.shape
+    for i in range(2):
+        for j in range(3):
+            assert out[i, j].tobytes() == ad2_apply(states[i, j], co).tobytes()
 
 
 def test_ad2_apply_rejects_wrong_dim():

@@ -11,6 +11,7 @@ import pytest
 from sumdiff.analysis import concurrence, is_ppt, mdc_choi, pdc_choi, pdc_effective_state
 from sumdiff.channels import Ad2Params, ad2_coefficients, check_completeness
 from sumdiff.choi import ad2_partition, ad2_signed_kraus, choi_2ad, extract_signed_kraus, reconstruct_choi
+import sumdiff.cli as cli_module
 from sumdiff.cli import _kraus_from_json, main
 from sumdiff.linalg import eig_hermitian, max_abs
 
@@ -470,3 +471,82 @@ def test_sweep_block_diagnostics_match_row_by_row(tmp_path):
             counts.append(oracle.count)
         if t_max == 40.0:  # the last row keeps fewer operators (12) than t = 0 (16)
             assert counts[-1] < counts[0]
+
+
+@pytest.mark.parametrize("channel, args, other_args, dims", [
+    ("ad2", AD2_ARGS, GAD_ARGS, ("2 x 2", "dimension 4")),
+    ("gad", GAD_ARGS, AD2_ARGS, ("4 x 4", "dimension 2")),
+])
+def test_verify_operator_dimension_must_fit_the_channel(tmp_path, capsys, channel, args, other_args, dims):
+    _, other = run_extract(tmp_path, "other.json", args=other_args)
+    operators = json.loads(other.read_text())["operators"]
+    _, out = run_extract(tmp_path, f"{channel}.json", args=args)
+    data = json.loads(out.read_text())
+    data["operators"] = operators
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert all(text in err for text in dims)
+
+
+@pytest.mark.parametrize("seed", ["x", -1, 1.5, None])
+def test_verify_bad_stored_seed_is_export_error(tmp_path, capsys, seed):
+    out = _tampered_export(tmp_path, lambda d: d["metadata"].update(seed=seed))
+    assert main(["verify", str(out)]) == 3
+    assert f"bad seed {seed!r}" in capsys.readouterr().err
+    # an explicit --seed replaces the stored one
+    assert main(["verify", str(out), "--seed", "4"]) == 0
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_exits_one(tmp_path, capsys, source):
+    _, export = run_extract(tmp_path, "gad.json")
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"seed": -1}))
+    extra = ["--seed=-1"] if source == "flag" else ["--config", str(config)]
+    assert main(["verify", str(export), *extra]) == 1
+    code, out = run_extract(tmp_path, "bad.json", extra=extra)
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err.count("--seed must be nonnegative") == 2
+
+
+@pytest.mark.parametrize("gamma, omega12", [("1e-200", "0"), ("1e-300", "1e-301"), ("1e-170", "0")])
+def test_extract_and_sweep_at_tiny_rates(tmp_path, gamma, omega12):
+    # gamma^2 + 4 omega12^2 underflows to zero here
+    args = ["--channel", "ad2", "--gamma", gamma, "--gamma12", "0", "--omega12", omega12, "--omega0", "1"]
+    code, out = run_extract(tmp_path, "tiny.json", args=[*args, "--t", "1"])
+    assert code == 0
+    assert main(["verify", str(out)]) == 0
+    assert main(["sweep", *args, "--t-min", "0", "--t-max", "2", "--steps", "5",
+                 "--out", str(tmp_path / "tiny.csv")]) == 0
+    for t in (0.0, 1.0, 1e150):
+        co = ad2_coefficients(Ad2Params(float(gamma), 0.0, float(omega12), 1.0, t))
+        assert abs(co.A + co.C + co.E + co.H - 1.0) <= 1e-14
+        assert all(np.isfinite(getattr(co, name)) for name in "RSUV")
+
+
+def test_verify_action_deviation_does_not_depend_on_block_size(tmp_path, capsys, monkeypatch):
+    _, ad2 = run_extract(tmp_path, "ad2.json", args=AD2_ARGS)
+    _, gad = run_extract(tmp_path, "gad.json")
+    capsys.readouterr()
+    runs = [(str(path), against) for path in (ad2, gad) for against in ("direct-action", "standard-kraus")]
+    printed = {}
+    for block in (cli_module.VERIFY_BLOCK_STATES, 4, 3, 1):  # 10 states in 1, 3, 4 and 10 blocks
+        monkeypatch.setattr(cli_module, "VERIFY_BLOCK_STATES", block)
+        for path, against in runs:
+            assert main(["verify", path, "--against", against, "--count", "10"]) == 0
+            printed.setdefault((path, against), set()).add(capsys.readouterr().out)
+    assert all(len(outputs) == 1 for outputs in printed.values())
+
+
+@pytest.mark.parametrize("against", ["direct-action", "standard-kraus"])
+def test_params_giving_non_finite_coefficients_are_rejected(tmp_path, capsys, against):
+    # 2 omega0 overflows to inf, and the coefficient exp(-2i omega0 t) to NaN
+    out = _tampered_export(tmp_path, lambda d: d["metadata"]["params"].update(omega0=1e308))
+    with np.errstate(all="ignore"):
+        assert main(["verify", str(out), "--against", against]) == 3
+        code, _ = run_extract(tmp_path, "huge.json", args=[*AD2_ARGS, "--omega0", "1e308"])
+        assert code == 1
+        assert main(["sweep", *SWEEP_ARGS, "--omega0", "1e308"]) == 1
+    assert capsys.readouterr().err.count("coefficients are not finite") == 3
