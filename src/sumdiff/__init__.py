@@ -9,140 +9,13 @@ two-qubit amplitude-damping family, with a single-qubit generalized damping
 channel as the warm-up case.
 """
 
-from .analysis import (
-    ChannelReport,
-    HolevoForm,
-    concurrence,
-    eb_report,
-    holevo_apply,
-    holevo_kraus,
-    holevo_point_form,
-    is_ppt,
-    mdc_choi,
-    mdc_choi_from_choi,
-    mdc_kraus,
-    pdc_apply,
-    pdc_choi,
-    pdc_choi_from_choi,
-    pdc_effective_state,
-    pdc_effective_state_from_choi,
-    pdc_entanglement_trace,
-    pdc_kraus,
-    qc_form_test,
-)
-from .channels import (
-    Ad2Coefficients,
-    Ad2Params,
-    SignedKrausSet,
-    ad2_apply,
-    ad2_coefficients,
-    apply_signed_kraus,
-    check_completeness,
-    check_density_matrix,
-    completeness_residuals,
-    gad_choi,
-    gad_kraus,
-    gad_split_choi,
-    gad_split_kraus,
-    gad_split_report,
-    random_density_matrix,
-)
-from .choi import (
-    HermitianPartition,
-    ad2_diag_pairs_operators,
-    ad2_partition,
-    ad2_signed_kraus,
-    charpoly_checks,
-    choi_2ad,
-    choi_from_channel,
-    extract_signed_kraus,
-    partition_diag_pairs,
-    partition_from_elements,
-    partition_from_masks,
-    partition_full,
-    reconstruct_choi,
-    reconstruct_choi_stack,
-    standard_kraus_from_choi,
-    trace_preservation_residual,
-)
-from .linalg import (
-    EigenSystem,
-    JacobiConvergenceError,
-    dagger,
-    eig_hermitian,
-    eig_rank2_pair,
-    fold,
-    is_hermitian,
-    kron,
-    max_abs,
-    partial_trace,
-    partial_transpose,
-    unfold,
-)
+# each module's __all__ is its public API, and the package re-exports it
+from . import analysis, channels, choi, linalg
+from .analysis import *
+from .channels import *
+from .choi import *
+from .linalg import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Ad2Coefficients",
-    "Ad2Params",
-    "ChannelReport",
-    "EigenSystem",
-    "HermitianPartition",
-    "HolevoForm",
-    "JacobiConvergenceError",
-    "SignedKrausSet",
-    "ad2_apply",
-    "ad2_coefficients",
-    "ad2_diag_pairs_operators",
-    "ad2_partition",
-    "ad2_signed_kraus",
-    "apply_signed_kraus",
-    "charpoly_checks",
-    "check_completeness",
-    "check_density_matrix",
-    "choi_2ad",
-    "choi_from_channel",
-    "completeness_residuals",
-    "concurrence",
-    "dagger",
-    "eb_report",
-    "eig_hermitian",
-    "eig_rank2_pair",
-    "extract_signed_kraus",
-    "fold",
-    "gad_choi",
-    "gad_kraus",
-    "gad_split_choi",
-    "gad_split_kraus",
-    "gad_split_report",
-    "holevo_apply",
-    "holevo_kraus",
-    "holevo_point_form",
-    "is_hermitian",
-    "is_ppt",
-    "kron",
-    "max_abs",
-    "mdc_choi",
-    "mdc_choi_from_choi",
-    "mdc_kraus",
-    "partial_trace",
-    "partial_transpose",
-    "partition_diag_pairs",
-    "partition_from_elements",
-    "partition_from_masks",
-    "partition_full",
-    "pdc_apply",
-    "pdc_choi",
-    "pdc_choi_from_choi",
-    "pdc_effective_state",
-    "pdc_effective_state_from_choi",
-    "pdc_entanglement_trace",
-    "pdc_kraus",
-    "qc_form_test",
-    "random_density_matrix",
-    "reconstruct_choi",
-    "reconstruct_choi_stack",
-    "standard_kraus_from_choi",
-    "trace_preservation_residual",
-    "unfold",
-]
+__all__ = [*analysis.__all__, *channels.__all__, *choi.__all__, *linalg.__all__]

@@ -368,6 +368,11 @@ def ad2_coefficients(params: Ad2Params) -> Ad2Coefficients:
     om12, om0, t = params.omega12, params.omega0, params.t
     gp = gamma + g12
     gm = gamma - g12
+    # finite parameters can still overflow a phase, as 2 omega0 t does for
+    # omega0 = 1e308; its coefficient is then undefined, and math.sin and
+    # math.cos reject the argument
+    if not all(math.isfinite(w * t) for w in (om0 - om12, 2.0 * om0, om0 + om12, 2.0 * om12)):
+        raise ValueError(f"the coefficients are not finite at {params}")
 
     # 1 - exp(-x) via expm1 keeps the trace identities tight near t = 0
     f_p = -math.expm1(-gp * t)
@@ -411,7 +416,7 @@ def ad2_coefficients(params: Ad2Params) -> Ad2Coefficients:
     u = (gp_s / denom) * osc(om0 + om12, gp / 2.0) * bracket_cos
     v = (gp_s / denom) * osc(om0 + om12, gp / 2.0) * bracket_sin
 
-    # finite parameters can still overflow, as 2 omega0 does for omega0 = 1e308
+    # large rates can still overflow, as gamma + gamma12 does at gamma = 1.5e308
     if not all(map(cmath.isfinite, (a, b, c, d, e, f_p, f_m, h, j, l, m, pp, q, tt, r, s, u, v))):
         raise ValueError(f"the coefficients are not finite at {params}")
     return Ad2Coefficients(

@@ -23,6 +23,7 @@ import numpy as np
 
 from .channels import Ad2Coefficients, SignedKrausSet
 from .linalg import (
+    dagger,
     eig_hermitian,
     eig_rank2_pair,
     fold,
@@ -36,6 +37,7 @@ __all__ = [
     "AD2_DIAG_LABELS",
     "AD2_PAIR_LABELS",
     "HermitianPartition",
+    "PARTITIONS",
     "PARTITION_REL_THRESHOLD",
     "ad2_diag_pairs_operators",
     "ad2_partition",
@@ -53,6 +55,9 @@ __all__ = [
     "standard_kraus_from_choi",
     "trace_preservation_residual",
 ]
+
+# Names of the partition strategies, the default first.
+PARTITIONS = ("diag-pairs", "split-real-imag", "full-spectral")
 
 # Entries of at most this fraction of the largest Choi entry are structural
 # zeros to the partitions, and so to the stacked diag-pairs extraction.
@@ -176,9 +181,13 @@ class HermitianPartition:
         if not els:
             raise ValueError("a partition needs at least one element")
         shape = els[0].shape
-        for e in els:
-            if e.shape != shape or not is_hermitian(e, 1e-12 * max(1.0, max_abs(e))):
-                raise ValueError("every element must be Hermitian and same-shaped")
+        if len(shape) != 2 or shape[0] != shape[1] or any(e.shape != shape for e in els):
+            raise ValueError("every element must be Hermitian and same-shaped")
+        # is_hermitian(e, 1e-12 * max(1, max_abs(e))) for the whole stack at once
+        stack = np.stack(els)
+        asym = np.abs(stack - dagger(stack)).max(axis=(1, 2), initial=0.0)
+        if not (asym <= 1e-12 * np.maximum(1.0, np.abs(stack).max(axis=(1, 2), initial=0.0))).all():
+            raise ValueError("every element must be Hermitian and same-shaped")
         labs = tuple(self.labels) or tuple(f"E{i}" for i in range(len(els)))
         if len(labs) != len(els):
             raise ValueError("label count must match element count")
@@ -217,6 +226,14 @@ def partition_full(b, label: str = "full") -> HermitianPartition:
     return HermitianPartition((np.asarray(b, dtype=complex),), (label,))
 
 
+def _pair_element(b: np.ndarray, r: int, c: int, z: complex) -> np.ndarray:
+    """The Hermitian matrix z |r><c| + conj(z) |c><r|, shaped like b."""
+    el = np.zeros_like(b)
+    el[r, c] = z
+    el[c, r] = np.conj(z)
+    return el
+
+
 def partition_diag_pairs(b, rel_threshold: float = PARTITION_REL_THRESHOLD,
                          labels: Mapping[tuple[int, int], str] | None = None) -> HermitianPartition:
     """Split a Hermitian matrix into its diagonal plus one element per
@@ -244,10 +261,7 @@ def partition_diag_pairs(b, rel_threshold: float = PARTITION_REL_THRESHOLD,
             z = b[r, c]
             if abs(z) <= thresh:
                 continue
-            el = np.zeros_like(b)
-            el[r, c] = z
-            el[c, r] = np.conj(z)
-            elements.append(el)
+            elements.append(_pair_element(b, r, c, z))
             labs.append(labels.get((r, c), f"({r},{c})") if labels else f"({r},{c})")
     return HermitianPartition(tuple(elements), tuple(labs))
 
@@ -290,43 +304,34 @@ def ad2_partition(co: Ad2Coefficients, strategy: str = "diag-pairs",
                       into their named parts, U + iV and iS + (-R) (1 + up to 10)
     full-spectral     the whole matrix as one element
     """
+    if strategy not in PARTITIONS:
+        raise ValueError(f"unknown partition strategy {strategy!r}")
     b = choi_2ad(co)
     if strategy == "full-spectral":
         return partition_full(b)
+    part = partition_diag_pairs(b, rel_threshold=rel_threshold, labels=AD2_PAIR_LABELS)
     if strategy == "diag-pairs":
-        return partition_diag_pairs(b, rel_threshold=rel_threshold, labels=AD2_PAIR_LABELS)
-    if strategy != "split-real-imag":
-        raise ValueError(f"unknown partition strategy {strategy!r}")
+        return part
 
     # Splitting U + iV (and iS - R) needs the coefficients themselves: the
     # parts are not the real/imaginary entry components since U and V share
-    # a common phase.
-    split: dict[tuple[int, int], tuple[tuple[str, complex], ...]] = {
-        (1, 7): (("U", complex(co.U)), ("iV", 1j * co.V)),
-        (2, 11): (("iS", 1j * co.S), ("-R", -co.R)),
-    }
+    # a common phase.  A part is at most as large as its pair, so every part
+    # above threshold belongs to a pair element.
+    split = {"U+iV": (("U", complex(co.U)), ("iV", 1j * co.V)),
+             "iS-R": (("iS", 1j * co.S), ("-R", -co.R))}
+    position = {label: rc for rc, label in AD2_PAIR_LABELS.items()}
     thresh = rel_threshold * max_abs(b)
-    elements = []
-    labs = []
-    diag = np.diag(np.diagonal(b).real.astype(complex))
-    if max_abs(diag) > thresh:
-        elements.append(diag)
-        labs.append("diag")
-    for (r, c) in sorted(AD2_PAIR_LABELS):
-        parts = split.get((r, c), ((AD2_PAIR_LABELS[(r, c)], complex(b[r, c])),))
-        for name, z in parts:
-            if abs(z) <= thresh:
-                continue
-            el = np.zeros_like(b)
-            el[r, c] = z
-            el[c, r] = np.conj(z)
+    elements, labels = [], []
+    for el, label in zip(part.elements, part.labels):
+        if label not in split:
             elements.append(el)
-            labs.append(name)
-    part = HermitianPartition(tuple(elements), tuple(labs))
-    resid = max_abs(part.sum_matrix() - b)
-    if resid > 1e-12 * max(1.0, max_abs(b)):
-        raise ValueError(f"split partition does not telescope (residual {resid:.3e})")
-    return part
+            labels.append(label)
+            continue
+        for name, z in split[label]:
+            if abs(z) > thresh:
+                elements.append(_pair_element(b, *position[label], z))
+                labels.append(name)
+    return partition_from_elements(elements, labels, reference=b)
 
 
 # ---------------------------------------------------------------------------
@@ -563,10 +568,7 @@ def charpoly_checks(co: Ad2Coefficients, diag_tol: float = 1e-10,
 
     for (r, c), z in _ad2_pair_values(co).items():
         label = AD2_PAIR_LABELS[(r, c)]
-        el = np.zeros_like(b)
-        el[r, c] = z
-        el[c, r] = np.conj(z)
-        computed = eig_hermitian(el, tol=jacobi_tol).values
+        computed = eig_hermitian(_pair_element(b, r, c, z), tol=jacobi_tol).values
         expected = np.concatenate([[abs(z)], np.zeros(14), [-abs(z)]])
         err = float(np.max(np.abs(np.sort(computed) - np.sort(expected))))
         report["blocks"][label] = {

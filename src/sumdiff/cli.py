@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -26,7 +27,7 @@ import os
 import re
 import sys
 from datetime import datetime, timezone
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .analysis import (
     pdc_effective_state_from_choi,
 )
 from .channels import (
+    Ad2Coefficients,
     Ad2Params,
     SignedKrausSet,
     ad2_apply,
@@ -51,6 +53,7 @@ from .channels import (
     random_density_matrix,
 )
 from .choi import (
+    PARTITIONS,
     ad2_diag_pairs_operators,
     ad2_signed_kraus,
     choi_2ad,
@@ -76,13 +79,66 @@ SWEEP_BLOCK_ROWS = 25
 # sequence, so they do not depend on the block size
 VERIFY_BLOCK_STATES = 1000
 
-_CHANNEL_PARAMS = {
-    "gad": ("p", "lam"),
-    "ad2": ("gamma", "gamma12", "omega12", "omega0", "t"),
-}
+_COEFF_ORDER = tuple(field.name for field in dataclasses.fields(Ad2Coefficients))
 
-_COEFF_ORDER = ("A", "B", "C", "D", "E", "F", "G", "H",
-                "J", "L", "M", "P", "Q", "T", "R", "S", "U", "V")
+
+# ---------------------------------------------------------------------------
+# channels
+#
+# The record functions look the library up by name at each call, so a
+# rebound module attribute (a tracer, a test double) sees every call.
+
+
+@dataclasses.dataclass(frozen=True)
+class Channel:
+    """What the commands need of one channel."""
+
+    params: Mapping[str, str]  # parameter name -> help text of its flag
+    choi: Callable[[dict], np.ndarray]
+    action: Callable[[dict], Callable[[np.ndarray], np.ndarray]]  # the reference action
+    extract: Callable[[dict, str, float], tuple[np.ndarray, SignedKrausSet]]  # (Choi matrix, operators)
+
+
+def _gad_action(params: dict):
+    ks = gad_kraus(**params)
+    return lambda rho: apply_signed_kraus(rho, ks)
+
+
+def _gad_extract(params: dict, strategy: str, cutoff: float):
+    b = gad_choi(**params)
+    if strategy == "full-spectral":
+        part = partition_full(b)
+    else:  # both entrywise strategies coincide for this real-entried matrix
+        part = partition_diag_pairs(b, labels={(0, 3): "corner"})
+    return b, extract_signed_kraus(part, cutoff=cutoff)
+
+
+def _ad2_action(params: dict):
+    co = ad2_coefficients(Ad2Params(**params))
+    return lambda rho: ad2_apply(rho, co)
+
+
+def _ad2_extract(params: dict, strategy: str, cutoff: float):
+    co = ad2_coefficients(Ad2Params(**params))
+    return choi_2ad(co), ad2_signed_kraus(co, strategy=strategy, cutoff=cutoff)
+
+
+CHANNELS = {
+    "gad": Channel(
+        params={"p": "excitation bias in [0, 1]", "lam": "damping strength in [0, 1]"},
+        choi=lambda params: gad_choi(**params),
+        action=_gad_action,
+        extract=_gad_extract,
+    ),
+    "ad2": Channel(
+        params={"gamma": "single-atom decay rate", "gamma12": "collective decay rate",
+                "omega12": "collective coupling shift", "omega0": "transition frequency",
+                "t": "evolution time"},
+        choi=lambda params: choi_2ad(ad2_coefficients(Ad2Params(**params))),
+        action=_ad2_action,
+        extract=_ad2_extract,
+    ),
+}
 
 
 class UsageError(Exception):
@@ -119,25 +175,17 @@ def build_parser() -> _Parser:
                        help=f"verification tolerance (default {DEFAULT_TOLERANCE} or ${TOLERANCE_ENV})")
         p.add_argument("--seed", type=int, default=None, help="RNG seed for random-state checks (default 0)")
 
-    def add_channel(p, time_flags=False):
-        p.add_argument("--channel", choices=("gad", "ad2"), required=True)
-        p.add_argument("--p", type=float, default=None, help="gad: excitation bias in [0, 1]")
-        p.add_argument("--lam", type=float, default=None, help="gad: damping strength in [0, 1]")
-        p.add_argument("--gamma", type=float, default=None, help="ad2: single-atom decay rate")
-        p.add_argument("--gamma12", type=float, default=None, help="ad2: collective decay rate")
-        p.add_argument("--omega12", type=float, default=None, help="ad2: collective coupling shift")
-        p.add_argument("--omega0", type=float, default=None, help="ad2: transition frequency")
-        if time_flags:
-            p.add_argument("--t-min", type=float, default=None)
-            p.add_argument("--t-max", type=float, default=None)
-            p.add_argument("--steps", type=int, default=None)
-        else:
-            p.add_argument("--t", type=float, default=None, help="ad2: evolution time")
+    def add_channel(p, channels, skip=()):
+        p.add_argument("--channel", choices=tuple(channels), required=True)
+        for channel in channels:
+            for name, text in CHANNELS[channel].params.items():
+                if name not in skip:
+                    p.add_argument(f"--{name}", type=float, default=None, help=f"{channel}: {text}")
 
     p_extract = sub.add_parser("extract", help="extract and export a signed operator set")
-    add_channel(p_extract)
-    p_extract.add_argument("--partition", choices=("diag-pairs", "split-real-imag", "full-spectral"),
-                           default=None, help="partition strategy (default diag-pairs)")
+    add_channel(p_extract, CHANNELS)
+    p_extract.add_argument("--partition", choices=PARTITIONS,
+                           default=None, help=f"partition strategy (default {PARTITIONS[0]})")
     p_extract.add_argument("--cutoff", type=float, default=None,
                            help=f"eigenvalue cutoff for keeping operators (default {DEFAULT_CUTOFF})")
     p_extract.add_argument("--out", default=None, help="output JSON path (default stdout)")
@@ -151,7 +199,10 @@ def build_parser() -> _Parser:
     add_common(p_verify)
 
     p_sweep = sub.add_parser("sweep", help="tabulate diagnostics over a time grid")
-    add_channel(p_sweep, time_flags=True)
+    add_channel(p_sweep, ("ad2",), skip=("t",))
+    p_sweep.add_argument("--t-min", type=float, default=None)
+    p_sweep.add_argument("--t-max", type=float, default=None)
+    p_sweep.add_argument("--steps", type=int, default=None)
     p_sweep.add_argument("--cutoff", type=float, default=None)
     p_sweep.add_argument("--out", default=None, help="output CSV path (default stdout)")
     add_common(p_sweep)
@@ -229,12 +280,14 @@ def _resolve_seed(args, config: dict, default):
 
 
 def _channel_params(args, config: dict, channel: str, skip=()) -> dict:
-    params = {}
-    for name in _CHANNEL_PARAMS[channel]:
-        if name in skip:
-            continue
-        params[name] = _resolve(args, config, name, cast=float)
-    return params
+    """The channel's parameters, flag > config; a flag of another channel is
+    an error, a config key of one is not, since a config may serve both."""
+    for other, record in CHANNELS.items():
+        given = [name for name in record.params if getattr(args, name, None) is not None]
+        if other != channel and given:
+            raise UsageError(f"--{given[0]} does not apply to channel {channel!r}")
+    return {name: _resolve(args, config, name, cast=float)
+            for name in CHANNELS[channel].params if name not in skip}
 
 
 # ---------------------------------------------------------------------------
@@ -297,47 +350,19 @@ def _write_text(path: str | None, text: str) -> None:
 # subcommands
 
 
-def _reference_choi(channel: str, params: dict) -> np.ndarray:
-    if channel == "gad":
-        return gad_choi(**params)
-    return choi_2ad(ad2_coefficients(Ad2Params(**params)))
-
-
-def _reference_action(channel: str, params: dict, against: str, choi: np.ndarray):
-    if against == "standard-kraus":
-        std = standard_kraus_from_choi(choi)
-        return lambda rho: apply_signed_kraus(rho, std)
-    if channel == "gad":
-        ks = gad_kraus(**params)
-        return lambda rho: apply_signed_kraus(rho, ks)
-    co = ad2_coefficients(Ad2Params(**params))
-    return lambda rho: ad2_apply(rho, co)
-
-
 def cmd_extract(args) -> int:
     config = _load_config(args.config)
     channel = args.channel
     params = _channel_params(args, config, channel)
-    strategy = _resolve(args, config, "partition", default="diag-pairs", cast=str)
-    if strategy not in ("diag-pairs", "split-real-imag", "full-spectral"):
+    strategy = _resolve(args, config, "partition", default=PARTITIONS[0], cast=str)
+    if strategy not in PARTITIONS:
         raise UsageError(f"unknown partition strategy {strategy!r}")
     tolerance = _resolve_tolerance(args, config)
     cutoff = _resolve_cutoff(args, config)
     seed = _resolve_seed(args, config, default=0)
     out_path = _resolve(args, config, "out", default=None)
 
-    if channel == "gad":
-        b = gad_choi(**params)
-        if strategy == "full-spectral":
-            part = partition_full(b)
-        else:  # both entrywise strategies coincide for this real-entried matrix
-            part = partition_diag_pairs(b, labels={(0, 3): "corner"})
-        ks = extract_signed_kraus(part, cutoff=cutoff)
-    else:
-        co = ad2_coefficients(Ad2Params(**params))
-        b = choi_2ad(co)
-        ks = ad2_signed_kraus(co, strategy=strategy, cutoff=cutoff)
-
+    b, ks = CHANNELS[channel].extract(params, strategy, cutoff)
     completeness = check_completeness(ks)
     reconstruction = max_abs(reconstruct_choi(ks) - b)
     payload = {
@@ -388,9 +413,10 @@ def cmd_verify(args) -> int:
         raise ExportError(f"export file is missing or corrupts required fields: {exc}") from exc
     if not 0 < stored_tolerance < math.inf:
         raise ExportError(f"export holds a bad tolerance {stored_tolerance}")
-    if not isinstance(channel, str) or channel not in _CHANNEL_PARAMS:
+    if not isinstance(channel, str) or channel not in CHANNELS:
         raise ExportError(f"export names unknown channel {channel!r}")
-    if sorted(params) != sorted(_CHANNEL_PARAMS[channel]):
+    record = CHANNELS[channel]
+    if sorted(params) != sorted(record.params):
         raise ExportError(f"export params {sorted(params)} do not fit channel {channel!r}")
     # fall back to the tolerance the export was produced with
     tolerance = _resolve_tolerance(args, config, fallback=stored_tolerance)
@@ -405,13 +431,17 @@ def cmd_verify(args) -> int:
 
     ks = _kraus_from_json(operators)
     try:
-        reference = _reference_choi(channel, params)
+        reference = record.choi(params)
     except ValueError as exc:
         raise ExportError(f"export params are invalid: {exc}") from exc
     dim = math.isqrt(reference.shape[0])
     if ks.dim != dim:
         raise ExportError(f"export operators are {ks.dim} x {ks.dim}, channel {channel!r} acts on dimension {dim}")
-    action = _reference_action(channel, params, args.against, reference)
+    if args.against == "standard-kraus":
+        std = standard_kraus_from_choi(reference)
+        action = lambda rho: apply_signed_kraus(rho, std)
+    else:
+        action = record.action(params)
 
     completeness = check_completeness(ks)
     reconstruction = max_abs(reconstruct_choi(ks) - reference)
@@ -437,9 +467,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _load_config(args.config)
-    if args.channel != "ad2":
-        raise UsageError("sweep is defined for --channel ad2")
-    params = _channel_params(args, config, "ad2", skip=("t",))
+    params = _channel_params(args, config, args.channel, skip=("t",))
     t_min = _resolve(args, config, "t_min", cast=float)
     t_max = _resolve(args, config, "t_max", cast=float)
     steps = _resolve(args, config, "steps", cast=int)

@@ -1,6 +1,7 @@
 """Tests for signed Kraus application and the two concrete channels."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -272,6 +273,20 @@ def test_ad2_coefficients_at_large_time(gamma12, t):
     co = ad2_coefficients(Ad2Params(1.0, gamma12, 2.0, 10.0, t))
     assert abs(co.A + co.C + co.E + co.H - 1) <= 1e-14
     assert 0.0 <= co.H <= 1.0
+
+
+@pytest.mark.parametrize("values", [
+    (1.0, 0.3, 1e308, 1.0, 1.0),  # 2 omega12 t overflows, where math.sin raised "math domain error"
+    (1.0, 0.3, 1.0, 1.0, 1e308),  # so does every phase at t = 1e308
+    (1.0, 0.3, 1e308, 1.0, 0.0),  # 2 omega12 = inf, and inf * 0 is NaN
+    (1.0, 0.3, 1.0, 1e308, 1.0),  # 2 omega0 t
+    (1.5e308, 1e308, 1.0, 1.0, 1.0),  # gamma + gamma12
+])
+def test_ad2_coefficients_reject_overflow_with_a_named_error(values):
+    params = Ad2Params(*values)
+    with np.errstate(all="raise"):  # no numpy warning on the way
+        with pytest.raises(ValueError, match=re.escape(f"the coefficients are not finite at {params}")):
+            ad2_coefficients(params)
 
 
 def test_ad2_coefficient_bounds():

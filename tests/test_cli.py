@@ -10,7 +10,8 @@ import pytest
 
 from sumdiff.analysis import concurrence, is_ppt, mdc_choi, pdc_choi, pdc_effective_state
 from sumdiff.channels import Ad2Params, ad2_coefficients, check_completeness
-from sumdiff.choi import ad2_partition, ad2_signed_kraus, choi_2ad, extract_signed_kraus, reconstruct_choi
+from sumdiff.choi import (PARTITIONS, ad2_partition, ad2_signed_kraus, choi_2ad, extract_signed_kraus,
+                          reconstruct_choi)
 import sumdiff.cli as cli_module
 from sumdiff.cli import _kraus_from_json, main
 from sumdiff.linalg import eig_hermitian, max_abs
@@ -550,3 +551,63 @@ def test_params_giving_non_finite_coefficients_are_rejected(tmp_path, capsys, ag
         assert code == 1
         assert main(["sweep", *SWEEP_ARGS, "--omega0", "1e308"]) == 1
     assert capsys.readouterr().err.count("coefficients are not finite") == 3
+
+
+@pytest.mark.parametrize("param", [["--omega12", "1e308"], ["--t", "1e308"]])
+def test_overflowing_phase_exits_with_a_message_naming_the_parameters(tmp_path, capsys, param):
+    # math.sin and math.cos of the infinite phase raised a bare "math domain error"
+    name, value = param[0][2:], float(param[1])
+    code, out = run_extract(tmp_path, "huge.json", args=[*AD2_ARGS, *param])
+    assert code == 1 and not out.exists()
+    sweep = {"omega12": [*SWEEP_ARGS, *param], "t": [*SWEEP_ARGS, "--t-max", param[1]]}[name]
+    assert main(["sweep", *sweep]) == 1
+    export = _tampered_export(tmp_path, lambda d: d["metadata"]["params"].update({name: value}))
+    assert main(["verify", str(export)]) == 3
+    err = capsys.readouterr().err
+    assert "math domain error" not in err
+    assert err.count("the coefficients are not finite at Ad2Params(") == 3
+    assert f"{name}=1e+308" in err
+
+
+@pytest.mark.parametrize("args, flag, channel", [
+    ([*GAD_ARGS, "--gamma", "1"], "--gamma", "gad"),
+    ([*GAD_ARGS, "--t", "1"], "--t", "gad"),
+    ([*AD2_ARGS, "--lam", "0.3"], "--lam", "ad2"),
+])
+def test_flag_of_another_channel_exits_one(tmp_path, capsys, args, flag, channel):
+    code, out = run_extract(tmp_path, "other.json", args=args)
+    assert code == 1 and not out.exists()
+    assert f"{flag} does not apply to channel '{channel}'" in capsys.readouterr().err
+
+
+def test_config_keys_of_another_channel_are_ignored(tmp_path):
+    # one config file may serve both channels
+    config = tmp_path / "both.json"
+    config.write_text(json.dumps({"p": 0.5, "lam": 0.36, "gamma": 1, "gamma12": 0.3,
+                                  "omega12": 2, "omega0": 10, "t": 0.7}))
+    for channel in cli_module.CHANNELS:
+        code, out = run_extract(tmp_path, f"{channel}.json", args=["--channel", channel],
+                                extra=["--config", str(config)])
+        assert code == 0
+        assert sorted(json.loads(out.read_text())["metadata"]["params"]) == sorted(cli_module.CHANNELS[channel].params)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--channel", "gad", "--p", "0.5", "--lam", "0.36", *SWEEP_ARGS[12:]], "invalid choice: 'gad'"),
+    ([*SWEEP_ARGS, "--p", "0.5"], "unrecognized arguments: --p 0.5"),
+])
+def test_sweep_takes_only_ad2(capsys, args, message):
+    assert main(["sweep", *args]) == 1
+    assert message in capsys.readouterr().err
+
+
+CHANNEL_ARGS = {"gad": GAD_ARGS, "ad2": AD2_ARGS}
+
+
+@pytest.mark.parametrize("against", ["direct-action", "standard-kraus"])
+@pytest.mark.parametrize("partition", PARTITIONS)
+@pytest.mark.parametrize("channel", cli_module.CHANNELS)
+def test_every_channel_and_partition_extracts_and_verifies(tmp_path, channel, partition, against):
+    code, out = run_extract(tmp_path, "table.json", args=CHANNEL_ARGS[channel], extra=["--partition", partition])
+    assert code == 0
+    assert main(["verify", str(out), "--against", against]) == 0

@@ -1,0 +1,18 @@
+"""The package namespace re-exports each module's public names."""
+
+import sumdiff
+from sumdiff import analysis, channels, choi, linalg
+
+MODULES = (analysis, channels, choi, linalg)
+
+
+def test_package_all_is_the_union_of_the_module_lists():
+    names = [name for module in MODULES for name in module.__all__]
+    assert len(set(names)) == len(names)  # no name is public in two modules
+    assert sorted(sumdiff.__all__) == sorted(names)
+
+
+def test_every_exported_name_is_the_module_object():
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(sumdiff, name) is getattr(module, name), name

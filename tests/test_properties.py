@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 
@@ -32,7 +33,7 @@ from sumdiff.choi import (
     partition_full,
     reconstruct_choi,
 )
-from sumdiff.cli import main
+from sumdiff.cli import CHANNELS, main
 from sumdiff.linalg import dagger, max_abs
 
 
@@ -81,6 +82,36 @@ def test_ad2_signed_kraus_matches_general_path(params, cutoff):
     # sum K^dag K gathers the four Choi entries of one input index pair
     assert max_abs(reconstruct_choi(ks) - choi_2ad(co)) <= 1e-10 + cutoff
     assert check_completeness(ks) <= 1e-10 + 4 * cutoff
+
+
+# A dropped eigenpair (value, v) of an element, |value| <= cutoff, leaves
+# value |v><v| out of the reconstruction; over an orthonormal set of
+# eigenvectors that misses no entry by more than one cutoff.  Under
+# split-real-imag two elements (U and iV, or iS and -R) share an entry, hence
+# two cutoffs.  An entry of sum K^dag K gathers d entries of the Choi matrix.
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(params=ad2_params(), strategy=st.sampled_from(["split-real-imag", "full-spectral"]),
+       cutoff=st.sampled_from([0.0, 1e-12, 1e-6]))
+def test_ad2_extraction_round_trip_and_completeness(params, strategy, cutoff):
+    b, ks = CHANNELS["ad2"].extract(dataclasses.asdict(params), strategy, cutoff)
+    assert b.tobytes() == choi_2ad(ad2_coefficients(params)).tobytes()
+    per_entry = 2 * cutoff if strategy == "split-real-imag" else cutoff
+    assert max_abs(reconstruct_choi(ks) - b) <= 1e-10 + per_entry
+    assert check_completeness(ks) <= 1e-10 + 4 * per_entry
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(p=st.floats(0.0, 1.0), lam=st.floats(0.0, 1.0), strategy=st.sampled_from(["diag-pairs", "full-spectral"]),
+       cutoff=st.sampled_from([0.0, 1e-12, 1e-6]))
+@example(p=0.5, lam=0.36, strategy="diag-pairs", cutoff=1e-12)
+@example(p=0.5, lam=1.0, strategy="full-spectral", cutoff=0.0)
+def test_gad_extraction_round_trip_and_completeness(p, lam, strategy, cutoff):
+    b, ks = CHANNELS["gad"].extract({"p": p, "lam": lam}, strategy, cutoff)
+    assert b.tobytes() == gad_choi(p, lam).tobytes()
+    assert max_abs(reconstruct_choi(ks) - b) <= 1e-10 + cutoff
+    # the family is trace preserving only at p = 1/2; elsewhere sum K^dag K
+    # misses the identity by lam |1 - 2p| on the diagonal
+    assert abs(check_completeness(ks) - lam * abs(1 - 2 * p)) <= 1e-10 + 2 * cutoff
 
 
 def _apply_loop(rho, ks: SignedKrausSet) -> np.ndarray:
