@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -165,6 +166,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # parse_args keeps no state between calls; callers must not alter the parser
 def build_parser() -> _Parser:
     parser = _Parser(prog="sumdiff", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -233,15 +235,20 @@ def _from_config(config: dict, name: str):
 
 
 def _resolve(args, config: dict, name: str, default=_MISSING, cast=None):
-    """Flag > config > default; raises UsageError when required and absent."""
+    """Flag > config > default; raises UsageError when required and absent,
+    null in the config, or of a value ``cast`` rejects."""
+    flag = f"--{name.replace('_', '-')}"
     value = getattr(args, name, None)
-    if value is None:
-        value = _from_config(config, name)
+    if value is None and (value := _from_config(config, name)) is None:
+        raise UsageError(f"config value of {flag} is null")
     if value is _MISSING:
         if default is _MISSING:
-            raise UsageError(f"missing required option --{name.replace('_', '-')}")
+            raise UsageError(f"missing required option {flag}")
         value = default
-    return cast(value) if cast is not None and value is not None else value
+    try:
+        return cast(value) if cast is not None and value is not None else value
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"bad value {value!r} for {flag}") from None
 
 
 def _resolve_tolerance(args, config: dict, fallback: float = DEFAULT_TOLERANCE) -> float:
@@ -294,8 +301,39 @@ def _channel_params(args, config: dict, channel: str, skip=()) -> dict:
 # JSON encoding of operator sets
 
 
-def _matrix_json(m) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+def _pairs(m) -> list:
+    m = np.ascontiguousarray(m, dtype=complex)
+    return m.view(float).reshape(m.shape + (2,)).tolist()
+
+
+# the placeholder _dumps leaves for a held-out matrix, with the matrix's index
+_HELD = re.compile(r'"\\u0000(\d+)"')
+
+
+def _dumps(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte, with
+    each matrix in the payload, a 2-D ndarray, written as rows of [re, im] pairs.
+
+    With ``indent`` set, CPython encodes in pure Python.  So each matrix is
+    held out of that encoder as a placeholder, encoded by the C encoder and
+    laid out at the indent of the placeholder's line by text substitution."""
+    held = []
+
+    def hold(m):
+        held.append(_pairs(m))
+        return f"\0{len(held) - 1}"
+
+    def lay_out(match):
+        line = text[text.rfind("\n", 0, match.start()) + 1:match.start()]
+        p0, p2, p4, p6 = ("\n" + " " * (len(line) - len(line.lstrip()) + k) for k in (0, 2, 4, 6))
+        return (json.dumps(held[int(match[1])])
+                .replace("]], [[", f"{p4}]{p2}],{p2}[{p4}[{p6}").replace("], [", f"{p4}],{p4}[{p6}")
+                .replace(", ", f",{p6}").replace("[[[", f"[{p2}[{p4}[{p6}").replace("]]]", f"{p4}]{p2}]{p0}]"))
+
+    text = json.dumps(payload, indent=2, sort_keys=True, default=hold)
+    if len(_HELD.findall(text)) != len(held):  # a string of the payload reads as a placeholder
+        return json.dumps(payload, indent=2, sort_keys=True, default=_pairs)
+    return _HELD.sub(lay_out, text)
 
 
 def _matrix_from_json(rows) -> np.ndarray:
@@ -304,10 +342,8 @@ def _matrix_from_json(rows) -> np.ndarray:
 
 def _kraus_json(ks: SignedKrausSet) -> dict:
     return {
-        "positive": [{"label": lab, "matrix": _matrix_json(op)}
-                     for lab, op in zip(ks.positive_labels, ks.positive)],
-        "negative": [{"label": lab, "matrix": _matrix_json(op)}
-                     for lab, op in zip(ks.negative_labels, ks.negative)],
+        "positive": [{"label": lab, "matrix": op} for lab, op in zip(ks.positive_labels, ks.positive)],
+        "negative": [{"label": lab, "matrix": op} for lab, op in zip(ks.negative_labels, ks.negative)],
     }
 
 
@@ -327,14 +363,13 @@ def _kraus_from_json(data: dict) -> SignedKrausSet:
 
 
 def _report_json(report) -> dict:
-    point = report.point_channel
     return {
         "is_cp": bool(report.is_cp),
         "min_choi_eigenvalue": float(report.min_choi_eigenvalue),
         "is_trace_preserving": bool(report.is_trace_preserving),
         "completeness_residual": float(report.completeness_residual),
         "ppt_of_choi": bool(report.ppt_of_choi),
-        "point_channel": None if point is None else _matrix_json(point),
+        "point_channel": report.point_channel,
     }
 
 
@@ -360,7 +395,7 @@ def cmd_extract(args) -> int:
     tolerance = _resolve_tolerance(args, config)
     cutoff = _resolve_cutoff(args, config)
     seed = _resolve_seed(args, config, default=0)
-    out_path = _resolve(args, config, "out", default=None)
+    out_path = _resolve(args, config, "out", default=None, cast=os.fspath)  # rejects any JSON value but a str
 
     b, ks = CHANNELS[channel].extract(params, strategy, cutoff)
     completeness = check_completeness(ks)
@@ -385,7 +420,7 @@ def cmd_extract(args) -> int:
         },
         "report": _report_json(eb_report(b, tol=tolerance)),
     }
-    _write_text(out_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(out_path, _dumps(payload) + "\n")
 
     ok = completeness <= tolerance and reconstruction <= tolerance
     print(f"extract: {channel} partition={strategy} operators={ks.count} "
@@ -473,7 +508,7 @@ def cmd_sweep(args) -> int:
     steps = _resolve(args, config, "steps", cast=int)
     tolerance = _resolve_tolerance(args, config)
     cutoff = _resolve_cutoff(args, config)
-    out_path = _resolve(args, config, "out", default=None)
+    out_path = _resolve(args, config, "out", default=None, cast=os.fspath)  # rejects any JSON value but a str
     if steps < 2:
         raise UsageError("--steps must be at least 2")
     if t_max < t_min:

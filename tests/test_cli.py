@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
+import contextlib
+import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -611,3 +614,66 @@ def test_every_channel_and_partition_extracts_and_verifies(tmp_path, channel, pa
     code, out = run_extract(tmp_path, "table.json", args=CHANNEL_ARGS[channel], extra=["--partition", partition])
     assert code == 0
     assert main(["verify", str(out), "--against", against]) == 0
+
+
+# A config value of the wrong JSON type, or null, is a usage error naming the
+# option, never an exception out of main.
+@pytest.mark.parametrize("command, dropped, config, flag", [
+    ("sweep", "--steps", {"steps": None}, "--steps"),
+    ("sweep", "--t-min", {"t_min": None}, "--t-min"),
+    ("sweep", "--steps", {"steps": [3]}, "--steps"),
+    ("sweep", "--steps", {"steps": float("inf")}, "--steps"),
+    ("sweep", None, {"cutoff": [1]}, "--cutoff"),
+    ("extract", "--gamma", {"gamma": [1]}, "--gamma"),
+])
+def test_config_value_of_wrong_type_exits_one(tmp_path, capsys, command, dropped, config, flag):
+    argv = list(SWEEP_ARGS if command == "sweep" else AD2_ARGS)
+    if dropped is not None:
+        del argv[argv.index(dropped):argv.index(dropped) + 2]
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(config))
+    assert main([command, *argv, "--config", str(conf)]) == 1
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["extract", "sweep"])
+def test_config_out_that_is_not_a_path_exits_one(tmp_path, capsys, command):
+    # a number would be taken for an open file descriptor and written to
+    target = tmp_path / "fd.txt"
+    fd = os.open(target, os.O_WRONLY | os.O_CREAT)
+    try:
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"out": fd}))
+        argv = SWEEP_ARGS if command == "sweep" else AD2_ARGS
+        assert main([command, *argv, "--config", str(conf)]) == 1
+        assert "--out" in capsys.readouterr().err
+        os.fstat(fd)  # still open
+    finally:
+        os.close(fd)
+    assert target.read_text() == ""
+
+
+def _captured_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, strip_timestamp(out.getvalue()), err.getvalue()
+
+
+def test_parser_built_once_gives_what_fresh_parsers_give(tmp_path, monkeypatch):
+    _, export = run_extract(tmp_path, "e.json")
+    calls = [
+        ["extract", *GAD_ARGS, "--cutoff", "1e-6", "--seed", "5"],
+        ["extract", *GAD_ARGS],
+        ["verify", str(export), "--count", "7"],
+        ["verify", str(export)],
+        ["extract", "--channel", "gad", "--p"],  # fails to parse
+        ["extract", *AD2_ARGS, "--partition", "full-spectral"],
+    ]
+    cli_module.build_parser.cache_clear()
+    reused = [_captured_main(argv) for argv in calls]
+    assert cli_module.build_parser.cache_info().misses == 1
+    monkeypatch.setattr(cli_module, "build_parser", cli_module.build_parser.__wrapped__)
+    fresh = [_captured_main(argv) for argv in calls]
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 1, 0]
+    assert reused == fresh

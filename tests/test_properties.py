@@ -33,7 +33,7 @@ from sumdiff.choi import (
     partition_full,
     reconstruct_choi,
 )
-from sumdiff.cli import CHANNELS, main
+from sumdiff.cli import CHANNELS, _dumps, main
 from sumdiff.linalg import dagger, max_abs
 
 
@@ -149,6 +149,60 @@ def test_stacked_apply_matches_operator_loop(ks, count, seed):
     choi = reconstruct_choi(ks).reshape(d, d, d, d)
     reshuffled = choi.transpose(3, 1, 2, 0).reshape(d * d, d * d)
     assert max_abs(ks.superoperator() - reshuffled) <= 1e-14 * max_abs(reshuffled)
+
+
+# ---------------------------------------------------------------------------
+# the export writer against the indenting json encoder
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.0, -1.0])
+
+
+@st.composite
+def export_payloads(draw):
+    """Export-shaped payloads whose matrices are complex ndarrays."""
+    d = draw(st.sampled_from([2, 4]))
+    floats = _EDGE_FLOATS | st.floats(width=64)
+
+    def matrix():
+        return np.array(draw(st.lists(floats, min_size=2 * d * d, max_size=2 * d * d))).view(complex).reshape(d, d)
+
+    def entries():
+        return [{"label": draw(st.text(max_size=4)), "matrix": matrix()} for _ in range(draw(st.integers(0, 3)))]
+
+    return {
+        "dim": d,
+        "format": "sumdiff-kraus/1",
+        "metadata": {"params": {"p": draw(floats)}, "timestamp": draw(st.text(max_size=4))},
+        "operators": {"positive": entries(), "negative": entries()},
+        "report": {"is_cp": draw(st.booleans()), "point_channel": matrix() if draw(st.booleans()) else None,
+                   "ppt_of_choi": False},
+    }
+
+
+def _as_lists(data):
+    """The payload with every ndarray as nested [re, im] lists, entry by entry."""
+    if isinstance(data, np.ndarray):
+        return [[[float(z.real), float(z.imag)] for z in row] for row in data]
+    if isinstance(data, dict):
+        return {key: _as_lists(value) for key, value in data.items()}
+    if isinstance(data, list):
+        return [_as_lists(value) for value in data]
+    return data
+
+
+def _export_payload(d, positive, negative=(), point=None, label="x"):
+    entry = lambda m: {"label": label, "matrix": np.asarray(m, dtype=complex).reshape(d, d)}
+    return {"operators": {"positive": [entry(m) for m in positive], "negative": [entry(m) for m in negative]},
+            "report": {"point_channel": point}}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(payload=export_payloads())
+@example(payload=_export_payload(2, [[-0.0, 5e-324, 1e308, -1e308]], point=np.full((2, 2), -5e-324 + 1e308j)))
+@example(payload=_export_payload(4, [], [np.eye(4) * -0.0]))
+@example(payload=_export_payload(2, [np.eye(2)], label="\x000"))  # a string that reads as a placeholder
+def test_export_writer_matches_indenting_json_encoder(payload):
+    assert _dumps(payload) == json.dumps(_as_lists(payload), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
