@@ -32,7 +32,8 @@ from .choi import (
     partition_diag_pairs,
     trace_preservation_residual,
 )
-from .linalg import EigenSystem, dagger, eig_hermitian, fold, is_hermitian, kron, max_abs, partial_transpose
+from .linalg import (EigenSystem, dagger, eig_hermitian, eigvals_hermitian, fold, is_hermitian, kron, max_abs,
+                     partial_transpose)
 
 __all__ = [
     "ChannelReport",
@@ -148,7 +149,7 @@ def is_ppt(m, dim_a: int, dim_b: int, tol: float = 1e-10) -> bool | np.ndarray:
     For a stack of matrices, returns one flag per matrix as a bool array.
     """
     pt = partial_transpose(m, dim_a, dim_b)
-    flags = eig_hermitian(pt, tol=1e-12).values[..., -1] >= -tol
+    flags = eigvals_hermitian(pt, tol=1e-12)[..., -1] >= -tol
     return bool(flags) if flags.ndim == 0 else flags
 
 
@@ -192,7 +193,7 @@ def eb_report(b, tol: float = 1e-10, point_tol: float = 1e-8) -> ChannelReport:
     d = int(round(b.shape[0] ** 0.5))
     if b.shape != (d * d, d * d):
         raise ValueError("expected a d^2 x d^2 Choi matrix")
-    smallest = float(eig_hermitian(b, tol=1e-12).values[-1])
+    smallest = float(eigvals_hermitian(b, tol=1e-12)[-1])
     completeness = trace_preservation_residual(b)
     return ChannelReport(
         is_cp=bool(smallest >= -tol),
@@ -226,7 +227,7 @@ def qc_form_test(b, d: int, tol: float = 1e-10):
         g = blocks[:, m, :, m]
         diag_blocks.append(g)
         if ok:
-            smallest = eig_hermitian((g + dagger(g)) / 2.0, tol=1e-12).values[-1]
+            smallest = eigvals_hermitian((g + dagger(g)) / 2.0, tol=1e-12)[-1]
             if smallest < -tol:
                 ok = False
     return bool(ok), diag_blocks
@@ -260,7 +261,7 @@ class HolevoForm:
         for f in effs:
             if not is_hermitian(f, 1e-10):
                 raise ValueError("effects must be Hermitian")
-            if eig_hermitian(f, tol=1e-12).values[-1] < -1e-10:
+            if eigvals_hermitian(f, tol=1e-12)[-1] < -1e-10:
                 raise ValueError("effects must be positive semidefinite")
             acc += f
         if max_abs(acc - np.eye(d)) > 1e-10:
@@ -360,7 +361,7 @@ def concurrence(rho, floor: float = 1e-13) -> float | np.ndarray:
     sys = eig_hermitian(rho, tol=1e-13)
     root = EigenSystem(np.sqrt(_clip_spectrum(sys.values, floor)), sys.vectors).reconstruct()
     middle = root @ _spin_flip(rho) @ root
-    vals = eig_hermitian((middle + dagger(middle)) / 2.0, tol=1e-13).values
+    vals = eigvals_hermitian((middle + dagger(middle)) / 2.0, tol=1e-13)
     lam = np.sqrt(_clip_spectrum(vals, floor))
     c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
     return float(c) if c.ndim == 0 else c

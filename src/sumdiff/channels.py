@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, eig_hermitian, is_hermitian, max_abs
+from .linalg import dagger, eigvals_hermitian, is_hermitian, max_abs
 
 __all__ = [
     "Ad2Coefficients",
@@ -129,9 +129,9 @@ def completeness_residuals(ops, signs) -> np.ndarray:
     ops = np.asarray(ops, dtype=complex)
     m, k, d, _ = ops.shape
     rows = ops.reshape(m, k * d, d)
-    weights = np.repeat(signs, d, axis=1)
-    acc = (dagger(rows) * weights[:, None, :]) @ rows
-    return np.abs(acc - np.eye(d)).max(axis=(1, 2))
+    weighted = dagger(rows)
+    weighted *= np.repeat(signs, d, axis=1)[:, None, :]  # in place: one (m, d, k d) copy, not two
+    return np.abs(weighted @ rows - np.eye(d)).max(axis=(1, 2))
 
 
 def check_completeness(ks: SignedKrausSet) -> float:
@@ -167,7 +167,7 @@ def check_density_matrix(rho, tol: float = 1e-10) -> None:
         raise ValueError("state is not Hermitian")
     if abs(rho.trace() - 1.0) > tol:
         raise ValueError(f"state trace {rho.trace():.6g} is not 1")
-    smallest = eig_hermitian(rho, tol=1e-12).values[-1]
+    smallest = eigvals_hermitian(rho, tol=1e-12)[-1]
     if smallest < -tol:
         raise ValueError(f"state has negative eigenvalue {smallest:.3e}")
 
@@ -362,36 +362,65 @@ class Ad2Coefficients:
     V: complex
 
 
-def ad2_coefficients(params: Ad2Params) -> Ad2Coefficients:
-    """Evaluate the two-qubit damping coefficients at the given parameters."""
+def _elementwise(fn):
+    """``fn`` of the math module applied to each entry of a 1-D array.  The
+    array paths of ``ad2_coefficients`` use it where numpy's own function
+    can differ from the math module's in the last bit, as np.exp does."""
+    return lambda x: np.fromiter(map(fn, x.tolist()), dtype=float, count=len(x))
+
+
+# (exp, expm1, sin, cos, complex result, finiteness test) for a float time
+# and for an array of times
+_SCALAR_MATH = (math.exp, math.expm1, math.sin, math.cos, complex, cmath.isfinite)
+_ARRAY_MATH = (_elementwise(math.exp), _elementwise(math.expm1), _elementwise(math.sin),
+               _elementwise(math.cos), np.asarray, lambda x: np.isfinite(x).all())
+
+
+def ad2_coefficients(params: Ad2Params, t=None) -> Ad2Coefficients:
+    """Evaluate the two-qubit damping coefficients at the given parameters.
+
+    With ``t``, a 1-D array of nonnegative finite times, the coefficients
+    are evaluated at those times instead of ``params.t``: every field is
+    then an array over them, each entry bitwise the value a scalar call at
+    that time gives.
+    """
     gamma, g12 = params.gamma, params.gamma12
-    om12, om0, t = params.omega12, params.omega0, params.t
+    om12, om0 = params.omega12, params.omega0
+    if t is None:
+        t = t_max = params.t
+        exp, expm1, sin, cos, cast, finite = _SCALAR_MATH
+    else:
+        t = np.asarray(t, dtype=float)
+        if t.ndim != 1 or not np.all((t >= 0.0) & (t < math.inf)):
+            raise ValueError("times must be a 1-D array of nonnegative finite values")
+        t_max = float(t.max(initial=0.0))
+        exp, expm1, sin, cos, cast, finite = _ARRAY_MATH
     gp = gamma + g12
     gm = gamma - g12
     # finite parameters can still overflow a phase, as 2 omega0 t does for
     # omega0 = 1e308; its coefficient is then undefined, and math.sin and
-    # math.cos reject the argument
-    if not all(math.isfinite(w * t) for w in (om0 - om12, 2.0 * om0, om0 + om12, 2.0 * om12)):
+    # math.cos reject the argument.  |w t| grows with t, so t_max decides.
+    if not all(math.isfinite(w * t_max) for w in (om0 - om12, 2.0 * om0, om0 + om12, 2.0 * om12)):
         raise ValueError(f"the coefficients are not finite at {params}")
 
     # 1 - exp(-x) via expm1 keeps the trace identities tight near t = 0
-    f_p = -math.expm1(-gp * t)
-    f_m = -math.expm1(-gm * t)
-    a = math.exp(-2.0 * gamma * t)
-    b = math.exp(-gp * t)
+    f_p = -expm1(-gp * t)
+    f_m = -expm1(-gm * t)
+    a = exp(-2.0 * gamma * t)
+    b = exp(-gp * t)
     c = (gp / gm) * f_m * b
-    d = math.exp(-gm * t)
+    d = exp(-gm * t)
     e = (gm / gp) * f_p * d
     # The second term of H is (gm/gp) (f_m - (gm/2gamma)(1 - a)), rewritten
     # with gm + gp = 2 gamma so that nothing cancels as gp -> 0; gp > 0
     # because Ad2Params keeps |gamma12| < gamma, so f_p / gp needs no limit
     # at gp = 0.  d f_p equals a expm1(gp t) but cannot overflow at large t.
     h = (gp / (2.0 * gamma)) * (1.0 - (2.0 / gm) * ((gp / 2.0) * f_m + gm / 2.0) * b) + gm * (
-        -d * f_p / gp - math.expm1(-2.0 * gamma * t) / (2.0 * gamma)
+        -d * f_p / gp - expm1(-2.0 * gamma * t) / (2.0 * gamma)
     )
 
-    def osc(freq: float, rate: float) -> complex:
-        return complex(np.exp(-1j * freq * t) * math.exp(-rate * t))
+    def osc(freq: float, rate: float):
+        return cast(np.exp(-1j * freq * t) * exp(-rate * t))
 
     j = osc(om0 - om12, (3.0 * gamma + g12) / 2.0)
     l = osc(2.0 * om0, gamma)
@@ -406,18 +435,19 @@ def ad2_coefficients(params: Ad2Params) -> Ad2Coefficients:
     # power of two scales exactly, so elsewhere the scaling changes no value.
     n = math.frexp(max(gamma, 2.0 * abs(om12)))[1]
     g_s, w_s = math.ldexp(gamma, -n), math.ldexp(2.0 * om12, -n)
-    decay = math.exp(-gamma * t)
-    bracket_cos = w_s * decay * math.sin(2.0 * om12 * t) + g_s * (1.0 - decay * math.cos(2.0 * om12 * t))
-    bracket_sin = w_s * (1.0 - decay * math.cos(2.0 * om12 * t)) - g_s * decay * math.sin(2.0 * om12 * t)
+    decay = exp(-gamma * t)
+    sine, cosine = sin(2.0 * om12 * t), cos(2.0 * om12 * t)
+    bracket_cos = w_s * decay * sine + g_s * (1.0 - decay * cosine)
+    bracket_sin = w_s * (1.0 - decay * cosine) - g_s * decay * sine
     denom = g_s * g_s + w_s * w_s
     gm_s, gp_s = math.ldexp(gm, -n), math.ldexp(gp, -n)
-    r = (gm_s / denom) * osc(om0 - om12, gm / 2.0) * bracket_cos
-    s = (gm_s / denom) * osc(om0 - om12, gm / 2.0) * bracket_sin
-    u = (gp_s / denom) * osc(om0 + om12, gp / 2.0) * bracket_cos
-    v = (gp_s / denom) * osc(om0 + om12, gp / 2.0) * bracket_sin
+    r = (gm_s / denom) * q * bracket_cos
+    s = (gm_s / denom) * q * bracket_sin
+    u = (gp_s / denom) * tt * bracket_cos
+    v = (gp_s / denom) * tt * bracket_sin
 
     # large rates can still overflow, as gamma + gamma12 does at gamma = 1.5e308
-    if not all(map(cmath.isfinite, (a, b, c, d, e, f_p, f_m, h, j, l, m, pp, q, tt, r, s, u, v))):
+    if not all(map(finite, (a, b, c, d, e, f_p, f_m, h, j, l, m, pp, q, tt, r, s, u, v))):
         raise ValueError(f"the coefficients are not finite at {params}")
     return Ad2Coefficients(
         A=a, B=b, C=c, D=d, E=e, F=f_p, G=f_m, H=h,

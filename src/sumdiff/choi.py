@@ -26,6 +26,7 @@ from .linalg import (
     dagger,
     eig_hermitian,
     eig_rank2_pair,
+    eigvals_hermitian,
     fold,
     is_hermitian,
     max_abs,
@@ -149,14 +150,17 @@ def choi_2ad(co: Ad2Coefficients) -> np.ndarray:
 
     Nine populated diagonal entries and eight off-diagonal pairs; every
     placement follows from reading the channel action entrywise on matrix
-    units (block (j, k) holds E(|j><k|)).
+    units (block (j, k) holds E(|j><k|)).  Coefficients evaluated at an
+    array of times (``ad2_coefficients(params, t)``) give the stack
+    (len(t), 16, 16).
     """
-    b = np.zeros((16, 16), dtype=complex)
+    lead = (slice(None),) * np.ndim(co.A)  # not an Ellipsis, which indexes slower
+    b = np.zeros(np.shape(co.A) + (16, 16), dtype=complex)
     for i, val in _ad2_diag_values(co).items():
-        b[i, i] = val
+        b[lead + (i, i)] = val
     for (r, c), z in _ad2_pair_values(co).items():
-        b[r, c] = z
-        b[c, r] = np.conj(z)
+        b[lead + (r, c)] = z
+        b[lead + (c, r)] = np.conj(z)
     return b
 
 
@@ -558,7 +562,7 @@ def charpoly_checks(co: Ad2Coefficients, diag_tol: float = 1e-10,
     report: dict = {"blocks": {}, "max_error": 0.0, "ok": True}
 
     diag_el = np.diag(np.diagonal(b))
-    computed = eig_hermitian(diag_el, tol=jacobi_tol).values
+    computed = eigvals_hermitian(diag_el, tol=jacobi_tol)
     expected = np.sort(np.concatenate([list(_ad2_diag_values(co).values()), np.zeros(7)]))[::-1]
     err = float(np.max(np.abs(np.sort(computed) - np.sort(expected))))
     report["blocks"]["diag"] = {
@@ -568,7 +572,7 @@ def charpoly_checks(co: Ad2Coefficients, diag_tol: float = 1e-10,
 
     for (r, c), z in _ad2_pair_values(co).items():
         label = AD2_PAIR_LABELS[(r, c)]
-        computed = eig_hermitian(_pair_element(b, r, c, z), tol=jacobi_tol).values
+        computed = eigvals_hermitian(_pair_element(b, r, c, z), tol=jacobi_tol)
         expected = np.concatenate([[abs(z)], np.zeros(14), [-abs(z)]])
         err = float(np.max(np.abs(np.sort(computed) - np.sort(expected))))
         report["blocks"][label] = {

@@ -18,10 +18,8 @@ variable supplies the tolerance when neither does.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
-import io
 import json
 import math
 import os
@@ -65,7 +63,7 @@ from .choi import (
     reconstruct_choi_stack,
     standard_kraus_from_choi,
 )
-from .linalg import eig_hermitian, max_abs
+from .linalg import eigvals_hermitian, max_abs
 
 EXPORT_FORMAT = "sumdiff-kraus/1"
 DEFAULT_TOLERANCE = 1e-10
@@ -73,8 +71,9 @@ DEFAULT_CUTOFF = 1e-12
 TOLERANCE_ENV = "SUMDIFF_TOLERANCE"
 # sweep extracts the operators and evaluates its per-row diagnostics stacked
 # over blocks of this many rows: enough to spread each numpy call over many
-# matrices while the stacks stay small in memory
-SWEEP_BLOCK_ROWS = 25
+# matrices, and as many as keep the peak memory where 25 rows had it before
+# the solver went component-wise (the README has the measurements)
+SWEEP_BLOCK_ROWS = 50
 # verify draws, applies and compares its random states in blocks of this many,
 # so memory stays bounded whatever --count is; the states are drawn in
 # sequence, so they do not depend on the block size
@@ -171,11 +170,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="sumdiff", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, seed=True):
         p.add_argument("--config", help="JSON file of default option values")
         p.add_argument("--tolerance", type=float, default=None,
                        help=f"verification tolerance (default {DEFAULT_TOLERANCE} or ${TOLERANCE_ENV})")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed for random-state checks (default 0)")
+        if seed:  # sweep draws nothing at random
+            p.add_argument("--seed", type=int, default=None, help="RNG seed for random-state checks (default 0)")
 
     def add_channel(p, channels, skip=()):
         p.add_argument("--channel", choices=tuple(channels), required=True)
@@ -207,7 +207,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--steps", type=int, default=None)
     p_sweep.add_argument("--cutoff", type=float, default=None)
     p_sweep.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    add_common(p_sweep)
+    add_common(p_sweep, seed=False)
     return parser
 
 
@@ -236,7 +236,9 @@ def _from_config(config: dict, name: str):
 
 def _resolve(args, config: dict, name: str, default=_MISSING, cast=None):
     """Flag > config > default; raises UsageError when required and absent,
-    null in the config, or of a value ``cast`` rejects."""
+    null in the config, or of a value ``cast`` rejects.  A boolean is no
+    value of any option, and an integer option takes no fraction: int()
+    would read true as 1 and truncate 2.7 to 2."""
     flag = f"--{name.replace('_', '-')}"
     value = getattr(args, name, None)
     if value is None and (value := _from_config(config, name)) is None:
@@ -245,6 +247,8 @@ def _resolve(args, config: dict, name: str, default=_MISSING, cast=None):
         if default is _MISSING:
             raise UsageError(f"missing required option {flag}")
         value = default
+    if isinstance(value, bool) or (cast is int and isinstance(value, float) and not value.is_integer()):
+        raise UsageError(f"bad value {value!r} for {flag}")
     try:
         return cast(value) if cast is not None and value is not None else value
     except (TypeError, ValueError, OverflowError):
@@ -259,6 +263,8 @@ def _resolve_tolerance(args, config: dict, fallback: float = DEFAULT_TOLERANCE) 
     if value is _MISSING:
         env = os.environ.get(TOLERANCE_ENV)
         value = env if env is not None else fallback
+    if isinstance(value, bool):
+        raise UsageError(f"bad tolerance value {value!r}")
     try:
         value = float(value)
     except (TypeError, ValueError):
@@ -517,38 +523,35 @@ def cmd_sweep(args) -> int:
         raise UsageError("--t-min must be nonnegative")
 
     base = Ad2Params(t=0.0, **params)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t"] + [f"abs_{name}" for name in _COEFF_ORDER]
-                    + ["completeness", "reconstruction", "min_choi_eigenvalue",
-                       "operator_count", "mdc_choi_ppt", "pdc_choi_ppt", "pdc_concurrence"])
+    # no field needs quoting, so joining with commas writes what csv.writer
+    # would, without its per-field cost
+    lines = [",".join(["t"] + [f"abs_{name}" for name in _COEFF_ORDER]
+                      + ["completeness", "reconstruction", "min_choi_eigenvalue",
+                         "operator_count", "mdc_choi_ppt", "pdc_choi_ppt", "pdc_concurrence"])]
     worst = 0.0
     grid = np.linspace(t_min, t_max, steps)
     for start in range(0, steps, SWEEP_BLOCK_ROWS):
         ts = grid[start:start + SWEEP_BLOCK_ROWS]
-        cos = [ad2_coefficients(base.at(float(t))) for t in ts]
-        chois = np.stack([choi_2ad(co) for co in cos])
+        co = ad2_coefficients(base, ts)
+        chois = choi_2ad(co)
         ops, signs = ad2_diag_pairs_operators(chois, cutoff=cutoff)
         completeness = completeness_residuals(ops, signs)
         reconstruction = np.abs(reconstruct_choi_stack(ops, signs) - chois).max(axis=(1, 2))
-        counts = np.count_nonzero(signs, axis=1)
-        min_eigs = eig_hermitian(chois, tol=1e-12).values[:, -1]
-        mdc_ppt = is_ppt(mdc_choi_from_choi(chois), 4, 4, tol=tolerance)
-        pdc_ppt = is_ppt(pdc_choi_from_choi(chois), 4, 4, tol=tolerance)
-        conc = concurrence(pdc_effective_state_from_choi(chois))
-        rows = zip(ts, cos, completeness, reconstruction, counts, min_eigs, mdc_ppt, pdc_ppt, conc)
-        for t, co, comp, recon, count, smallest, mdc, pdc, c in rows:
-            worst = max(worst, comp, recon)
-            row = [repr(float(t))]
-            row += [repr(abs(getattr(co, name))) for name in _COEFF_ORDER]
-            row += [repr(float(comp)), repr(float(recon)),
-                    repr(float(smallest)),
-                    str(count),
-                    str(bool(mdc)),
-                    str(bool(pdc)),
-                    repr(float(c))]
-            writer.writerow(row)
-    _write_text(out_path, buf.getvalue())
+        worst = max(worst, completeness.max(), reconstruction.max())
+        # |z| of a complex coefficient through np.hypot, which matches
+        # Python's abs bitwise where np.abs does not
+        mags = [np.hypot(x.real, x.imag) if np.iscomplexobj(x) else np.abs(x)
+                for x in (getattr(co, name) for name in _COEFF_ORDER)]
+        floats = np.column_stack([ts, *mags, completeness, reconstruction,
+                                  eigvals_hermitian(chois, tol=1e-12)[:, -1],
+                                  concurrence(pdc_effective_state_from_choi(chois))]).tolist()
+        rows = zip(floats, np.count_nonzero(signs, axis=1).tolist(),
+                   is_ppt(mdc_choi_from_choi(chois), 4, 4, tol=tolerance).tolist(),
+                   is_ppt(pdc_choi_from_choi(chois), 4, 4, tol=tolerance).tolist())
+        lines += (",".join([*map(repr, xs[:-1]), str(count), str(mdc), str(pdc), repr(xs[-1])])
+                  for xs, count, mdc, pdc in rows)
+    lines.append("")
+    _write_text(out_path, "\n".join(lines))
     print(f"sweep: {steps} rows, worst residual {worst:.3e} "
           f"{'ok' if worst <= tolerance else 'FAIL'}", file=sys.stderr)
     return 0 if worst <= tolerance else 2

@@ -394,3 +394,33 @@ def test_ad2_apply_rejects_wrong_dim():
     co = ad2_coefficients(Ad2Params(gamma=1.0, gamma12=0.0, omega12=1.0, omega0=1.0, t=0.1))
     with pytest.raises(ValueError):
         ad2_apply(np.eye(3, dtype=complex) / 3, co)
+
+
+@pytest.mark.parametrize("params", [
+    Ad2Params(1.0, 0.3, 2.0, 10.0, 0.0),
+    Ad2Params(1.0, 0.0, 0.0, 1.0, 0.0),  # omega12 = 0
+    Ad2Params(0.8, -0.8 * (1 - 1e-7), -3.0, 2.5, 0.0),  # near gamma12 = -gamma
+    Ad2Params(2.0, 2.0 * (1 - 1e-9), 1.5, -4.0, 0.0),  # near gamma12 = +gamma
+    Ad2Params(1e-200, 0.0, 0.0, 1.0, 0.0),  # rates scaled against underflow
+])
+def test_ad2_coefficients_over_times_are_the_scalar_ones(params):
+    ts = np.concatenate(([0.0, 1e-300, 1e-9], np.linspace(0.01, 60.0, 97), [800.0, 1e5]))
+    arrays = ad2_coefficients(params, ts)
+    for name, values in vars(arrays).items():
+        assert values.shape == ts.shape
+        for t, value in zip(ts, values.tolist()):
+            scalar = getattr(ad2_coefficients(params.at(float(t))), name)
+            assert repr(value) == repr(scalar), (name, t)  # bitwise, signed zeros too
+
+
+@pytest.mark.parametrize("ts", [[-1.0], [np.nan], [np.inf], [[0.0, 1.0]], 1.0])
+def test_ad2_coefficients_reject_bad_times(ts):
+    with pytest.raises(ValueError):
+        ad2_coefficients(Ad2Params(1.0, 0.3, 2.0, 10.0, 0.0), ts)
+
+
+def test_ad2_coefficients_over_times_check_overflow_at_the_largest():
+    params = Ad2Params(1.0, 0.3, 2.0, 1e300, 0.0)
+    assert np.isfinite(ad2_coefficients(params, [0.0, 1.0]).L).all()
+    with pytest.raises(ValueError, match="not finite"):
+        ad2_coefficients(params, [0.0, 1e10])

@@ -464,3 +464,12 @@ def test_charpoly_checks_at_time_zero():
     diag = report["blocks"]["diag"]["computed"]
     assert np.allclose(sorted(diag), [0.0] * 12 + [1.0] * 4, atol=1e-12)
     assert report["ok"]
+
+
+def test_choi_2ad_of_coefficients_over_times_is_the_stack():
+    params = Ad2Params(gamma=1.0, gamma12=0.3, omega12=2.0, omega0=10.0, t=0.0)
+    ts = np.linspace(0.0, 40.0, 17)
+    stack = choi_2ad(ad2_coefficients(params, ts))
+    assert stack.shape == (17, 16, 16)
+    for t, b in zip(ts, stack):
+        assert np.array_equal(b, choi_2ad(ad2_coefficients(params.at(float(t)))))

@@ -677,3 +677,46 @@ def test_parser_built_once_gives_what_fresh_parsers_give(tmp_path, monkeypatch):
     fresh = [_captured_main(argv) for argv in calls]
     assert [code for code, _, _ in reused] == [0, 0, 0, 0, 1, 0]
     assert reused == fresh
+
+
+@pytest.mark.parametrize("seed", ["3", "-5"])
+def test_sweep_takes_no_seed(capsys, seed):
+    # sweep draws nothing at random, so a seed is an unknown flag
+    assert main(["sweep", *SWEEP_ARGS, f"--seed={seed}"]) == 1
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+# int() would truncate a fraction and read a boolean as 1 or 0
+@pytest.mark.parametrize("command, config, flag", [
+    ("sweep", {"steps": 2.7}, "--steps"),
+    ("verify", {"count": 2.5}, "--count"),
+    ("verify", {"seed": 2.9}, "--seed"),
+    ("extract", {"seed": 2.9}, "--seed"),
+    ("extract", {"gamma": True}, "--gamma"),
+    ("verify", {"seed": True}, "--seed"),
+    ("extract", {"seed": True}, "--seed"),
+    ("verify", {"count": True}, "--count"),
+    ("sweep", {"tolerance": True}, "tolerance"),
+])
+def test_config_boolean_or_fraction_exits_one(tmp_path, capsys, command, config, flag):
+    _, export = run_extract(tmp_path, "e.json", args=AD2_ARGS)
+    argv = {"sweep": SWEEP_ARGS, "verify": [str(export)], "extract": AD2_ARGS}[command]
+    name = next(iter(config)).replace("_", "-")
+    if f"--{name}" in argv:
+        argv = argv[:argv.index(f"--{name}")] + argv[argv.index(f"--{name}") + 2:]
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main([command, *argv, "--config", str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert flag in err and "bad" in err
+
+
+def test_config_integral_float_is_an_integer(tmp_path):
+    # 3.0 is a whole number, so it is read as 3
+    argv = SWEEP_ARGS[:SWEEP_ARGS.index("--steps")]
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"steps": 3.0}))
+    out = tmp_path / "s.csv"
+    assert main(["sweep", *argv, "--config", str(conf), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 4

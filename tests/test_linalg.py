@@ -405,3 +405,58 @@ def test_partial_transpose_of_stack_is_per_matrix():
     got = partial_transpose(stack, 2, 3)
     for m, pt in zip(stack, got):
         assert max_abs(pt - partial_transpose(m, 2, 3)) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# components solved on their own
+
+
+def test_eig_pair_with_equal_diagonal_is_the_closed_form():
+    # one rotation by pi/4, with cos = sin = 1/sqrt(2) exactly (cos(pi/4)
+    # rounds one bit higher), gives the eigensystem of eig_rank2_pair
+    for z in (1.0, -2.5, 0.3 + 0.4j, 1j):
+        m = np.zeros((5, 5), dtype=complex)
+        m[1, 3], m[3, 1] = z, np.conj(z)
+        sys = eig_hermitian(m, max_sweeps=1)
+        pair = eig_rank2_pair(z, 1, 3, 5)
+        assert max_abs(sys.values[[0, -1]] - pair.values) <= 1e-15
+        assert max_abs(np.abs(sys.vectors[[1, 3]][:, [0, -1]]) - 1 / np.sqrt(2)) == 0.0
+        recon = (sys.vectors * sys.values) @ dagger(sys.vectors)
+        assert max_abs(recon - m) <= 1e-15
+
+
+def test_eig_pairs_and_singles_take_one_sweep():
+    # components of sizes 1 and 2 only: each pair is exact after one
+    # closed-form rotation, so one sweep is enough for any stack
+    rng = np.random.default_rng(26)
+    stack = np.zeros((9, 6, 6), dtype=complex)
+    for h in stack:
+        for r, c in ((0, 4), (1, 2)):
+            h[r, r], h[c, c] = rng.standard_normal(2)
+            h[r, c] = complex(*rng.standard_normal(2))
+            h[c, r] = np.conj(h[r, c])
+        h[3, 3], h[5, 5] = rng.standard_normal(2)
+    sys = eig_hermitian(stack, max_sweeps=1)
+    assert max_abs(sys.values - np.linalg.eigvalsh(stack)[:, ::-1]) <= 1e-14 * max(1.0, max_abs(stack))
+    with pytest.raises(JacobiConvergenceError):
+        eig_hermitian(stack, max_sweeps=0)
+
+
+def test_eig_diagonal_stack_needs_no_sweep():
+    # the MDC partial transpose is diagonal: every component is 1 x 1
+    cos = ad2_coefficients(Ad2Params(1.0, 0.3, 2.0, 10.0, 0.0), np.linspace(0.0, 30.0, 13))
+    stack = partial_transpose(mdc_choi(cos), 4, 4)
+    sys = eig_hermitian(stack, max_sweeps=0)
+    assert np.array_equal(np.sort(sys.values, axis=1), np.sort(np.diagonal(stack, axis1=1, axis2=2).real, axis=1))
+    assert np.array_equal(np.abs(sys.vectors).sum(axis=1), np.ones((13, 16)))
+
+
+def test_eig_subnormal_pivot_is_left_in_place():
+    # |b| below the smallest normal number: b / |b| would overflow
+    m = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    m[0, 1], m[1, 0] = 1e-310 + 1e-310j, 1e-310 - 1e-310j
+    m[1, 2] = m[2, 1] = 0.5
+    with np.errstate(over="raise", invalid="raise", divide="raise"):  # squares may underflow
+        sys = eig_hermitian(m)
+    assert np.all(np.isfinite(sys.vectors))
+    assert max_abs(sys.values - np.linalg.eigvalsh(m)[::-1]) <= 1e-15

@@ -16,3 +16,17 @@ def test_every_exported_name_is_the_module_object():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(sumdiff, name) is getattr(module, name), name
+
+
+def test_package_never_calls_lapack():
+    # numpy.linalg (LAPACK) is the tests' oracle only; the package solves
+    # its eigenproblems itself
+    import pathlib
+    import re
+    uses = re.compile(r"\b(?:numpy|np)\s*\.\s*linalg\b|\bfrom\s+numpy\s+import\b[^\n]*\blinalg\b")
+    root = pathlib.Path(sumdiff.__file__).parent
+    files = sorted(root.rglob("*.py"))
+    assert files
+    offenders = [f"{path.relative_to(root)}:{n}" for path in files
+                 for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if uses.search(line)]
+    assert offenders == []

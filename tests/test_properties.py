@@ -34,7 +34,7 @@ from sumdiff.choi import (
     reconstruct_choi,
 )
 from sumdiff.cli import CHANNELS, _dumps, main
-from sumdiff.linalg import dagger, max_abs
+from sumdiff.linalg import JacobiConvergenceError, dagger, eig_hermitian, eigvals_hermitian, max_abs
 
 
 def _export_order(ks: SignedKrausSet) -> SignedKrausSet:
@@ -315,3 +315,77 @@ def test_verify_exit_codes_on_mutated_exports(fresh_exports, channel, mutation, 
     path.write_text(json.dumps(_mutate(copy.deepcopy(exports[channel]), mutation)))
     code = _quiet_main(["verify", str(path), "--against", against, "--count", "3"])
     assert code in (0, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# the component-wise Jacobi solver against LAPACK
+
+
+@st.composite
+def hermitian_stacks(draw):
+    """Stacks of 1, 2 or 7 Hermitian matrices whose combined pattern has
+    components of sizes 1 to 6 on shuffled indices.  Off-diagonal entries
+    carry complex phases, some are exact zeros (a component stays connected
+    through a path), a 2 x 2 block may have equal diagonal entries, a matrix
+    may be diagonal to within 1e-15, so that it is done before its stack
+    mates, and a stack mate may couple two components."""
+    count = draw(st.sampled_from([1, 2, 7]))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    n = sum(sizes)
+    order = draw(st.permutations(range(n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    stack = np.zeros((count, n, n), dtype=complex)
+    start = 0
+    for k in sizes:
+        members = order[start:start + k]
+        start += k
+        for h in stack:
+            block = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+            block = (block + block.conj().T) / 2
+            keep = rng.random((k, k)) < draw(st.sampled_from([0.4, 1.0]))
+            keep |= np.eye(k, k, 1, dtype=bool)  # the path 0-1-...-(k-1) keeps it connected
+            keep = np.triu(keep) | np.triu(keep).T
+            block = np.where(keep, block, 0.0)
+            if k == 2 and draw(st.booleans()):
+                block[1, 1] = block[0, 0]
+            off = draw(st.sampled_from([1.0, 1.0, 1.0, 1e-15, 0.0]))
+            block = np.where(np.eye(k, dtype=bool), block, off * block)
+            h[np.ix_(members, members)] = scale * block
+    if count > 1 and len(sizes) > 1 and draw(st.booleans()):
+        i, j = order[0], order[-1]  # first and last component
+        z = complex(rng.standard_normal(), rng.standard_normal())
+        stack[-1, i, j], stack[-1, j, i] = z, z.conjugate()
+    return stack
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(stack=hermitian_stacks())
+def test_eig_hermitian_matches_lapack(stack):
+    sys = eig_hermitian(stack)
+    assert np.array_equal(eigvals_hermitian(stack), sys.values)
+    bound = 1e-12 * max(1.0, max_abs(stack))
+    assert max_abs(sys.values - np.linalg.eigvalsh(stack)[:, ::-1]) <= bound
+    assert np.all(np.diff(sys.values, axis=1) <= 0.0)
+    # the reconstruction budget, 10 tol max(1, max|h|) at tol = 1e-13
+    assert max_abs(sys.reconstruct() - stack) <= bound
+    assert max_abs(dagger(sys.vectors) @ sys.vectors - np.eye(stack.shape[1])) <= 1e-12
+    # each vector's largest-magnitude component is real and nonnegative
+    cols = sys.vectors.swapaxes(1, 2)
+    lead = np.take_along_axis(cols, np.abs(cols).argmax(axis=2)[..., None], axis=2)
+    assert np.all(lead.imag == 0.0) and np.all(lead.real >= 0.0)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(2, 6), count=st.sampled_from([1, 2, 7]), seed=st.integers(0, 2**32 - 1))
+def test_eig_hermitian_keeps_its_checks(k, count, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((count, k, k)) + 1j * rng.standard_normal((count, k, k))
+    dense = g + dagger(g)
+    for solve in (eig_hermitian, eigvals_hermitian):
+        with pytest.raises(JacobiConvergenceError):
+            solve(dense, max_sweeps=0)
+        tilted = dense.copy()
+        tilted[-1, 0, 1] += 1e-6  # no longer Hermitian
+        with pytest.raises(ValueError):
+            solve(tilted)
