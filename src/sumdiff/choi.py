@@ -429,7 +429,9 @@ def reconstruct_choi_stack(ops, signs) -> np.ndarray:
     ops = np.asarray(ops, dtype=complex)
     m, k, d, _ = ops.shape
     vecs = ops.swapaxes(-1, -2).reshape(m, k, d * d)  # row k is unfold(K_k)
-    return (vecs.swapaxes(-1, -2) * signs[:, None, :]) @ vecs.conj()
+    weighted = vecs.conj()
+    weighted *= signs[:, :, None]
+    return vecs.swapaxes(-1, -2) @ weighted
 
 
 def reconstruct_choi(ks: SignedKrausSet) -> np.ndarray:

@@ -26,6 +26,7 @@ import os
 import re
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _encode_string
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -78,6 +79,11 @@ SWEEP_BLOCK_ROWS = 50
 # so memory stays bounded whatever --count is; the states are drawn in
 # sequence, so they do not depend on the block size
 VERIFY_BLOCK_STATES = 1000
+# upper bounds on the work one call may ask for: sweep keeps its whole CSV in
+# memory, about 500 bytes a row, and writes about 7,700 rows a second; verify
+# checks about 155,000 states a second (README has the measurements)
+MAX_SWEEP_STEPS = 1_000_000
+MAX_VERIFY_COUNT = 10_000_000
 
 _COEFF_ORDER = tuple(field.name for field in dataclasses.fields(Ad2Coefficients))
 
@@ -197,14 +203,15 @@ def build_parser() -> _Parser:
     p_verify.add_argument("export", help="JSON file produced by extract")
     p_verify.add_argument("--against", choices=("direct-action", "standard-kraus"),
                           default="direct-action", help="reference to compare with")
-    p_verify.add_argument("--count", type=int, default=None, help="number of random states (default 100)")
+    p_verify.add_argument("--count", type=int, default=None,
+                          help=f"number of random states, at most {MAX_VERIFY_COUNT} (default 100)")
     add_common(p_verify)
 
     p_sweep = sub.add_parser("sweep", help="tabulate diagnostics over a time grid")
     add_channel(p_sweep, ("ad2",), skip=("t",))
     p_sweep.add_argument("--t-min", type=float, default=None)
     p_sweep.add_argument("--t-max", type=float, default=None)
-    p_sweep.add_argument("--steps", type=int, default=None)
+    p_sweep.add_argument("--steps", type=int, default=None, help=f"number of time points, 2 to {MAX_SWEEP_STEPS}")
     p_sweep.add_argument("--cutoff", type=float, default=None)
     p_sweep.add_argument("--out", default=None, help="output CSV path (default stdout)")
     add_common(p_sweep, seed=False)
@@ -312,34 +319,98 @@ def _pairs(m) -> list:
     return m.view(float).reshape(m.shape + (2,)).tolist()
 
 
-# the placeholder _dumps leaves for a held-out matrix, with the matrix's index
+# the placeholder _dumps leaves for a held-out matrix or list of entries, with its index
 _HELD = re.compile(r'"\\u0000(\d+)"')
+
+
+@functools.cache  # an export asks for few: 2 x 2 or 4 x 4 matrices at two indents
+def _layout(shape: tuple, indent: int) -> tuple:
+    """The text of an array of the given shape, written as [re, im] pairs by
+    ``json.dumps(indent=2)`` on a line indented by ``indent`` spaces, split
+    at its floats: one more piece than the array has floats."""
+    blank = np.full(shape + (2,), None).tolist()
+    return tuple(json.dumps(blank, indent=2).replace("\n", "\n" + " " * indent).split("null"))
+
+
+_ZERO_TEXTS = np.array(["0.0", "-0.0"], dtype=object)
+
+
+def _float_texts(values: np.ndarray) -> list:
+    """json's text of each float: an exact zero by its sign bit, the others
+    through one C-encoder call, which writes NaN and +-Infinity as json does."""
+    nonzero = values != 0
+    texts = _ZERO_TEXTS[np.signbit(values).view(np.int8)]
+    if nonzero.any():
+        texts[nonzero] = json.dumps(values[nonzero].tolist())[1:-1].split(", ")
+    return texts.tolist()
+
+
+def _is_entries(data) -> bool:
+    """Whether ``data`` is a nonempty list of nonempty dicts that map strings
+    to strings and arrays, as the operator lists of an export are."""
+    return isinstance(data, list) and bool(data) and all(
+        isinstance(entry, dict) and bool(entry)
+        and all(isinstance(key, str) and isinstance(value, (str, np.ndarray)) for key, value in entry.items())
+        for entry in data)
 
 
 def _dumps(payload) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte, with
-    each matrix in the payload, a 2-D ndarray, written as rows of [re, im] pairs.
+    each matrix in the payload, an ndarray, written as rows of [re, im] pairs.
 
-    With ``indent`` set, CPython encodes in pure Python.  So each matrix is
-    held out of that encoder as a placeholder, encoded by the C encoder and
-    laid out at the indent of the placeholder's line by text substitution."""
+    With ``indent`` set, CPython encodes in pure Python.  So each matrix, and
+    each list of entries (``_is_entries``), is held out of that encoder as a
+    placeholder and written at the indent of its placeholder's line, each
+    matrix through a cached layout.  The text is kept as the pieces between
+    floats, and the floats of all matrices are formatted together."""
     held = []
 
-    def hold(m):
-        held.append(_pairs(m))
+    def hold(item):
+        held.append(item)
         return f"\0{len(held) - 1}"
 
-    def lay_out(match):
-        line = text[text.rfind("\n", 0, match.start()) + 1:match.start()]
-        p0, p2, p4, p6 = ("\n" + " " * (len(line) - len(line.lstrip()) + k) for k in (0, 2, 4, 6))
-        return (json.dumps(held[int(match[1])])
-                .replace("]], [[", f"{p4}]{p2}],{p2}[{p4}[{p6}").replace("], [", f"{p4}],{p4}[{p6}")
-                .replace(", ", f",{p6}").replace("[[[", f"[{p2}[{p4}[{p6}").replace("]]]", f"{p4}]{p2}]{p0}]"))
+    def hold_entries(data):
+        if isinstance(data, dict):
+            return {key: hold_entries(value) for key, value in data.items()}
+        if isinstance(data, list):
+            return hold(data) if _is_entries(data) else [hold_entries(value) for value in data]
+        return data
 
-    text = json.dumps(payload, indent=2, sort_keys=True, default=hold)
-    if len(_HELD.findall(text)) != len(held):  # a string of the payload reads as a placeholder
+    parts = _HELD.split(json.dumps(hold_entries(payload), indent=2, sort_keys=True, default=hold))
+    if len(parts) != 2 * len(held) + 1:  # a string of the payload reads as a placeholder
         return json.dumps(payload, indent=2, sort_keys=True, default=_pairs)
-    return _HELD.sub(lay_out, text)
+    pieces = [parts[0]]  # the text between floats
+    arrays = []  # in the order their floats are written
+
+    def write_matrix(m, indent: int):
+        arrays.append(np.ascontiguousarray(m, dtype=complex))
+        layout = _layout(arrays[-1].shape, indent)
+        pieces[-1] += layout[0]
+        pieces.extend(layout[1:])
+
+    def write_entries(entries, indent: int):
+        pad = "\n" + " " * indent
+        pieces[-1] += "["
+        for n, entry in enumerate(entries):
+            pieces[-1] += f"{',' if n else ''}{pad}  {{"
+            for k, (key, value) in enumerate(sorted(entry.items())):
+                pieces[-1] += f"{',' if k else ''}{pad}    {_encode_string(key)}: "
+                if isinstance(value, str):
+                    pieces[-1] += _encode_string(value)
+                else:
+                    write_matrix(value, indent + 4)
+            pieces[-1] += f"{pad}  }}"
+        pieces[-1] += f"{pad}]"
+
+    for i in range(1, len(parts), 2):
+        line = parts[i - 1][parts[i - 1].rfind("\n") + 1:]
+        item = held[int(parts[i])]
+        (write_entries if isinstance(item, list) else write_matrix)(item, len(line) - len(line.lstrip()))
+        pieces[-1] += parts[i + 1]
+    texts = _float_texts(np.concatenate(arrays, axis=None).view(float)) if arrays else []
+    out = [None] * (len(pieces) + len(texts))
+    out[0::2], out[1::2] = pieces, texts
+    return "".join(out)
 
 
 def _matrix_from_json(rows) -> np.ndarray:
@@ -464,6 +535,8 @@ def cmd_verify(args) -> int:
     count = _resolve(args, config, "count", default=100, cast=int)
     if count < 1:
         raise UsageError("--count must be at least 1")
+    if count > MAX_VERIFY_COUNT:
+        raise UsageError(f"--count must be at most {MAX_VERIFY_COUNT}")
     seed = _resolve_seed(args, config, default=None)
     if seed is None:
         if type(stored_seed) is not int or stored_seed < 0:
@@ -517,6 +590,8 @@ def cmd_sweep(args) -> int:
     out_path = _resolve(args, config, "out", default=None, cast=os.fspath)  # rejects any JSON value but a str
     if steps < 2:
         raise UsageError("--steps must be at least 2")
+    if steps > MAX_SWEEP_STEPS:
+        raise UsageError(f"--steps must be at most {MAX_SWEEP_STEPS}")
     if t_max < t_min:
         raise UsageError("--t-max must not be below --t-min")
     if t_min < 0:
@@ -536,7 +611,10 @@ def cmd_sweep(args) -> int:
         chois = choi_2ad(co)
         ops, signs = ad2_diag_pairs_operators(chois, cutoff=cutoff)
         completeness = completeness_residuals(ops, signs)
-        reconstruction = np.abs(reconstruct_choi_stack(ops, signs) - chois).max(axis=(1, 2))
+        rebuilt = reconstruct_choi_stack(ops, signs)
+        rebuilt -= chois
+        reconstruction = np.abs(rebuilt).max(axis=(1, 2))
+        del rebuilt  # not carried through the diagnostics below
         worst = max(worst, completeness.max(), reconstruction.max())
         # |z| of a complex coefficient through np.hypot, which matches
         # Python's abs bitwise where np.abs does not
@@ -570,9 +648,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:
-        # JSONDecodeError subclasses ValueError; keep it ahead of the
-        # parameter-error handler so malformed files exit as IO failures
+        # JSONDecodeError and UnicodeDecodeError subclass ValueError; keep
+        # them ahead of the parameter-error handler so malformed files exit
+        # as IO failures
         print(f"error: bad JSON: {exc}", file=sys.stderr)
+        return 3
+    except UnicodeDecodeError as exc:
+        print(f"error: file is not UTF-8 text: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:  # bad parameter values from the library
         print(f"error: {exc}", file=sys.stderr)

@@ -121,6 +121,19 @@ def test_export_round_trips_exactly(tmp_path):
         assert max_abs(got - want) == 0.0  # lossless float round trip
 
 
+@pytest.mark.parametrize("cutoff", ["0", "1e-12", "1e-6"])
+@pytest.mark.parametrize("partition", PARTITIONS)
+@pytest.mark.parametrize("args", [
+    *(["--channel", "gad", "--p", "0.5", "--lam", lam] for lam in ("0", "0.36", "1")),
+    *([*AD2_ARGS[:-1], t] for t in ("0", "0.7", "800")),  # t = 800 gives a point channel
+], ids=lambda args: "-".join(args[1::2]))
+def test_export_text_is_the_indenting_json_encoders(tmp_path, args, partition, cutoff):
+    code, out = run_extract(tmp_path, "e.json", args=args, extra=["--partition", partition, "--cutoff", cutoff])
+    assert code == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 def test_verify_fresh_export_passes(tmp_path, capsys):
     _, out = run_extract(tmp_path, "gad_v.json")
     code = main(["verify", str(out)])
@@ -162,6 +175,25 @@ def test_verify_malformed_json_is_io_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["verify", str(bad)]) == 3
+
+
+def test_verify_export_that_is_not_utf8_is_io_error(tmp_path, capsys):
+    # UnicodeDecodeError is a ValueError, which main files as a parameter error
+    _, out = run_extract(tmp_path, "gad.json")
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(out.read_bytes().replace(b'"corner', b'"\xffcorner'))
+    assert main(["verify", str(bad)]) == 3
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["extract", "verify", "sweep"])
+def test_config_that_is_not_utf8_is_io_error(tmp_path, capsys, command):
+    _, export = run_extract(tmp_path, "gad.json")
+    conf = tmp_path / "conf.json"
+    conf.write_bytes(b'{"tolerance": 1e-10, "note": "\xff"}')
+    argv = {"extract": GAD_ARGS, "verify": [str(export)], "sweep": SWEEP_ARGS}[command]
+    assert main([command, *argv, "--config", str(conf)]) == 3
+    assert "not UTF-8" in capsys.readouterr().err
 
 
 def test_verify_wrong_format_marker_is_io_error(tmp_path):
@@ -399,6 +431,28 @@ def test_verify_count_below_one_exits_one(tmp_path, capsys, source):
     extra = ["--count", "-5"] if source == "flag" else ["--config", str(config)]
     assert main(["verify", str(out), *extra]) == 1
     assert "--count must be at least 1" in capsys.readouterr().err
+
+
+# Only rejected values are tried: a call at the bound itself runs for minutes.
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, name, value", [
+    ("sweep", "steps", cli_module.MAX_SWEEP_STEPS + 1),
+    ("sweep", "steps", 10**13),
+    ("verify", "count", cli_module.MAX_VERIFY_COUNT + 1),
+    ("verify", "count", 10**30),
+])
+def test_work_above_its_limit_exits_one(tmp_path, capsys, source, command, name, value):
+    _, export = run_extract(tmp_path, "gad.json")
+    argv = [str(export)] if command == "verify" else SWEEP_ARGS[:SWEEP_ARGS.index("--steps")]
+    if source == "flag":
+        argv = [*argv, f"--{name}", str(value)]
+    else:
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({name: float(value)}))  # 1e+30 in the file, a whole number
+        argv = [*argv, "--config", str(conf)]
+    capsys.readouterr()
+    assert main([command, *argv]) == 1
+    assert f"--{name} must be at most" in capsys.readouterr().err
 
 
 def _option_source(tmp_path, monkeypatch, source, name, value):

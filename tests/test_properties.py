@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -201,6 +202,9 @@ def _export_payload(d, positive, negative=(), point=None, label="x"):
 @example(payload=_export_payload(2, [[-0.0, 5e-324, 1e308, -1e308]], point=np.full((2, 2), -5e-324 + 1e308j)))
 @example(payload=_export_payload(4, [], [np.eye(4) * -0.0]))
 @example(payload=_export_payload(2, [np.eye(2)], label="\x000"))  # a string that reads as a placeholder
+@example(payload=_export_payload(4, [np.array([-0.0, complex(math.nan, -0.0), complex(math.inf, -math.inf), 5e-324,
+                                               -5e-324j, 0.1 + 0.7j, -1.5, 0.0, 1e308, 2.5e-17j, complex(-0.0, math.nan),
+                                               math.inf, -math.inf, 1 / 3, -0.0j, 0.0])]))
 def test_export_writer_matches_indenting_json_encoder(payload):
     assert _dumps(payload) == json.dumps(_as_lists(payload), indent=2, sort_keys=True)
 
