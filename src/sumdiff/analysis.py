@@ -32,8 +32,8 @@ from .choi import (
     partition_diag_pairs,
     trace_preservation_residual,
 )
-from .linalg import (EigenSystem, dagger, eig_hermitian, eigvals_hermitian, fold, is_hermitian, kron, max_abs,
-                     partial_transpose)
+from .linalg import (EigenSystem, dagger, eig_hermitian, eigvals_hermitian, fold, is_hermitian, is_psd, kron,
+                     max_abs, partial_transpose)
 
 __all__ = [
     "ChannelReport",
@@ -144,13 +144,11 @@ def pdc_apply(rho, co: Ad2Coefficients) -> np.ndarray:
 
 
 def is_ppt(m, dim_a: int, dim_b: int, tol: float = 1e-10) -> bool | np.ndarray:
-    """True if the partial transpose has no eigenvalue below -tol.
+    """True if the partial transpose has no eigenvalue below -tol (``is_psd``).
 
     For a stack of matrices, returns one flag per matrix as a bool array.
     """
-    pt = partial_transpose(m, dim_a, dim_b)
-    flags = eigvals_hermitian(pt, tol=1e-12)[..., -1] >= -tol
-    return bool(flags) if flags.ndim == 0 else flags
+    return is_psd(partial_transpose(m, dim_a, dim_b), tol)
 
 
 @dataclass(frozen=True)
@@ -222,14 +220,10 @@ def qc_form_test(b, d: int, tol: float = 1e-10):
         for mp in range(d):
             if m != mp and max_abs(blocks[:, m, :, mp]) > tol:
                 ok = False
-    diag_blocks = []
-    for m in range(d):
-        g = blocks[:, m, :, m]
-        diag_blocks.append(g)
-        if ok:
-            smallest = eigvals_hermitian((g + dagger(g)) / 2.0, tol=1e-12)[-1]
-            if smallest < -tol:
-                ok = False
+    diag_blocks = [blocks[:, m, :, m] for m in range(d)]
+    if ok:
+        g = np.stack(diag_blocks)
+        ok = is_psd((g + dagger(g)) / 2.0, tol).all()
     return bool(ok), diag_blocks
 
 
@@ -261,7 +255,7 @@ class HolevoForm:
         for f in effs:
             if not is_hermitian(f, 1e-10):
                 raise ValueError("effects must be Hermitian")
-            if eigvals_hermitian(f, tol=1e-12)[-1] < -1e-10:
+            if not is_psd(f, 1e-10):
                 raise ValueError("effects must be positive semidefinite")
             acc += f
         if max_abs(acc - np.eye(d)) > 1e-10:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, eigvals_hermitian, is_hermitian, max_abs
+from .linalg import dagger, eigvals_hermitian, is_hermitian, is_psd, max_abs
 
 __all__ = [
     "Ad2Coefficients",
@@ -167,9 +167,8 @@ def check_density_matrix(rho, tol: float = 1e-10) -> None:
         raise ValueError("state is not Hermitian")
     if abs(rho.trace() - 1.0) > tol:
         raise ValueError(f"state trace {rho.trace():.6g} is not 1")
-    smallest = eigvals_hermitian(rho, tol=1e-12)[-1]
-    if smallest < -tol:
-        raise ValueError(f"state has negative eigenvalue {smallest:.3e}")
+    if not is_psd(rho, tol):
+        raise ValueError(f"state has negative eigenvalue {eigvals_hermitian(rho, tol=1e-12)[-1]:.3e}")
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ __all__ = [
     "eigvals_hermitian",
     "fold",
     "is_hermitian",
+    "is_psd",
     "kron",
     "max_abs",
     "partial_trace",
@@ -149,11 +150,12 @@ def _jacobi_schedule(k: int) -> list:
 @functools.lru_cache(maxsize=256)
 def _components(n: int, pattern: bytes) -> tuple:
     """Connected components of an n x n symmetric boolean pattern, grouped
-    by size k ascending: (k, members, flat, col) per size, with ``members``
-    the (c, k) array of each component's indices, ascending within a
-    component and ordered by the smallest, ``flat`` the indices of the
-    components' k x k blocks into a row-major n x n matrix, block after
-    block, and ``col`` their column indices."""
+    by size k ascending: (k, members, (row start, column)) per size, with
+    ``members`` the (c, k) array of each component's indices, ascending
+    within a component and ordered by the smallest, and the row starts and
+    columns of the entries of the components' k x k blocks in a row-major
+    n x n matrix, block after block; after the groups, the flat indices of
+    all their entries in one array."""
     links = np.frombuffer(pattern, dtype=bool).reshape(n, n)
     seen = [False] * n
     groups = {}
@@ -168,12 +170,12 @@ def _components(n: int, pattern: bytes) -> tuple:
                     seen[j] = True
                     component.append(j)
         groups.setdefault(len(component), []).append(sorted(component))
-    out = []
+    out, flats = [], [np.zeros(0, int)]
     for k, members in sorted(groups.items()):
         members = np.array(members)
-        flat = (members[:, :, None] * n + members[:, None, :]).ravel()
-        out.append((k, members, flat, flat % n))
-    return tuple(out)
+        flats.append(flat := (members[:, :, None] * n + members[:, None, :]).ravel())
+        out.append((k, members, (flat - flat % n, flat % n)))
+    return tuple(out), np.concatenate(flats)
 
 
 def _angles(mag: np.ndarray, diff: np.ndarray) -> tuple:
@@ -259,10 +261,10 @@ def eig_hermitian(h, tol: float = 1e-13, max_sweeps: int = 100) -> EigenSystem:
     identity rotations from then on.  A matrix's result is bitwise the one
     it gets alone when its stack mates leave the components of its own
     pattern unchanged; a mate that joins two components changes the blocks,
-    and the result agrees to rounding.  Each matrix must be Hermitian within
-    ``tol``.  Raises JacobiConvergenceError if ``max_sweeps`` full sweeps do
-    not reach the target, or if a matrix's reconstruction misses it by more
-    than 10 tol max(1, max|h|).
+    and the result agrees to rounding.  Each matrix must be finite and
+    Hermitian within ``tol``.  Raises JacobiConvergenceError if
+    ``max_sweeps`` full sweeps do not reach the target, or if a matrix's
+    reconstruction misses it by more than 10 tol max(1, max|h|).
     """
     return EigenSystem(*_jacobi(h, tol, max_sweeps, with_vectors=True))
 
@@ -274,43 +276,87 @@ def eigvals_hermitian(h, tol: float = 1e-13, max_sweeps: int = 100) -> np.ndarra
     return _jacobi(h, tol, max_sweeps, with_vectors=False)[0]
 
 
-def _jacobi(h, tol: float, max_sweeps: int, with_vectors: bool) -> tuple:
-    """(values, vectors) of ``eig_hermitian``; vectors None without ``with_vectors``."""
+def _gather(h, tol: float) -> tuple:
+    """(single, h as a stack, groups) for one n x n matrix or a stack (m, n, n),
+    with one group (k, members, (row start, column) of each entry, h's
+    blocks, their Hermitian parts) per size k of ``_components`` of the
+    stack's combined nonzero pattern: the blocks are (m, c) for k = 1, else
+    (m c, k, k), and h is exactly 0 outside them.  Raises ValueError if an
+    entry is not finite or a block is not Hermitian within ``tol``."""
     h = np.asarray(h, dtype=complex)
     if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
-        raise ValueError("eig_hermitian expects a square matrix or a stack of them")
-    if h.shape[-1] == 0:
-        return np.zeros(h.shape[:-1]), h.copy()
+        raise ValueError("expected a square matrix or a stack of them")
     single = h.ndim == 2
     h = h[None] if single else h
     m, n = h.shape[:2]
     pattern = h.any(axis=0)
     pattern |= pattern.T  # so that h is 0 wherever the pattern is
-    flat = h.reshape(m, n * n)
-    values = np.empty((m, n))
+    components, every = _components(n, pattern.tobytes())
+    every = h.reshape(m, n * n)[:, every]  # the blocks' entries, gathered once
+    if not np.isfinite(every).all():
+        raise ValueError("matrix has non-finite entries")
+    groups = []
+    for k, members, place in components:
+        blk, every = every[:, :place[1].size], every[:, place[1].size:]
+        if k == 1:  # off its Hermitian part by twice its imaginary part
+            skew, part = 2.0 * np.abs(blk.imag).max(initial=0.0), blk.real
+        else:
+            blk = blk.reshape(-1, k, k)
+            blk_h = blk.conj().swapaxes(1, 2)
+            skew, part = np.abs(blk - blk_h).max(initial=0.0), (blk + blk_h) / 2.0
+        if skew > tol:
+            raise ValueError("matrix is not Hermitian within tol")
+        groups.append((k, members, place, blk, part))
+    return single, h, groups
 
-    # gather each size's blocks into one (m c, k, k) stack, matrix by matrix
+
+def is_psd(h, tol: float) -> bool | np.ndarray:
+    """True if Hermitian ``h`` has no eigenvalue below -tol (a bool array for
+    a stack), decided without computing one.  ``h`` is gathered and checked
+    as ``eig_hermitian`` does, Hermitian within 1e-12.  A 1 x 1 component
+    passes if it is at least -tol, a k x k one if the Cholesky elimination
+    of its Hermitian part plus tol I (k steps over all blocks of that size)
+    meets only pivots > 0, NaN failing.  Cholesky is backward stable
+    (Higham 2002, Thm 10.3), so this misjudges a block only if its smallest
+    eigenvalue lies within about k u max|h| of -tol, u the unit roundoff,
+    where it is more accurate than a solver's eigenvalues.
+    """
+    single, h, groups = _gather(h, 1e-12)
+    flags = np.ones(len(h), dtype=bool)
+    for k, members, _, _, a in groups:
+        if k == 1:
+            ok = a >= -tol
+        else:
+            a.reshape(-1, k * k)[:, ::k + 1] += tol
+            ok = np.ones(len(a), dtype=bool)
+            for j in range(k):
+                pivot = a[:, j, j].real
+                ok &= pivot > 0.0
+                if j + 1 < k:  # a failed block takes a zero column and stays as it is
+                    col = a[:, j + 1:, j] / np.sqrt(np.where(ok, pivot, np.inf))[:, None]
+                    a[:, j + 1:, j + 1:] -= col[:, :, None] * col.conj()[:, None, :]
+        flags &= ok.reshape(len(h), len(members)).all(axis=1)
+    return bool(flags[0]) if single else flags
+
+
+def _jacobi(h, tol: float, max_sweeps: int, with_vectors: bool) -> tuple:
+    """(values, vectors) of ``eig_hermitian``; vectors None without ``with_vectors``."""
+    single, h, groups = _gather(h, tol)
+    m, n = h.shape[:2]
+    values = np.empty((m, n))
     singles = None  # (row start, column) of the 1 x 1 components
     blocks = []  # (k, members, (row start, column), h's blocks, state) of the larger ones
-    for k, members, at, col in _components(n, pattern.tobytes()):
-        blk = flat[:, at]
+    for k, members, place, blk, a in groups:
         if k == 1:
             # its own eigenvalue; the reconstruction misses h by the
             # imaginary part, which the Hermitian check bounds by tol / 2
-            if 2.0 * np.abs(blk.imag).max(initial=0.0) > tol:
-                raise ValueError("matrix is not Hermitian within tol")
-            values[:, members[:, 0]] = blk.real
-            singles = (at - col, col)
+            values[:, members[:, 0]] = a
+            singles = place
             continue
-        blk = blk.reshape(-1, k, k)
-        blk_h = blk.conj().swapaxes(1, 2)
-        if np.abs(blk - blk_h).max() > tol:
-            raise ValueError("matrix is not Hermitian within tol")
-        a = (blk + blk_h) / 2.0
         # a 2 x 2 block is held as its diagonal and its upper entry, a larger
         # one whole; each with its vectors, None for the identity
         state = [a[:, 0, 0].real, a[:, 1, 1].real, a[:, 0, 1], None] if k == 2 else [a, None]
-        blocks.append((k, members, (at - col, col), blk, state))
+        blocks.append((k, members, place, blk, state))
 
     done = np.zeros(m, dtype=bool)  # converged matrices stay converged
     for sweep in range(max_sweeps + 1):
@@ -363,7 +409,7 @@ def _jacobi(h, tol: float, max_sweeps: int, with_vectors: bool) -> tuple:
             np.maximum(residual, err.reshape(m, -1).max(axis=1), out=residual)
     over = ~(residual <= 10 * max(tol, 1e-15))
     if over.any():
-        over &= ~(residual <= 10 * max(tol, 1e-15) * np.maximum(1.0, np.abs(flat).max(axis=1)))
+        over &= ~(residual <= 10 * max(tol, 1e-15) * np.maximum(1.0, np.abs(h).reshape(m, -1).max(axis=1)))
     if over.any():
         raise JacobiConvergenceError(f"reconstruction residual {np.max(residual[over]):.3e} exceeds budget")
 

@@ -14,9 +14,11 @@ from sumdiff.analysis import (
     holevo_point_form,
     is_ppt,
     mdc_choi,
+    mdc_choi_from_choi,
     mdc_kraus,
     pdc_apply,
     pdc_choi,
+    pdc_choi_from_choi,
     pdc_effective_state,
     pdc_entanglement_trace,
     pdc_kraus,
@@ -30,7 +32,8 @@ from sumdiff.channels import (
     random_density_matrix,
 )
 from sumdiff.choi import choi_2ad, choi_from_channel
-from sumdiff.linalg import dagger, kron, max_abs
+import sumdiff.linalg as linalg
+from sumdiff.linalg import dagger, eigvals_hermitian, kron, max_abs, partial_transpose
 
 PROBE = Ad2Params(gamma=1.0, gamma12=0.3, omega12=2.0, omega0=10.0, t=0.7)
 
@@ -468,3 +471,69 @@ def test_stacked_diagnostics_match_single_calls():
         assert flag == is_ppt(choi, 4, 4)
     assert isinstance(concurrence(states[0]), float)
     assert isinstance(is_ppt(chois[0], 4, 4), bool)
+
+
+# ---------------------------------------------------------------------------
+# PPT flags without an eigensolve
+
+
+def _sweep_grid_chois(rng):
+    """Choi stack of one drawn ad2 sweep grid: gamma12 near +-gamma or
+    anywhere between, omega12 sometimes 0, t out to deep decay."""
+    gamma = float(rng.uniform(0.5, 2.0))
+    gap = 10.0 ** float(rng.uniform(-8, -1))
+    gamma12 = gamma * float(rng.choice([1.0 - gap, -(1.0 - gap), rng.uniform(-0.9, 0.9)]))
+    omega12 = float(rng.choice([0.0, rng.uniform(-5.0, 5.0)]))
+    base = Ad2Params(gamma=gamma, gamma12=gamma12, omega12=omega12, omega0=float(rng.uniform(0.0, 20.0)), t=0.0)
+    return choi_2ad(ad2_coefficients(base, np.linspace(0.0, float(rng.uniform(2.0, 80.0)) / gamma, 60)))
+
+
+def _no_rotation(*args):
+    raise AssertionError("a PPT flag ran a Jacobi rotation")
+
+
+def test_ppt_flags_take_no_rotation(monkeypatch):
+    monkeypatch.setattr(linalg, "_rotate", _no_rotation)
+    monkeypatch.setattr(linalg, "_rotate_pairs", _no_rotation)
+    chois = np.concatenate([_sweep_grid_chois(np.random.default_rng(seed)) for seed in (70, 71)])
+    for x in (chois, mdc_choi_from_choi(chois), pdc_choi_from_choi(chois)):
+        flags = is_ppt(x, 4, 4)
+        assert flags.shape == (len(x),) and is_ppt(x[0], 4, 4) == flags[0]
+
+
+def test_ppt_flags_agree_with_the_eigenvalue_rule():
+    # they may differ only where the smallest eigenvalue lies within 1e-12
+    # of -tol, where the eigenvalues carry the solver's own error
+    rng = np.random.default_rng(72)
+    seen = set()
+    for _ in range(24):
+        chois = _sweep_grid_chois(rng)
+        for x in (chois, mdc_choi_from_choi(chois), pdc_choi_from_choi(chois)):
+            smallest = eigvals_hermitian(partial_transpose(x, 4, 4), tol=1e-12)[:, -1]
+            for tol in (1e-10, 1e-6):
+                clear = np.abs(smallest + tol) > 1e-12
+                flags = is_ppt(x, 4, 4, tol=tol)
+                assert np.array_equal(flags[clear], (smallest >= -tol)[clear])
+                seen.update(flags.tolist())
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_is_ppt_rejects_non_finite_entries(bad):
+    b = choi_2ad(ad2_coefficients(PROBE))
+    b[0, 15] = bad
+    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+        is_ppt(b, 4, 4)
+    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+        is_ppt(np.stack([choi_2ad(ad2_coefficients(PROBE)), b]), 4, 4)
+
+
+def test_sign_only_checks_keep_their_messages():
+    with pytest.raises(ValueError, match="^effects must be positive semidefinite$"):
+        HolevoForm(outputs=(np.diag([1.0, 0.0]),) * 2, effects=(np.diag([1.0, -0.5]), np.diag([0.0, 1.5])))
+    b = np.zeros((16, 16), dtype=complex)
+    b[np.arange(16), np.arange(16)] = 1.0
+    assert qc_form_test(b, 4)[0] is True
+    b[15, 15] = -1e-9  # one diagonal block no longer positive semidefinite
+    assert qc_form_test(b, 4)[0] is False
+    assert qc_form_test(b, 4, tol=1e-8)[0] is True

@@ -106,6 +106,12 @@ def test_check_density_matrix_rejects_bad_inputs():
         check_density_matrix(np.diag([1.5, -0.5]).astype(complex))  # negative eigenvalue
 
 
+def test_check_density_matrix_names_the_negative_eigenvalue():
+    with pytest.raises(ValueError, match="^state has negative eigenvalue -2.000e-10$"):
+        check_density_matrix(np.diag([1.0 + 2e-10, -2e-10]).astype(complex))
+    check_density_matrix(np.diag([1.0 + 1e-10, -1e-10]).astype(complex))  # within tol
+
+
 def test_gad_kraus_lambda_zero_is_identity():
     ks = gad_kraus(0.3, 0.0)
     rng = np.random.default_rng(3)

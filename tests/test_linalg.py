@@ -6,13 +6,16 @@ import pytest
 from sumdiff.analysis import mdc_choi, pdc_choi
 from sumdiff.channels import Ad2Params, ad2_coefficients
 from sumdiff.choi import choi_2ad
+import sumdiff.linalg as linalg
 from sumdiff.linalg import (
     JacobiConvergenceError,
     dagger,
     eig_hermitian,
     eig_rank2_pair,
+    eigvals_hermitian,
     fold,
     is_hermitian,
+    is_psd,
     kron,
     max_abs,
     partial_trace,
@@ -460,3 +463,77 @@ def test_eig_subnormal_pivot_is_left_in_place():
         sys = eig_hermitian(m)
     assert np.all(np.isfinite(sys.vectors))
     assert max_abs(sys.values - np.linalg.eigvalsh(m)[::-1]) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# non-finite input and the positivity test without eigenvalues
+
+
+def _inf_pivot():
+    m = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    m[0, 1] = m[1, 0] = np.inf
+    return m
+
+
+NON_FINITE = {
+    "nan_diagonal": lambda: np.diag([np.nan, 1.0]).astype(complex),
+    "nan_block": lambda: np.full((4, 4), np.nan, dtype=complex),
+    "inf_pivot": _inf_pivot,
+}
+
+
+def _no_rotation(*args):
+    raise AssertionError("no rotation may run")
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+@pytest.mark.parametrize("check", [eig_hermitian, eigvals_hermitian, lambda h: is_psd(h, 1e-10)],
+                         ids=["eig_hermitian", "eigvals_hermitian", "is_psd"])
+def test_non_finite_matrix_is_rejected_before_any_work(case, check, monkeypatch):
+    # NaN passed the Hermitian check: a NaN diagonal came back as an
+    # eigenvalue, a NaN block ran every sweep, an inf pivot failed the
+    # reconstruction amid RuntimeWarnings
+    monkeypatch.setattr(linalg, "_rotate", _no_rotation)
+    monkeypatch.setattr(linalg, "_rotate_pairs", _no_rotation)
+    h = NON_FINITE[case]()
+    with np.errstate(all="raise"):
+        for matrix in (h, np.stack([np.eye(len(h)), h])):
+            with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+                check(matrix)
+
+
+def test_is_psd_compares_a_diagonal_entry_with_minus_tol():
+    tol = 1e-10
+    assert is_psd(np.diag([1.0, -tol]), tol) is True
+    assert is_psd(np.diag([1.0, np.nextafter(-tol, -1.0)]), tol) is False
+    flags = is_psd(np.stack([np.diag([0.5, 0.0]), np.diag([0.5, -2 * tol]), np.eye(2)]), tol)
+    assert flags.dtype == bool and flags.tolist() == [True, False, True]
+    assert is_psd(np.zeros((0, 3, 3)), tol).shape == (0,)
+
+
+def test_is_psd_decides_blocks_at_the_shifted_boundary():
+    # a 3 x 3 block with smallest eigenvalue -tol +- 1e-11 beside a 2 x 2 one
+    rng = np.random.default_rng(30)
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    tol = 1e-6
+    stack = np.zeros((2, 5, 5), dtype=complex)
+    for h, delta in zip(stack, (1e-11, -1e-11)):
+        block = (u * [-tol + delta, 0.4, 2.0]) @ dagger(u)
+        h[np.ix_([0, 2, 4], [0, 2, 4])] = (block + dagger(block)) / 2
+        h[np.ix_([1, 3], [1, 3])] = [[1.0, 0.5j], [-0.5j, 1.0]]
+    assert is_psd(stack, tol).tolist() == [True, False]
+    assert is_psd(stack[0], tol) is True and is_psd(stack[1], tol) is False
+
+
+def test_is_psd_keeps_the_hermitian_check():
+    h = np.diag([1.0, 2.0]).astype(complex)
+    h[0, 1] = 2e-12
+    with pytest.raises(ValueError, match="not Hermitian"):
+        is_psd(h, 1e-10)
+    h[0, 1] = 1e-12
+    assert is_psd(h, 1e-10) is True
+    h = np.diag([1.0, 2.0 + 1e-11j])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        is_psd(h, 1e-10)
+    with pytest.raises(ValueError):
+        is_psd(np.zeros((2, 3)), 1e-10)

@@ -35,7 +35,7 @@ from sumdiff.choi import (
     reconstruct_choi,
 )
 from sumdiff.cli import CHANNELS, _dumps, main
-from sumdiff.linalg import JacobiConvergenceError, dagger, eig_hermitian, eigvals_hermitian, max_abs
+from sumdiff.linalg import JacobiConvergenceError, dagger, eig_hermitian, eigvals_hermitian, is_psd, max_abs
 
 
 def _export_order(ks: SignedKrausSet) -> SignedKrausSet:
@@ -393,3 +393,53 @@ def test_eig_hermitian_keeps_its_checks(k, count, seed):
         tilted[-1, 0, 1] += 1e-6  # no longer Hermitian
         with pytest.raises(ValueError):
             solve(tilted)
+
+
+# ---------------------------------------------------------------------------
+# the positivity test against LAPACK, at the edge of its tolerance
+
+
+@st.composite
+def psd_boundary_stacks(draw):
+    """(stack, tol, tilt): the component patterns of ``hermitian_stacks``,
+    each block U diag(lam) U^dag with a random unitary U and smallest
+    eigenvalue -tol + delta or -tol - delta, delta at least
+    1e-12 max(1, |lam|), the other eigenvalues above -tol + delta; and an
+    entry (i, j) at which to break the Hermitian symmetry."""
+    count = draw(st.sampled_from([1, 2, 7]))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    n = sum(sizes)
+    order = draw(st.permutations(range(n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    tol = draw(st.sampled_from([1e-10, 1e-6, 0.5]))
+    delta = 1e-12 * max(1.0, tol + 2.0 * scale) * 10.0 ** draw(st.sampled_from([0, 2, 5]))
+    above = draw(st.sampled_from([0.3, 0.7, 0.95]))  # chance that a block's edge lies above -tol
+    stack = np.zeros((count, n, n), dtype=complex)
+    start = 0
+    for k in sizes:
+        members = order[start:start + k]
+        start += k
+        for h in stack:
+            g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+            u, _ = np.linalg.qr(g)
+            lam = -tol + delta + scale * rng.uniform(0.0, 2.0, k)
+            lam[rng.integers(k)] = -tol + (delta if rng.random() < above else -delta)
+            block = (u * lam) @ u.conj().T
+            h[np.ix_(members, members)] = (block + block.conj().T) / 2
+    tilt = (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
+    return stack, tol, tilt
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=psd_boundary_stacks())
+def test_is_psd_matches_lapack(case):
+    stack, tol, (i, j) = case
+    want = np.linalg.eigvalsh(stack)[:, 0] >= -tol
+    got = is_psd(stack, tol)
+    assert got.dtype == bool and got.tolist() == want.tolist()
+    assert [is_psd(h, tol) for h in stack] == want.tolist()
+    tilted = stack.copy()
+    tilted[-1, i, j] += 1e-6j  # one entry no longer Hermitian
+    with pytest.raises(ValueError, match="not Hermitian"):
+        is_psd(tilted, tol)
