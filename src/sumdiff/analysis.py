@@ -165,16 +165,14 @@ class ChannelReport:
 
 def _point_output(b: np.ndarray, d: int, tol: float) -> np.ndarray | None:
     """Common output state if the channel sends everything to one state."""
-    blocks = b.reshape(d, d, d, d)
-    sigma = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        sigma += blocks[j, :, j, :]
+    dev = b.reshape(d, d, d, d).copy()  # blocks [j, :, k, :], to become their deviations
+    diagonal = np.einsum("jajb->jab", dev)  # a view of the blocks j = k
+    # summed from zeros in order of j, so that -0.0 entries give 0.0
+    sigma = np.add.reduce(diagonal, axis=0, initial=0.0)
     sigma /= d
-    for j in range(d):
-        for k in range(d):
-            target = sigma if j == k else 0.0
-            if max_abs(blocks[j, :, k, :] - target) > tol:
-                return None
+    diagonal -= sigma
+    if max_abs(dev) > tol:
+        return None
     return sigma
 
 

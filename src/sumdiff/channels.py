@@ -400,7 +400,7 @@ def ad2_coefficients(params: Ad2Params, t=None) -> Ad2Coefficients:
     # omega0 = 1e308; its coefficient is then undefined, and math.sin and
     # math.cos reject the argument.  |w t| grows with t, so t_max decides.
     if not all(math.isfinite(w * t_max) for w in (om0 - om12, 2.0 * om0, om0 + om12, 2.0 * om12)):
-        raise ValueError(f"the coefficients are not finite at {params}")
+        raise ValueError(f"the coefficients are not finite at {params.at(t_max)}")
 
     # 1 - exp(-x) via expm1 keeps the trace identities tight near t = 0
     f_p = -expm1(-gp * t)
@@ -446,8 +446,11 @@ def ad2_coefficients(params: Ad2Params, t=None) -> Ad2Coefficients:
     v = (gp_s / denom) * tt * bracket_sin
 
     # large rates can still overflow, as gamma + gamma12 does at gamma = 1.5e308
-    if not all(map(finite, (a, b, c, d, e, f_p, f_m, h, j, l, m, pp, q, tt, r, s, u, v))):
-        raise ValueError(f"the coefficients are not finite at {params}")
+    values = (a, b, c, d, e, f_p, f_m, h, j, l, m, pp, q, tt, r, s, u, v)
+    if not all(map(finite, values)):
+        if np.ndim(t):  # name the first time whose coefficients fail
+            t = float(t[np.isfinite(values).all(axis=0).argmin()])
+        raise ValueError(f"the coefficients are not finite at {params.at(t)}")
     return Ad2Coefficients(
         A=a, B=b, C=c, D=d, E=e, F=f_p, G=f_m, H=h,
         J=j, L=l, M=m, P=pp, Q=q, T=tt, R=r, S=s, U=u, V=v,

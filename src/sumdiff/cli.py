@@ -10,9 +10,12 @@ sweep     tabulate coefficient magnitudes, residuals, and sub-channel
           diagnostics over a time grid as CSV
 
 Exit codes: 0 success, 1 usage or parameter error, 2 verification failure,
-3 I/O error.  Defaults may be supplied in a JSON config file (--config);
-command-line flags override the file, and the SUMDIFF_TOLERANCE environment
-variable supplies the tolerance when neither does.
+3 I/O error: an input that cannot be read or parsed, or an --out that cannot
+be written.  An existing --out file is rewritten in place and cut to length;
+a failed write cuts it to zero.  Defaults may be supplied in a JSON config
+file (--config); command-line flags override the file, and the
+SUMDIFF_TOLERANCE environment variable supplies the tolerance when neither
+does.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _encode_string
@@ -451,11 +455,35 @@ def _report_json(report) -> dict:
 
 
 def _write_text(path: str | None, text: str) -> None:
+    """Write ``text`` to stdout, or as UTF-8 to the file at ``path``.
+
+    An existing file is overwritten from offset 0 and then cut to the new
+    length, never truncated first: ext4 flushes a file that was truncated and
+    rewritten when it is closed, so truncation made every rerun into the same
+    path release and reallocate its blocks (about 50 ms against 0.01 ms for
+    32 KB; the README has the measurements).  The inode, its links, mode and
+    owner stay; a FIFO or device is written and never cut.  If the write
+    fails, a regular file is cut to zero, so old bytes never follow new ones.
+    """
     if path is None:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            rest = memoryview(data)
+            while rest:  # a pipe may take part of a write
+                rest = rest[os.write(fd, rest):]
+            if regular:
+                os.ftruncate(fd, len(data))
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+    finally:
+        os.close(fd)
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +620,9 @@ def cmd_sweep(args) -> int:
         raise UsageError("--steps must be at least 2")
     if steps > MAX_SWEEP_STEPS:
         raise UsageError(f"--steps must be at most {MAX_SWEEP_STEPS}")
+    for flag, value in (("--t-min", t_min), ("--t-max", t_max)):
+        if not math.isfinite(value):
+            raise UsageError(f"{flag} must be finite, got {value}")
     if t_max < t_min:
         raise UsageError("--t-max must not be below --t-min")
     if t_min < 0:

@@ -7,6 +7,7 @@ import pytest
 
 from sumdiff.analysis import (
     HolevoForm,
+    _point_output,
     concurrence,
     eb_report,
     holevo_apply,
@@ -29,6 +30,7 @@ from sumdiff.channels import (
     ad2_apply,
     ad2_coefficients,
     apply_signed_kraus,
+    gad_choi,
     random_density_matrix,
 )
 from sumdiff.choi import choi_2ad, choi_from_channel
@@ -241,6 +243,42 @@ def test_eb_report_asymptotic_point_channel():
     assert rep.ppt_of_choi
     # the Choi matrix itself factorizes as identity (x) ground projector
     assert max_abs(b - kron(np.eye(4), ground)) < 1e-8
+
+
+def _point_output_by_blocks(b, d, tol):
+    """Reference: the point-channel test one d x d block at a time."""
+    blocks = b.reshape(d, d, d, d)
+    sigma = np.zeros((d, d), dtype=complex)
+    for j in range(d):
+        sigma += blocks[j, :, j, :]
+    sigma /= d
+    for j in range(d):
+        for k in range(d):
+            if max_abs(blocks[j, :, k, :] - (sigma if j == k else 0.0)) > tol:
+                return None
+    return sigma
+
+
+def test_point_output_matches_the_blockwise_test():
+    chois = [gad_choi(0.5, lam) for lam in (0.0, 0.36, 1.0)]
+    chois += [choi_2ad(ad2_coefficients(Ad2Params(1.0, 0.3, 2.0, 10.0, t))) for t in (0.0, 0.7, 40.0, 800.0)]
+    chois.append(np.full((16, 16), complex(-0.0, -0.0)))  # sigma sums from zeros: 0.0, not -0.0
+    rng = np.random.default_rng(11)
+    for b in list(chois):  # one entry moved just inside and just outside the tolerance
+        i, j = rng.integers(0, b.shape[0], 2)
+        for step in (0.5e-8, 2e-8):
+            moved = b.copy()
+            moved[i, j] += step
+            chois.append(moved)
+    found = 0
+    for b in chois:
+        d = math.isqrt(b.shape[0])
+        expected, got = _point_output_by_blocks(b, d, 1e-8), _point_output(b, d, 1e-8)
+        assert (got is None) == (expected is None)
+        if got is not None:
+            found += 1
+            assert got.tobytes() == expected.tobytes()
+    assert found >= 3
 
 
 def test_eb_report_flags_unbalanced_channel():

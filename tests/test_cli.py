@@ -1,12 +1,15 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
 import contextlib
+import errno
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -774,3 +777,127 @@ def test_config_integral_float_is_an_integer(tmp_path):
     out = tmp_path / "s.csv"
     assert main(["sweep", *argv, "--config", str(conf), "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("name", ["t-min", "t-max"])
+def test_sweep_non_finite_time_bound_exits_one(tmp_path, monkeypatch, capsys, name, source, value):
+    # an infinite bound made np.linspace warn, and the error named no flag
+    argv = SWEEP_ARGS[:SWEEP_ARGS.index(f"--{name}")] + SWEEP_ARGS[SWEEP_ARGS.index(f"--{name}") + 2:]
+    extra = _option_source(tmp_path, monkeypatch, source, name, value)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep", *argv, *extra]) == 1
+    err = capsys.readouterr().err
+    assert f"--{name} must be finite, got {float(value)}" in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_sweep_overflowing_phase_names_the_time_that_overflows(capsys):
+    with np.errstate(all="ignore"):
+        assert main(["sweep", *SWEEP_ARGS[:SWEEP_ARGS.index("--t-max")],
+                     "--t-max=1e308", "--steps=3"]) == 1
+    err = capsys.readouterr().err
+    assert "the coefficients are not finite at Ad2Params(" in err
+    assert "t=1e+308" in err and "t=0.0" not in err
+
+
+# --out: an existing file is rewritten in place and cut to length
+
+def _sweep_to(out):
+    return main(["sweep", *SWEEP_ARGS, "--out", str(out)])
+
+
+def test_out_longer_file_rewritten_holds_exactly_the_new_bytes(tmp_path):
+    fresh_json, fresh_csv = tmp_path / "fresh.json", tmp_path / "fresh.csv"
+    assert main(["extract", *AD2_ARGS, "--out", str(fresh_json)]) == 0
+    assert _sweep_to(fresh_csv) == 0
+    for fresh, rerun in ((fresh_json, lambda out: main(["extract", *AD2_ARGS, "--out", str(out)])),
+                         (fresh_csv, _sweep_to)):
+        old = tmp_path / f"old{fresh.suffix}"
+        old.write_bytes(b"#" * (3 * fresh.stat().st_size))
+        assert rerun(old) == 0
+        assert old.stat().st_size == fresh.stat().st_size
+        assert strip_timestamp(old.read_text()) == strip_timestamp(fresh.read_text())
+
+
+def test_out_keeps_the_inode_its_links_and_mode(tmp_path):
+    out, link = tmp_path / "gad.json", tmp_path / "link.json"
+    out.write_text("x" * 100_000)
+    os.chmod(out, 0o640)
+    os.link(out, link)
+    before = out.stat()
+    code, _ = run_extract(tmp_path, "gad.json")
+    assert code == 0
+    after = out.stat()
+    assert (after.st_ino, after.st_mode, after.st_nlink) == (before.st_ino, before.st_mode, 2)
+    assert link.read_bytes() == out.read_bytes()
+    assert json.loads(link.read_text())["metadata"]["channel"] == "gad"
+
+
+def test_out_new_file_takes_its_mode_from_the_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        code, out = run_extract(tmp_path, "gad.json")
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert out.stat().st_mode & 0o777 == 0o640
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_out_to_a_fifo_exits_zero(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+    reader.start()
+    try:
+        code, _ = run_extract(tmp_path, "pipe", args=AD2_ARGS)
+    finally:
+        reader.join(timeout=30)
+    assert code == 0
+    assert json.loads(received[0])["operator_count"] == 25
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason=f"needs {os.devnull}")
+@pytest.mark.parametrize("command", ["extract", "sweep"])
+def test_out_to_dev_null_exits_zero(command):
+    argv = SWEEP_ARGS if command == "sweep" else GAD_ARGS
+    assert main([command, *argv, "--out", os.devnull]) == 0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["extract", "sweep"])
+def test_out_to_a_full_device_exits_three(capsys, command):
+    argv = SWEEP_ARGS if command == "sweep" else GAD_ARGS
+    assert main([command, *argv, "--out", "/dev/full"]) == 3
+    assert "No space left on device" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["extract", "sweep"])
+def test_out_naming_a_directory_exits_three(tmp_path, capsys, command):
+    argv = SWEEP_ARGS if command == "sweep" else GAD_ARGS
+    assert main([command, *argv, "--out", str(tmp_path)]) == 3
+    assert "error: " in capsys.readouterr().err
+
+
+def test_out_write_failing_part_way_leaves_no_old_byte(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "gad.json"
+    out.write_bytes(b"old " * 50_000)
+    real_write = os.write
+
+    def write_half_then_fail(fd, data):
+        if len(data) < 64:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_write(fd, data[:len(data) // 2])
+
+    monkeypatch.setattr(cli_module.os, "write", write_half_then_fail)
+    code, _ = run_extract(tmp_path, "gad.json")
+    monkeypatch.undo()
+    assert code == 3
+    assert "No space left on device" in capsys.readouterr().err
+    assert out.read_bytes() == b""

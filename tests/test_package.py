@@ -30,3 +30,20 @@ def test_package_never_calls_lapack():
     offenders = [f"{path.relative_to(root)}:{n}" for path in files
                  for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if uses.search(line)]
     assert offenders == []
+
+
+def test_package_never_opens_a_path_for_writing_with_truncation():
+    # cli._write_text rewrites --out in place and cuts it to length, which
+    # keeps ext4 from releasing and reallocating the file's blocks on every
+    # rerun; any other write path would bring the truncation back
+    import pathlib
+    import re
+    truncates = re.compile(r"\bO_TRUNC\b|\.write_(?:text|bytes)\s*\("
+                           r"|\bopen\s*\([^\n]*?['\"][bt]*w[bt+]*['\"]")
+    root = pathlib.Path(sumdiff.__file__).parent
+    files = sorted(root.rglob("*.py"))
+    assert files
+    offenders = [f"{path.relative_to(root)}:{n}" for path in files
+                 for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+                 if truncates.search(line)]
+    assert offenders == []
