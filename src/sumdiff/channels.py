@@ -57,22 +57,23 @@ class SignedKrausSet:
     negative_labels: tuple = ()
 
     def __post_init__(self):
-        pos = tuple(np.asarray(k, dtype=complex) for k in self.positive)
-        neg = tuple(np.asarray(k, dtype=complex) for k in self.negative)
+        pos, neg = tuple(self.positive), tuple(self.negative)
         if not pos:
             raise ValueError("at least one positive operator is required")
-        d = pos[0].shape[0]
-        for k in pos + neg:
-            if k.ndim != 2 or k.shape != (d, d):
-                raise ValueError("all operators must be square with a common dimension")
+        ops = np.asarray(pos + neg, dtype=complex)  # ValueError for operators of two shapes
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+            raise ValueError("all operators must be square with a common dimension")
         plab = tuple(self.positive_labels) or tuple(f"+{i}" for i in range(len(pos)))
         nlab = tuple(self.negative_labels) or tuple(f"-{i}" for i in range(len(neg)))
         if len(plab) != len(pos) or len(nlab) != len(neg):
             raise ValueError("label count must match operator count")
-        object.__setattr__(self, "positive", pos)
-        object.__setattr__(self, "negative", neg)
+        signs = np.array([1] * len(pos) + [-1] * len(neg))
+        ops.flags.writeable = signs.flags.writeable = False
+        object.__setattr__(self, "positive", tuple(ops[:len(pos)]))
+        object.__setattr__(self, "negative", tuple(ops[len(pos):]))
         object.__setattr__(self, "positive_labels", plab)
         object.__setattr__(self, "negative_labels", nlab)
+        object.__setattr__(self, "_stacked", (ops[None], signs[None]))
 
     @property
     def dim(self) -> int:
@@ -84,10 +85,9 @@ class SignedKrausSet:
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """The operators as a stack of one, ``(1, count, d, d)``, with their
-        signs ``(1, count)``: positive operators (+1) first, then negative (-1)."""
-        ops = np.stack(self.positive + self.negative)[None]
-        signs = np.array([1] * len(self.positive) + [-1] * len(self.negative))[None]
-        return ops, signs
+        signs ``(1, count)``: positive operators (+1) first, then negative
+        (-1).  The set holds its operators as this read-only stack."""
+        return self._stacked
 
     def superoperator(self) -> np.ndarray:
         """The d^2 x d^2 matrix S = sum_k s_k conj(K_k) (x) K_k of the map in the
@@ -375,13 +375,14 @@ _ARRAY_MATH = (_elementwise(math.exp), _elementwise(math.expm1), _elementwise(ma
                _elementwise(math.cos), np.asarray, lambda x: np.isfinite(x).all())
 
 
+@np.errstate(all="ignore")  # an overflow shows as a non-finite value, and the check below names it
 def ad2_coefficients(params: Ad2Params, t=None) -> Ad2Coefficients:
     """Evaluate the two-qubit damping coefficients at the given parameters.
 
     With ``t``, a 1-D array of nonnegative finite times, the coefficients
     are evaluated at those times instead of ``params.t``: every field is
     then an array over them, each entry bitwise the value a scalar call at
-    that time gives.
+    that time gives.  Coefficients that are not finite raise ValueError.
     """
     gamma, g12 = params.gamma, params.gamma12
     om12, om0 = params.omega12, params.omega0

@@ -15,8 +15,9 @@ reproduces the channel.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -25,9 +26,7 @@ from .channels import Ad2Coefficients, SignedKrausSet
 from .linalg import (
     dagger,
     eig_hermitian,
-    eig_rank2_pair,
     eigvals_hermitian,
-    fold,
     is_hermitian,
     max_abs,
     partial_trace,
@@ -174,39 +173,36 @@ class HermitianPartition:
 
     Elements may overlap in support; only Hermiticity of each element and
     (when a reference is supplied at construction) the telescoping sum are
-    enforced.
+    enforced.  ``stack`` holds the elements as one (p, n, n) array.
     """
 
     elements: tuple
     labels: tuple
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        els = tuple(np.asarray(e, dtype=complex) for e in self.elements)
-        if not els:
+        stack = np.asarray(self.elements, dtype=complex)  # ValueError for elements of two shapes
+        if not len(stack):
             raise ValueError("a partition needs at least one element")
-        shape = els[0].shape
-        if len(shape) != 2 or shape[0] != shape[1] or any(e.shape != shape for e in els):
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise ValueError("every element must be Hermitian and same-shaped")
         # is_hermitian(e, 1e-12 * max(1, max_abs(e))) for the whole stack at once
-        stack = np.stack(els)
         asym = np.abs(stack - dagger(stack)).max(axis=(1, 2), initial=0.0)
         if not (asym <= 1e-12 * np.maximum(1.0, np.abs(stack).max(axis=(1, 2), initial=0.0))).all():
             raise ValueError("every element must be Hermitian and same-shaped")
-        labs = tuple(self.labels) or tuple(f"E{i}" for i in range(len(els)))
-        if len(labs) != len(els):
+        labs = tuple(self.labels) or tuple(f"E{i}" for i in range(len(stack)))
+        if len(labs) != len(stack):
             raise ValueError("label count must match element count")
-        object.__setattr__(self, "elements", els)
+        object.__setattr__(self, "elements", tuple(stack))
         object.__setattr__(self, "labels", labs)
+        object.__setattr__(self, "stack", stack)
 
     @property
     def dim(self) -> int:
         return self.elements[0].shape[0]
 
     def sum_matrix(self) -> np.ndarray:
-        out = np.zeros_like(self.elements[0])
-        for e in self.elements:
-            out = out + e
-        return out
+        return self.stack.sum(axis=0)
 
 
 def partition_from_elements(elements: Sequence, labels: Sequence[str] = (),
@@ -246,28 +242,27 @@ def partition_diag_pairs(b, rel_threshold: float = PARTITION_REL_THRESHOLD,
     Pair (r, c) with r < c contributes z |r><c| + conj(z) |c><r|.  Entries
     with magnitude at most ``rel_threshold`` times the largest entry are
     treated as structural zeros.  Elements are ordered diagonal first, then
-    pairs by ascending (r, c).
+    pairs by ascending (r, c), labelled ``labels[(r, c)]`` or "(r,c)".
     """
     b = np.asarray(b, dtype=complex)
-    scale = max(1.0, max_abs(b))
-    if not is_hermitian(b, 1e-12 * scale):
+    top = max_abs(b)
+    if not is_hermitian(b, 1e-12 * max(1.0, top)):
         raise ValueError("partition_diag_pairs expects a Hermitian matrix")
     n = b.shape[0]
-    thresh = rel_threshold * max_abs(b)
-    elements = []
-    labs = []
-    diag = np.diag(np.diagonal(b).real.astype(complex))
-    if max_abs(diag) > thresh:
-        elements.append(diag)
-        labs.append("diag")
-    for r in range(n):
-        for c in range(r + 1, n):
-            z = b[r, c]
-            if abs(z) <= thresh:
-                continue
-            elements.append(_pair_element(b, r, c, z))
-            labs.append(labels.get((r, c), f"({r},{c})") if labels else f"({r},{c})")
-    return HermitianPartition(tuple(elements), tuple(labs))
+    thresh = rel_threshold * top
+    diag = np.diagonal(b).real
+    k = int(max_abs(diag) > thresh)  # the diagonal element, if any
+    # |z| through np.hypot, bitwise Python's abs of a complex, which np.abs is not
+    rows, cols = np.nonzero(np.triu(np.hypot(b.real, b.imag) > thresh, 1))
+    z = b[rows, cols]
+    stack = np.zeros((k + len(z), n * n), dtype=complex)
+    stack[:k, ::n + 1] = diag
+    at = np.arange(k, len(stack))
+    stack[at, rows * n + cols] = z
+    stack[at, cols * n + rows] = z.conj()
+    labels = labels or {}
+    return HermitianPartition(stack.reshape(-1, n, n), ("diag",) * k + tuple(
+        labels.get((r, c), f"({r},{c})") for r, c in zip(rows.tolist(), cols.tolist())))
 
 
 def partition_from_masks(b, masks: Sequence, labels: Sequence[str] = (),
@@ -342,56 +337,59 @@ def ad2_partition(co: Ad2Coefficients, strategy: str = "diag-pairs",
 # extraction
 
 
-def _classify_element(el: np.ndarray, thresh: float):
-    """Return ('diag', None), ('pair', (r, c)), or ('general', None)."""
-    off = el.copy()
-    np.fill_diagonal(off, 0.0)
-    nz = np.argwhere(np.abs(off) > thresh)
-    if nz.size == 0:
-        return "diag", None
-    if len(nz) == 2 and max_abs(np.diagonal(el)) <= thresh:
-        (r1, c1), (r2, c2) = nz
-        if r1 == c2 and c1 == r2:
-            return "pair", (min(r1, c1), max(r1, c1))
-    return "general", None
-
-
-def _element_operators(el: np.ndarray, label: str, cutoff: float,
-                       jacobi_tol: float, rel_threshold: float):
-    """Signed operators for one Hermitian element, with labels.
-
-    Yields (sign, operator, label) in a deterministic order: diagonal
-    elements by ascending basis index, pair elements + then -, general
-    elements by descending eigenvalue.
+def _closed_form(n: int, vals, diag, z, rows, cols, cutoff: float, floor=0.0) -> tuple:
+    """Signed operators, without a solve, of the diagonal values ``vals``
+    (m, a) at basis indices ``diag`` (a,), eigenvector |i> each, and of the
+    pairs z |r><c| + conj(z) |c><r| for ``z`` (m, b) at (``rows``, ``cols``)
+    (b,), r < c: eigenvalues +-|z|, vectors (|r> +- (conj(z)/|z|) |c>)/sqrt(2),
+    |z| from np.hypot, bitwise Python's complex abs, which np.abs is not.  A
+    value is kept if its magnitude exceeds ``cutoff``, a pair only if |z|
+    also exceeds ``floor``.  Returns fold(sqrt(|value|) * vector), (m, a + 2b,
+    d, d) for n = d^2, and the signs (m, a + 2b) in {1, -1, 0}, a dropped
+    slot zero: the diagonal slots, then a + and a - slot per pair.
     """
-    n = el.shape[0]
-    thresh = rel_threshold * max(1.0, max_abs(el))
-    kind, pos = _classify_element(el, thresh)
-    out = []
-    if kind == "diag":
-        for i in range(n):
-            val = el[i, i].real
-            if abs(val) <= cutoff:
-                continue
-            vec = np.zeros(n, dtype=complex)
-            vec[i] = 1.0
-            out.append((1 if val > 0 else -1, fold(np.sqrt(abs(val)) * vec), f"{label}[{i}]"))
-        return out
-    if kind == "pair":
-        r, c = pos
-        z = el[r, c]
-        if abs(z) <= cutoff:
-            return out
-        sys = eig_rank2_pair(z, r, c, n)
-        out.append((1, fold(np.sqrt(sys.values[0]) * sys.vectors[:, 0]), f"{label}+"))
-        out.append((-1, fold(np.sqrt(-sys.values[1]) * sys.vectors[:, 1]), f"{label}-"))
-        return out
-    sys = eig_hermitian(el, tol=jacobi_tol)
-    for k, val in enumerate(sys.values):
-        if abs(val) <= cutoff:
-            continue
-        out.append((1 if val > 0 else -1, fold(np.sqrt(abs(val)) * sys.vectors[:, k]), f"{label}[{k}]"))
-    return out
+    m, a = vals.shape
+    absz = np.hypot(z.real, z.imag)
+    keep = ~((absz <= cutoff) | (absz <= floor))
+    keep_diag = ~(np.abs(vals) <= cutoff)
+    phase, root2 = np.divide(z.conj(), absz, out=np.zeros_like(z), where=keep), math.sqrt(2.0)
+    slots = np.arange(a + 2 * len(rows))
+    vecs = np.zeros((m, len(slots), n), dtype=complex)
+    vecs[:, slots[:a], diag] = 1.0
+    vecs[:, slots[a:], rows.repeat(2)] = 1.0 / root2
+    vecs[:, slots[a::2], cols] = phase / root2
+    vecs[:, slots[a + 1::2], cols] = -phase / root2
+    weights = np.concatenate([np.where(keep_diag, np.sqrt(np.abs(vals)), 0.0),
+                              np.where(keep, np.sqrt(absz), 0.0).repeat(2, axis=1)], axis=1)
+    signs = np.concatenate([np.where(keep_diag, np.where(vals > 0, 1, -1), 0),
+                            (keep[:, :, None] * np.array([1, -1])).reshape(m, -1)], axis=1)
+    # a product, not vecs weighted in place: the zeroed buffer as the operators'
+    # base doubled sweep's page faults and cost it 4 % (in-process, 200 steps)
+    ops = weights[:, :, None] * vecs
+    return ops.reshape(m, len(slots), math.isqrt(n), -1).swapaxes(-1, -2), signs
+
+
+@functools.lru_cache(maxsize=64)
+def _element_kinds(p: int, n: int, pattern: bytes) -> tuple:
+    """For a stacked pattern (p, n, n) of entries above threshold: the
+    elements with no off-diagonal entry, those that are one mirrored pair off
+    an empty diagonal, with its (rows, cols), r < c, and the others; then
+    (element, label suffix) of each slot ``extract_signed_kraus`` makes, in
+    the order it makes them, and the stable order of the slots by element."""
+    big = np.frombuffer(pattern, dtype=bool).reshape(p, n * n).copy()
+    on_diag = big[:, ::n + 1].any(axis=1)
+    big[:, ::n + 1] = False
+    e, rows, cols = big.reshape(p, n, n).nonzero()
+    count = np.bincount(e, minlength=p)
+    pair = (count == 2) & (np.bincount(e, big[e, cols * n + rows], minlength=p) == 2) & ~on_diag
+    upper = pair[e] & (rows < cols)
+    diag, general, pair = (count == 0).nonzero()[0], ((count > 0) & ~pair).nonzero()[0], pair.nonzero()[0]
+    slots = tuple([(e, f"[{i}]") for e in diag.tolist() for i in range(n)] + [(e, s) for e in pair.tolist() for s in "+-"]
+                  + [(e, f"[{k}]") for e in general.tolist() for k in range(n)])
+    kinds = diag, pair, rows[upper], cols[upper], np.argsort([e for e, _ in slots], kind="stable")
+    for shared in kinds:  # every call with this pattern gets these arrays
+        shared.flags.writeable = False
+    return *kinds[:4], tuple(general.tolist()), slots, kinds[4]
 
 
 def extract_signed_kraus(partition: HermitianPartition, cutoff: float = 1e-12,
@@ -399,24 +397,39 @@ def extract_signed_kraus(partition: HermitianPartition, cutoff: float = 1e-12,
                          rel_threshold: float = 1e-14) -> SignedKrausSet:
     """Extract signed operators from a partitioned Choi matrix.
 
-    Each element is eigendecomposed (closed forms for diagonal and
-    single-pair elements, cyclic Jacobi otherwise); eigenpairs with
-    |value| <= cutoff are dropped, and fold(sqrt(|value|) * vector) joins the
-    positive or negative list by the sign of the eigenvalue.  Operator order
-    follows the partition, so equal inputs give byte-equal outputs.
+    Each element is eigendecomposed; eigenpairs with |value| <= cutoff are
+    dropped, and fold(sqrt(|value|) * vector) joins the positive or negative
+    list by the sign of the eigenvalue.  From the pattern of the partition's
+    stack above rel_threshold * max(1, max|element|), the diagonal elements
+    (labels ``label[i]``, by basis index) and single-pair ones (``label+``,
+    ``label-``) take one ``_closed_form`` together, every other element
+    ``eig_hermitian`` alone (``label[k]``, by descending eigenvalue).
+    Operator order follows the partition, so equal inputs give byte-equal outputs.
     """
-    pos, neg, plab, nlab = [], [], [], []
-    for el, label in zip(partition.elements, partition.labels):
-        for sign, op, oplabel in _element_operators(el, label, cutoff, jacobi_tol, rel_threshold):
-            if sign > 0:
-                pos.append(op)
-                plab.append(oplabel)
-            else:
-                neg.append(op)
-                nlab.append(oplabel)
-    if not pos:
+    stack, labels = partition.stack, partition.labels
+    p, n, _ = stack.shape
+    mag = np.abs(stack)
+    big = mag > (rel_threshold * np.maximum(1.0, mag.max(axis=(1, 2))))[:, None, None]
+    diag, pair, rows, cols, general, slots, order = _element_kinds(p, n, big.tobytes())
+    ops, signs = [], []
+    if diag.size or pair.size:
+        vals = stack[diag].diagonal(axis1=1, axis2=2).real.reshape(1, -1)
+        got = _closed_form(n, vals, np.arange(vals.size) % n, stack[pair, rows, cols][None], rows, cols, cutoff)
+        ops.append(got[0][0])
+        signs.append(got[1][0])
+    for e in general:
+        sys = eig_hermitian(stack[e], tol=jacobi_tol)
+        keep = ~(np.abs(sys.values) <= cutoff)
+        weighted = np.where(keep, np.sqrt(np.abs(sys.values)), 0.0) * sys.vectors  # column k is vector k
+        ops.append(weighted.T.reshape(n, math.isqrt(n), -1).swapaxes(1, 2))
+        signs.append(np.where(keep, np.where(sys.values > 0, 1, -1), 0))
+    ops, signs = np.concatenate(ops)[order], np.concatenate(signs)[order]
+    pos, neg = (signs > 0).nonzero()[0], (signs < 0).nonzero()[0]
+    if not pos.size:
         raise ValueError("extraction produced no positive operators")
-    return SignedKrausSet(tuple(pos), tuple(neg), tuple(plab), tuple(nlab))
+    names = [f"{labels[e]}{suffix}" for e, suffix in slots]
+    return SignedKrausSet(tuple(ops[pos]), tuple(ops[neg]), tuple(names[k] for k in order[pos]),
+                          tuple(names[k] for k in order[neg]))
 
 
 def reconstruct_choi_stack(ops, signs) -> np.ndarray:
@@ -448,106 +461,43 @@ def standard_kraus_from_choi(b, cutoff: float = 1e-12, jacobi_tol: float = 1e-13
     return extract_signed_kraus(partition_full(b, label="S"), cutoff=cutoff, jacobi_tol=jacobi_tol)
 
 
-# Operator slots of the stacked diag-pairs extraction: the diagonal positions
-# in export order, then a + and a - slot per coherence position, ascending.
-_AD2_PAIRS = tuple(sorted(AD2_PAIR_LABELS))
-_AD2_DIAG_SLOTS = len(AD2_DIAG_EXPORT_ORDER)
-_AD2_SLOTS = _AD2_DIAG_SLOTS + 2 * len(_AD2_PAIRS)
-_AD2_POSITIVE_LABELS = tuple(AD2_DIAG_LABELS[i] for i in AD2_DIAG_EXPORT_ORDER) + tuple(
-    f"{AD2_PAIR_LABELS[pos]}{side}" for pos in _AD2_PAIRS for side in "+-")
-_AD2_NEGATIVE_LABELS = tuple(f"diag[{i}]" for i in AD2_DIAG_EXPORT_ORDER) + _AD2_POSITIVE_LABELS[_AD2_DIAG_SLOTS:]
-# negative diagonal operators keep the extraction order, ascending Choi index
-_AD2_NEGATIVE_ORDER = tuple(sorted(range(_AD2_DIAG_SLOTS), key=lambda k: AD2_DIAG_EXPORT_ORDER[k])) + tuple(
-    range(_AD2_DIAG_SLOTS, _AD2_SLOTS))
-
-
 def ad2_diag_pairs_operators(chois, cutoff: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Diag-pairs signed operators of a stack of two-qubit damping Choi matrices.
+    """Diag-pairs signed operators of a stack (m, 16, 16) of two-qubit
+    damping Choi matrices, gathered into one ``_closed_form``.
 
-    Every element of the diag-pairs partition of ``choi_2ad`` has a closed
-    form at fixed positions, so the whole stack (m, 16, 16) is extracted at
-    once.  Returns the folded operators (m, 25, 4, 4) and their signs
-    (m, 25) in {1, -1, 0}: slots 0-8 hold the diagonal positions in
+    Returns the folded operators (m, 25, 4, 4) and their signs (m, 25) in
+    {1, -1, 0}: slots 0-8 hold the diagonal positions in
     ``AD2_DIAG_EXPORT_ORDER``, then each position of ``AD2_PAIR_LABELS``
-    (ascending) holds a + and a - slot.  A slot is dropped (sign 0, zero
-    operator) under the rules of ``extract_signed_kraus`` on
-    ``partition_diag_pairs``: a diagonal value with |value| <= cutoff, a pair
-    with |z| <= cutoff or |z| <= PARTITION_REL_THRESHOLD * max|B|.  Only the
-    upper triangle at those positions is read; the operators are bitwise the
-    ones the general path gives.
+    (ascending) a + and a - slot.  A slot is dropped (sign 0, zero operator)
+    as ``ad2_signed_kraus`` drops it: |value| <= cutoff, or for a pair |z| <=
+    PARTITION_REL_THRESHOLD * max|B|.  The kept operators are bitwise the
+    ones ``ad2_signed_kraus`` exports; only the upper triangle is read.
     """
     b = np.asarray(chois, dtype=complex)
     if b.ndim != 3 or b.shape[1:] != (16, 16):
         raise ValueError("expected a stack of 16 x 16 Choi matrices")
-    m = b.shape[0]
     diag = np.array(AD2_DIAG_EXPORT_ORDER)
-    rows, cols = np.array(_AD2_PAIRS).T
-    plus = np.arange(_AD2_DIAG_SLOTS, _AD2_SLOTS, 2)
-
-    vals = b[:, diag, diag].real
-    z = b[:, rows, cols]
-    keep_diag = ~(np.abs(vals) <= cutoff)
-    thresh = PARTITION_REL_THRESHOLD * np.abs(b).max(axis=(1, 2), initial=0.0)
-    mag = np.abs(z)
-    keep_pair = ~(mag <= cutoff) & ~(mag <= thresh[:, None])
-
-    # the eigenvectors of eig_rank2_pair, (|r> +- phase |c>)/sqrt(2); it takes
-    # |z| from Python's complex abs, which np.hypot matches bitwise and np.abs
-    # does not
-    absz = np.hypot(z.real, z.imag)
-    root2 = math.sqrt(2.0)
-    phase = np.divide(np.conj(z), absz, out=np.zeros_like(z), where=keep_pair)
-    vecs = np.zeros((m, _AD2_SLOTS, 16), dtype=complex)
-    vecs[:, np.arange(_AD2_DIAG_SLOTS), diag] = 1.0
-    vecs[:, plus, rows] = vecs[:, plus + 1, rows] = 1.0 / root2
-    vecs[:, plus, cols] = phase / root2
-    vecs[:, plus + 1, cols] = -phase / root2
-    weights = np.concatenate([np.where(keep_diag, np.sqrt(np.abs(vals)), 0.0),
-                              np.repeat(np.where(keep_pair, np.sqrt(absz), 0.0), 2, axis=1)], axis=1)
-    signs = np.concatenate([np.where(keep_diag, np.where(vals > 0, 1, -1), 0),
-                            np.repeat(keep_pair, 2, axis=1) * np.tile([1, -1], len(_AD2_PAIRS))], axis=1)
+    rows, cols = np.array(sorted(AD2_PAIR_LABELS)).T
+    floor = PARTITION_REL_THRESHOLD * np.abs(b).max(axis=(1, 2), initial=0.0)
+    ops, signs = _closed_form(16, b[:, diag, diag].real, diag, b[:, rows, cols], rows, cols, cutoff, floor[:, None])
     if not (signs > 0).any(axis=1).all():
         raise ValueError("extraction produced no positive operators")
-    ops = (weights[..., None] * vecs).reshape(m, _AD2_SLOTS, 4, 4).swapaxes(-1, -2)
     return ops, signs
 
 
 def ad2_signed_kraus(co: Ad2Coefficients, strategy: str = "diag-pairs",
                      cutoff: float = 1e-12, jacobi_tol: float = 1e-13) -> SignedKrausSet:
-    """Signed operators of the two-qubit damping channel, export-ordered.
-
-    Diagonal operators are relabeled by their population coefficient and
-    ordered (H, G, F, E, D, C, A, 1, B); pair operators follow by ascending
-    Choi position, + before -.  A negative diagonal operator keeps its
-    ``diag[i]`` label and its place in the negative list, ahead of the pairs.
-    Diag-pairs is ``ad2_diag_pairs_operators`` on a stack of one.
-    """
-    if strategy == "diag-pairs":
-        ops, signs = ad2_diag_pairs_operators(choi_2ad(co)[None], cutoff=cutoff)
-        ops, signs = ops[0], signs[0]
-        pos = [k for k in range(_AD2_SLOTS) if signs[k] > 0]
-        neg = [k for k in _AD2_NEGATIVE_ORDER if signs[k] < 0]
-        return SignedKrausSet(tuple(ops[k] for k in pos), tuple(ops[k] for k in neg),
-                              tuple(_AD2_POSITIVE_LABELS[k] for k in pos),
-                              tuple(_AD2_NEGATIVE_LABELS[k] for k in neg))
-
-    part = ad2_partition(co, strategy)
-    ks = extract_signed_kraus(part, cutoff=cutoff, jacobi_tol=jacobi_tol)
-    if strategy == "full-spectral":
-        return ks
-
+    """Signed operators of the two-qubit damping channel, export-ordered:
+    ``extract_signed_kraus`` of ``ad2_partition``, the positive diagonal
+    operators relabeled by population coefficient in the order (H, G, F, E,
+    D, C, A, 1, B), the other positive ones after them in extraction order
+    (for diag-pairs by ascending Choi position, + before -).  A negative
+    diagonal operator keeps its ``diag[i]`` label and its place."""
+    ks = extract_signed_kraus(ad2_partition(co, strategy), cutoff=cutoff, jacobi_tol=jacobi_tol)
     by_label = dict(zip(ks.positive_labels, ks.positive))
-    pos, plab = [], []
-    for idx in AD2_DIAG_EXPORT_ORDER:
-        key = f"diag[{idx}]"
-        if key in by_label:
-            pos.append(by_label.pop(key))
-            plab.append(AD2_DIAG_LABELS[idx])
-    for lab, op in zip(ks.positive_labels, ks.positive):
-        if lab in by_label:  # non-diagonal leftovers keep their extraction order
-            pos.append(op)
-            plab.append(lab)
-    return SignedKrausSet(tuple(pos), ks.negative, tuple(plab), ks.negative_labels)
+    diag = [(AD2_DIAG_LABELS[i], by_label.pop(f"diag[{i}]")) for i in AD2_DIAG_EXPORT_ORDER if f"diag[{i}]" in by_label]
+    labels, ops = zip(*diag, *((lab, op) for lab, op in zip(ks.positive_labels, ks.positive) if lab in by_label))
+    return SignedKrausSet(ops, ks.negative, labels, ks.negative_labels)
 
 
 def charpoly_checks(co: Ad2Coefficients, diag_tol: float = 1e-10,

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -288,10 +289,11 @@ def _resolve_tolerance(args, config: dict, fallback: float = DEFAULT_TOLERANCE) 
 
 
 def _resolve_cutoff(args, config: dict) -> float:
-    """Flag > config > default; a NaN or negative cutoff would keep zero-weight operators."""
+    """Flag > config > default; a NaN or negative cutoff would keep zero-weight
+    operators, an infinite one every operator."""
     value = _resolve(args, config, "cutoff", default=DEFAULT_CUTOFF, cast=float)
-    if not value >= 0:
-        raise UsageError(f"cutoff must be a nonnegative number, got {value}")
+    if not 0 <= value < math.inf:
+        raise UsageError(f"--cutoff must be a nonnegative number and finite, got {value}")
     return value
 
 
@@ -417,8 +419,24 @@ def _dumps(payload) -> str:
     return "".join(out)
 
 
-def _matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+def _finite_pairs(rows, depth: int):
+    """``rows`` as a float array of ``depth`` dimensions ending in [re, im]
+    pairs, or None unless they are lists of equal lengths, ``depth`` deep,
+    of finite JSON numbers (np.array would also read a string "1.5", a
+    boolean or a null).  The lists are flattened level by level first:
+    numpy reads one flat list faster than nested ones."""
+    try:
+        shape, level = [len(rows)], rows
+        for _ in range(depth - 1):
+            sizes = {*map(len, level)}
+            level = [*itertools.chain.from_iterable(level)]
+            shape.append(sizes.pop() if len(sizes) == 1 else -1)
+        pairs = np.array(level, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # not a list, not a number, an integer past float
+        return None
+    if -1 in shape or shape[-1] != 2 or not {*map(type, level)} <= {int, float} or not np.isfinite(pairs).all():
+        return None
+    return pairs.reshape(shape)
 
 
 def _kraus_json(ks: SignedKrausSet) -> dict:
@@ -429,17 +447,29 @@ def _kraus_json(ks: SignedKrausSet) -> dict:
 
 
 def _kraus_from_json(data: dict) -> SignedKrausSet:
-    """Operator set of an export's ``operators`` object; ExportError if malformed."""
+    """Operator set of an export's ``operators`` object, converted in one
+    array; ExportError if malformed, naming the operator at fault if one is."""
     try:
-        pos = [(entry["label"], _matrix_from_json(entry["matrix"])) for entry in data["positive"]]
-        neg = [(entry["label"], _matrix_from_json(entry["matrix"])) for entry in data["negative"]]
-        return SignedKrausSet(
-            tuple(op for _, op in pos),
-            tuple(op for _, op in neg),
-            tuple(lab for lab, _ in pos),
-            tuple(lab for lab, _ in neg),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        lists = [[(entry["label"], entry["matrix"]) for entry in data[sign]] for sign in ("positive", "negative")]
+    except (KeyError, TypeError) as exc:
+        raise ExportError(f"export file has malformed operators: {exc!r}") from exc
+    pairs = _finite_pairs([rows for entries in lists for _, rows in entries], 4)
+    if pairs is None or pairs.shape[1] != pairs.shape[2]:
+        first = None
+        for where, rows in ((f"{sign} operator {i} ({label!r})", rows) for sign, entries in zip(("positive", "negative"), lists)
+                            for i, (label, rows) in enumerate(entries)):
+            one = _finite_pairs(rows, 3)
+            if one is None or one.shape[0] != one.shape[1]:
+                raise ExportError(f"{where} is not a square matrix of [re, im] pairs of finite numbers")
+            first = first or (where, len(one))
+            if len(one) != first[1]:
+                raise ExportError(f"{where} is {len(one)} x {len(one)}, unlike {first[0]}, {first[1]} x {first[1]}")
+        raise ExportError("export file has no operators")
+    ops = pairs.view(complex)[..., 0]
+    try:
+        return SignedKrausSet(tuple(ops[:len(lists[0])]), tuple(ops[len(lists[0]):]),
+                              *(tuple(label for label, _ in entries) for entries in lists))
+    except ValueError as exc:  # no positive operator
         raise ExportError(f"export file has malformed operators: {exc!r}") from exc
 
 

@@ -39,7 +39,7 @@ from sumdiff.choi import (
     standard_kraus_from_choi,
     trace_preservation_residual,
 )
-from sumdiff.linalg import dagger, max_abs, unfold
+from sumdiff.linalg import dagger, eig_rank2_pair, fold, max_abs, unfold
 
 
 def random_params(rng):
@@ -238,6 +238,41 @@ def test_extract_diag_block_gives_rank_one_units():
         v = np.zeros(16, dtype=complex)
         v[idx] = math.sqrt(values[idx])
         assert max_abs(op - v.reshape(4, 4).T) < 1e-15
+
+
+def test_extract_pair_elements_are_bitwise_the_rank2_closed_form():
+    # the vectorized closed form against eig_rank2_pair, element by element,
+    # at any position and dimension, with the diagonal element among them
+    rng = np.random.default_rng(41)
+    for d in (2, 3, 4):
+        n = d * d
+        for _ in range(20):
+            pairs = []
+            for _ in range(rng.integers(1, 6)):
+                r, c = sorted(rng.choice(n, size=2, replace=False).tolist())
+                z = complex(*(rng.standard_normal(2) * 10.0 ** rng.integers(-6, 3)))
+                z = rng.choice([z, z.real, 1j * z.imag, -z.real])
+                el = np.zeros((n, n), dtype=complex)
+                el[r, c], el[c, r] = z, np.conj(z)
+                pairs.append((el, (z, r, c)))
+            diag = np.diag(rng.standard_normal(n)).astype(complex)
+            order = rng.permutation(len(pairs) + 1)
+            elements = [diag if k == len(pairs) else pairs[k][0] for k in order]
+            labels = ["d" if k == len(pairs) else f"p{k}" for k in order]
+            ks = extract_signed_kraus(partition_from_elements(elements, labels), cutoff=0.0)
+            got = dict(zip(ks.positive_labels + ks.negative_labels, ks.positive + ks.negative))
+            for k, (_, (z, r, c)) in enumerate(pairs):
+                sys = eig_rank2_pair(z, r, c, n)
+                assert got[f"p{k}+"].tobytes() == fold(np.sqrt(sys.values[0]) * sys.vectors[:, 0]).tobytes()
+                assert got[f"p{k}-"].tobytes() == fold(np.sqrt(-sys.values[1]) * sys.vectors[:, 1]).tobytes()
+            for i, val in enumerate(np.diag(diag).real):
+                unit = np.zeros(n, dtype=complex)
+                unit[i] = 1.0
+                assert got[f"d[{i}]"].tobytes() == fold(np.sqrt(abs(val)) * unit).tobytes()
+            # the operators follow the partition's order of elements
+            owners = [lab.split("[")[0] if "[" in lab else lab[:-1] for lab in ks.positive_labels]
+            positive = np.count_nonzero(np.diag(diag).real > 0)
+            assert owners == [lab for lab in labels for _ in range(positive if lab == "d" else 1)]
 
 
 def test_extract_pair_block_phase_and_magnitude():

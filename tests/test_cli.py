@@ -901,3 +901,56 @@ def test_out_write_failing_part_way_leaves_no_old_byte(tmp_path, monkeypatch, ca
     assert code == 3
     assert "No space left on device" in capsys.readouterr().err
     assert out.read_bytes() == b""
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_infinite_cutoff_exits_one_naming_the_option(tmp_path, monkeypatch, capsys, source):
+    # an infinite cutoff dropped every operator, and the error named none
+    extra = _option_source(tmp_path, monkeypatch, source, "cutoff", "inf")
+    for args in (GAD_ARGS, AD2_ARGS):
+        code, out = run_extract(tmp_path, "bad.json", extra=extra, args=args)
+        assert code == 1 and not out.exists()
+    assert main(["sweep", *SWEEP_ARGS, *extra]) == 1
+    assert capsys.readouterr().err.count("--cutoff must be a nonnegative number and finite, got inf") == 3
+
+
+def _set_entry(sign, index, row, value):
+    def change(d):
+        d["operators"][sign][index]["matrix"][row] = value(d["operators"][sign][index]["matrix"][row])
+    return change
+
+
+@pytest.mark.parametrize("change, where", [
+    (_set_entry("positive", 2, 1, lambda row: [[float("nan"), 0.0]] + row[1:]), "positive operator 2 ('F')"),
+    (_set_entry("negative", 0, 3, lambda row: row[:2] + [[0.0, float("-inf")]] + row[3:]), "negative operator 0 ('J-')"),
+    (_set_entry("positive", 0, 0, lambda row: row[:3]), "positive operator 0 ('H')"),  # a ragged row
+    (_set_entry("positive", 1, 2, lambda row: [["0.5", 0.0]] + row[1:]), "positive operator 1 ('G')"),
+    (_set_entry("negative", 1, 0, lambda row: [[True, 0.0]] + row[1:]), "negative operator 1 ('M-')"),
+])
+def test_verify_rejects_malformed_operator_entries_naming_the_operator(tmp_path, capsys, change, where):
+    # a NaN entry exited 2 with every check but the action's reading nan; a
+    # ragged row exited 3 with numpy's text, which named no operator
+    out = _tampered_export(tmp_path, change)
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 3
+    assert f"{where} is not a square matrix of [re, im] pairs of finite numbers" in capsys.readouterr().err
+
+
+def test_verify_rejects_an_operator_of_another_dimension_naming_it(tmp_path, capsys):
+    def change(d):
+        d["operators"]["negative"][4]["matrix"] = [row[:3] for row in d["operators"]["negative"][4]["matrix"][:3]]
+    out = _tampered_export(tmp_path, change)
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 3
+    assert "negative operator 4 ('iS-R-') is 3 x 3, unlike positive operator 0 ('H'), 4 x 4" in capsys.readouterr().err
+
+
+def test_sweep_overflowing_rate_exits_one_without_numpy_warnings():
+    # the array path of ad2_coefficients printed three RuntimeWarnings first
+    proc = subprocess.run(
+        [sys.executable, "-m", "sumdiff.cli", "sweep", "--channel", "ad2", "--gamma=1e308", "--gamma12=0",
+         "--omega12=0", "--omega0=0", "--t-min=0", "--t-max=1", "--steps=3"],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr.startswith("error: the coefficients are not finite at Ad2Params(gamma=1e+308")

@@ -47,3 +47,18 @@ def test_package_never_opens_a_path_for_writing_with_truncation():
                  for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
                  if truncates.search(line)]
     assert offenders == []
+
+
+def test_package_never_calls_eig_rank2_pair():
+    # diagonal and pair elements go through choi's vectorized closed form;
+    # linalg.eig_rank2_pair stays as the tests' oracle for it
+    import ast
+    import pathlib
+    root = pathlib.Path(sumdiff.__file__).parent
+    files = sorted(root.rglob("*.py"))
+    assert files
+    offenders = [f"{path.relative_to(root)}:{node.lineno}" for path in files
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Call)
+                 and "eig_rank2_pair" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert offenders == []

@@ -26,9 +26,12 @@ from sumdiff.channels import (
 from sumdiff.choi import (
     AD2_DIAG_EXPORT_ORDER,
     AD2_DIAG_LABELS,
+    PARTITION_REL_THRESHOLD,
+    ad2_diag_pairs_operators,
     ad2_partition,
     ad2_signed_kraus,
     choi_2ad,
+    choi_from_channel,
     extract_signed_kraus,
     partition_diag_pairs,
     partition_full,
@@ -101,6 +104,22 @@ def test_ad2_extraction_round_trip_and_completeness(params, strategy, cutoff):
     assert check_completeness(ks) <= 1e-10 + 4 * per_entry
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(params=ad2_params(), ts=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=5),
+       cutoff=st.sampled_from([0.0, 1e-12, 1e-6]))
+def test_ad2_stacked_operators_match_export_path(params, ts, cutoff):
+    # sweep's stacked extraction against the operators extract exports, row
+    # by row: positive operators in slot order, negative ones as a set, since
+    # a negative diagonal operator keeps its Choi-index place
+    ts = np.array(ts) / params.gamma
+    ops, signs = ad2_diag_pairs_operators(choi_2ad(ad2_coefficients(params, ts)), cutoff=cutoff)
+    for t, row_ops, row_signs in zip(ts.tolist(), ops, signs):
+        ks = ad2_signed_kraus(ad2_coefficients(params.at(t)), cutoff=cutoff)
+        assert [op.tobytes() for op in row_ops[row_signs > 0]] == [op.tobytes() for op in ks.positive]
+        negative = sorted(op.tobytes() for op in row_ops[row_signs < 0])
+        assert negative == sorted(op.tobytes() for op in ks.negative)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(p=st.floats(0.0, 1.0), lam=st.floats(0.0, 1.0), strategy=st.sampled_from(["diag-pairs", "full-spectral"]),
        cutoff=st.sampled_from([0.0, 1e-12, 1e-6]))
@@ -150,6 +169,71 @@ def test_stacked_apply_matches_operator_loop(ks, count, seed):
     choi = reconstruct_choi(ks).reshape(d, d, d, d)
     reshuffled = choi.transpose(3, 1, 2, 0).reshape(d * d, d * d)
     assert max_abs(ks.superoperator() - reshuffled) <= 1e-14 * max_abs(reshuffled)
+
+
+# ---------------------------------------------------------------------------
+# the sum-difference form of any Hermitian-preserving map in dimension 2 to 4
+
+
+def _kraus_action(kraus):
+    """rho -> sum_k K_k rho K_k^dag on one state or a stack."""
+    return lambda rho: np.einsum("kab,...bc,kdc->...ad", kraus, rho, kraus.conj())
+
+
+@st.composite
+def hermitian_preserving_maps(draw):
+    """(d, action, Kraus rank of a channel or None): random channels in
+    dimension d of Kraus rank 1 to d^2, from the rows of a random isometry
+    (QR), and maps that need not be CP: the transpose, a channel followed by
+    the transpose (the partial transpose of its Choi matrix), and the
+    difference of two channels."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def channel():
+        rank = draw(st.integers(1, d * d))
+        g = rng.standard_normal((rank * d, d)) + 1j * rng.standard_normal((rank * d, d))
+        return rank, _kraus_action(np.linalg.qr(g)[0].reshape(rank, d, d))
+
+    kind = draw(st.sampled_from(["channel", "transpose", "transposed channel", "difference"]))
+    if kind == "channel":
+        rank, action = channel()
+        return d, action, rank
+    if kind == "transpose":
+        return d, lambda rho: rho.swapaxes(-1, -2), None
+    if kind == "transposed channel":
+        action = channel()[1]
+        return d, lambda rho: action(rho).swapaxes(-1, -2), None
+    first, second = channel()[1], channel()[1]
+    return d, lambda rho: first(rho) - second(rho), None
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=hermitian_preserving_maps(), seed=st.integers(0, 2**32 - 1))
+def test_extraction_holds_for_hermitian_preserving_maps(case, seed):
+    d, action, rank = case
+    b = choi_from_channel(action, d)
+    cutoff, bound = 1e-12, 1e-12 * max(1.0, max_abs(b))
+    states = random_density_matrix(d, np.random.default_rng(seed), count=3)
+    # sum_k s_k K_k^dag K_k is the transposed partial trace of B over the output
+    gram = b.reshape(d, d, d, d).trace(axis1=1, axis2=3).T
+    diag_pairs, spectral = (extract_signed_kraus(part, cutoff=cutoff)
+                            for part in (partition_diag_pairs(b), partition_full(b)))
+    for ks in (diag_pairs, spectral):
+        ops, signs = ks.stacked()
+        assert max_abs(reconstruct_choi(ks) - b) <= bound
+        assert max_abs(np.einsum("k,kba,kbc->ac", signs[0], ops[0].conj(), ops[0]) - gram) <= bound
+        assert max_abs(apply_signed_kraus(states, ks) - action(states)) <= bound
+    # one operator per diagonal entry and two per pair above the cutoff and
+    # the partition's threshold
+    above = max(cutoff, PARTITION_REL_THRESHOLD * max_abs(b))
+    pairs = np.count_nonzero(np.abs(b[np.triu_indices(d * d, 1)]) > above)
+    assert diag_pairs.count == np.count_nonzero(np.abs(b.diagonal()) > cutoff) + 2 * pairs <= d**4
+    eigs = np.linalg.eigvalsh(b)
+    assert len(spectral.negative) == np.count_nonzero(eigs < -cutoff)
+    assert len(spectral.positive) == np.count_nonzero(eigs > cutoff)
+    if rank is not None:  # a channel: a standard Kraus set of the Choi rank
+        assert not spectral.negative and spectral.count == rank
 
 
 # ---------------------------------------------------------------------------
