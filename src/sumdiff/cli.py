@@ -75,18 +75,23 @@ EXPORT_FORMAT = "sumdiff-kraus/1"
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_CUTOFF = 1e-12
 TOLERANCE_ENV = "SUMDIFF_TOLERANCE"
-# sweep extracts the operators and evaluates its per-row diagnostics stacked
-# over blocks of this many rows: enough to spread each numpy call over many
-# matrices, and as many as keep the peak memory where 25 rows had it before
-# the solver went component-wise (the README has the measurements)
-SWEEP_BLOCK_ROWS = 50
+# sweep evaluates its coefficients, Choi matrices and per-row diagnostics
+# stacked over blocks of SWEEP_BLOCK_ROWS rows, which the diagnostics' 4-10 KB
+# a row of temporaries allow; it extracts and checks the diag-pairs operators
+# in chunks of SWEEP_CHECK_ROWS rows of a block, as those take about 25 KB a
+# row.  Against 50-row blocks, 100 rows wrote 10 % more rows a second on the
+# benchmark's sweep with 0.05 MB more peak RSS; 200 rows wrote 21 % more but
+# took 1.0-1.1 MB more (the README has the measurements)
+SWEEP_BLOCK_ROWS = 100
+SWEEP_CHECK_ROWS = 50
 # verify draws, applies and compares its random states in blocks of this many,
 # so memory stays bounded whatever --count is; the states are drawn in
 # sequence, so they do not depend on the block size
 VERIFY_BLOCK_STATES = 1000
 # upper bounds on the work one call may ask for: sweep keeps its whole CSV in
-# memory, about 500 bytes a row, and writes about 7,700 rows a second; verify
-# checks about 155,000 states a second (README has the measurements)
+# memory, about 1.4 KB a row at its peak, and wrote 100,000 rows in about 3 s
+# on 2 vCPUs; verify checks about 155,000 states a second (README has the
+# measurements)
 MAX_SWEEP_STEPS = 1_000_000
 MAX_VERIFY_COUNT = 10_000_000
 
@@ -637,6 +642,17 @@ def cmd_verify(args) -> int:
     return 0 if ok else 2
 
 
+def _operator_checks(chois: np.ndarray, cutoff: float) -> tuple:
+    """(completeness residual, reconstruction residual, operator count) of
+    each row of a stack of ad2 Choi matrices, from its diag-pairs operators,
+    which are released on return."""
+    ops, signs = ad2_diag_pairs_operators(chois, cutoff=cutoff)
+    completeness = completeness_residuals(ops, signs)
+    rebuilt = reconstruct_choi_stack(ops, signs)
+    rebuilt -= chois
+    return completeness, np.abs(rebuilt).max(axis=(1, 2)), np.count_nonzero(signs, axis=1)
+
+
 def cmd_sweep(args) -> int:
     config = _load_config(args.config)
     params = _channel_params(args, config, args.channel, skip=("t",))
@@ -670,12 +686,9 @@ def cmd_sweep(args) -> int:
         ts = grid[start:start + SWEEP_BLOCK_ROWS]
         co = ad2_coefficients(base, ts)
         chois = choi_2ad(co)
-        ops, signs = ad2_diag_pairs_operators(chois, cutoff=cutoff)
-        completeness = completeness_residuals(ops, signs)
-        rebuilt = reconstruct_choi_stack(ops, signs)
-        rebuilt -= chois
-        reconstruction = np.abs(rebuilt).max(axis=(1, 2))
-        del rebuilt  # not carried through the diagnostics below
+        checks = [_operator_checks(chois[lo:lo + SWEEP_CHECK_ROWS], cutoff)
+                  for lo in range(0, len(ts), SWEEP_CHECK_ROWS)]
+        completeness, reconstruction, counts = map(np.concatenate, zip(*checks))
         worst = max(worst, completeness.max(), reconstruction.max())
         # |z| of a complex coefficient through np.hypot, which matches
         # Python's abs bitwise where np.abs does not
@@ -684,7 +697,7 @@ def cmd_sweep(args) -> int:
         floats = np.column_stack([ts, *mags, completeness, reconstruction,
                                   eigvals_hermitian(chois, tol=1e-12)[:, -1],
                                   concurrence(pdc_effective_state_from_choi(chois))]).tolist()
-        rows = zip(floats, np.count_nonzero(signs, axis=1).tolist(),
+        rows = zip(floats, counts.tolist(),
                    is_ppt(mdc_choi_from_choi(chois), 4, 4, tol=tolerance).tolist(),
                    is_ppt(pdc_choi_from_choi(chois), 4, 4, tol=tolerance).tolist())
         lines += (",".join([*map(repr, xs[:-1]), str(count), str(mdc), str(pdc), repr(xs[-1])])

@@ -292,7 +292,7 @@ def _gather(h, tol: float) -> tuple:
     pattern = h.any(axis=0)
     pattern |= pattern.T  # so that h is 0 wherever the pattern is
     components, every = _components(n, pattern.tobytes())
-    every = h.reshape(m, n * n)[:, every]  # the blocks' entries, gathered once
+    every = np.take(h.reshape(m, n * n), every, axis=1)  # the blocks' entries, gathered once, row-major
     if not np.isfinite(every).all():
         raise ValueError("matrix has non-finite entries")
     groups = []

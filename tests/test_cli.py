@@ -504,19 +504,23 @@ def test_verify_bad_stored_tolerance_is_export_error(tmp_path, tolerance):
 
 
 def test_sweep_block_diagnostics_match_row_by_row(tmp_path):
-    # 30 rows span a full block and a partial one; on the deep-time grid the
-    # populations and coherences fall below the cutoff one after another
+    # a full block of two or more operator chunks, then a partial block of a
+    # partial chunk; on the deep-time grid the populations and coherences
+    # fall below the cutoff one after another
+    assert cli_module.SWEEP_BLOCK_ROWS > cli_module.SWEEP_CHECK_ROWS
+    steps = cli_module.SWEEP_BLOCK_ROWS + cli_module.SWEEP_CHECK_ROWS // 2
     base = Ad2Params(gamma=1.0, gamma12=0.3, omega12=2.0, omega0=10.0, t=0.0)
     for t_max in (12.0, 40.0):
         out = tmp_path / "blocks.csv"
         code = main(["sweep", "--channel", "ad2", "--gamma", "1", "--gamma12", "0.3",
                      "--omega12", "2", "--omega0", "10", "--t-min", "0", "--t-max", repr(t_max),
-                     "--steps", "30", "--out", str(out)])
+                     "--steps", str(steps), "--out", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()
+        assert len(lines) == steps + 1
         header = lines[0].split(",")
         counts = []
-        for t, line in zip(np.linspace(0.0, t_max, 30), lines[1:]):
+        for t, line in zip(np.linspace(0.0, t_max, steps), lines[1:]):
             row = dict(zip(header, line.split(",")))
             co = ad2_coefficients(base.at(float(t)))
             b = choi_2ad(co)
@@ -532,6 +536,28 @@ def test_sweep_block_diagnostics_match_row_by_row(tmp_path):
             counts.append(oracle.count)
         if t_max == 40.0:  # the last row keeps fewer operators (12) than t = 0 (16)
             assert counts[-1] < counts[0]
+
+
+def test_sweep_output_does_not_depend_on_block_or_chunk_size(capsys, monkeypatch):
+    # every row is its own: the CSV, the summary line and the exit code come
+    # out the same whether the rows are stacked one by one, in odd blocks
+    # and chunks, or at the defaults.  On the deep grid everything but the
+    # ground population underflows to 0 from about t = 550 on, so its later
+    # chunks hold only the fully decayed channel
+    defaults = (cli_module.SWEEP_BLOCK_ROWS, cli_module.SWEEP_CHECK_ROWS)
+    steps = 2 * defaults[0] + defaults[1] + 3
+    for gamma, t_max in (("1", "12"), ("3", "800")):
+        argv = ["sweep", "--channel", "ad2", "--gamma", gamma, "--gamma12", "0.3", "--omega12", "2",
+                "--omega0", "10", "--t-min", "0", f"--t-max={t_max}", "--steps", str(steps)]
+        seen = set()
+        for block, chunk in ((1, 1), (7, 3), defaults):
+            monkeypatch.setattr(cli_module, "SWEEP_BLOCK_ROWS", block)
+            monkeypatch.setattr(cli_module, "SWEEP_CHECK_ROWS", chunk)
+            code = main(argv)
+            seen.add((code, *capsys.readouterr()))
+        assert len(seen) == 1
+        (code, csv, err), = seen
+        assert code == 0 and err.endswith(" ok\n") and csv.count("\n") == steps + 1
 
 
 @pytest.mark.parametrize("channel, args, other_args, dims", [

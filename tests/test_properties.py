@@ -4,6 +4,7 @@ import contextlib
 import copy
 import dataclasses
 import io
+import itertools
 import json
 import math
 
@@ -316,7 +317,7 @@ def fresh_exports(tmp_path_factory):
         path = folder / f"{channel}.json"
         assert _quiet_main(["extract", *args, "--out", str(path)]) == 0
         exports[channel] = json.loads(path.read_text())
-    return folder, exports
+    return folder, exports, itertools.count()
 
 
 _ODD_VALUES = st.one_of(
@@ -398,8 +399,10 @@ def _mutate(data, mutation):
 @example(channel="gad", mutation=("retype", [4, 1, 0, 1, 0, 0, 0], 10**400), against="direct-action")  # entry
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the products of extreme entries
 def test_verify_exit_codes_on_mutated_exports(fresh_exports, channel, mutation, against):
-    folder, exports = fresh_exports
-    path = folder / "mutated.json"
+    folder, exports, numbers = fresh_exports
+    # a fresh name each time: rewriting one path truncates the last export,
+    # which costs file systems such as ext4 a flush per example
+    path = folder / f"mutated-{next(numbers)}.json"
     path.write_text(json.dumps(_mutate(copy.deepcopy(exports[channel]), mutation)))
     code = _quiet_main(["verify", str(path), "--against", against, "--count", "3"])
     assert code in (0, 2, 3)
