@@ -11,6 +11,7 @@ entanglement decay trace of the phase-damping part.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,8 @@ from .choi import (
     partition_diag_pairs,
     trace_preservation_residual,
 )
-from .linalg import (EigenSystem, dagger, eig_hermitian, eigvals_hermitian, fold, is_hermitian, is_psd, kron,
-                     max_abs, partial_transpose)
+from .linalg import (EigenSystem, _partial_transpose_positions, dagger, eig_hermitian, eigvals_hermitian, fold,
+                     is_hermitian, is_psd, kron, max_abs)
 
 __all__ = [
     "ChannelReport",
@@ -70,8 +71,7 @@ def mdc_choi(co: Ad2Coefficients) -> np.ndarray:
 def mdc_choi_from_choi(b) -> np.ndarray:
     """``mdc_choi`` of a two-qubit damping Choi matrix, or of each matrix of a
     stack (m, 16, 16)."""
-    b = np.asarray(b, dtype=complex)
-    return np.where(np.eye(16, dtype=bool), b, 0.0)
+    return _sub_channel_choi(b, "mdc")
 
 
 def mdc_kraus(co: Ad2Coefficients) -> SignedKrausSet:
@@ -109,12 +109,24 @@ def pdc_choi(co: Ad2Coefficients) -> np.ndarray:
 # identity-channel diagonal of the phase-damping Choi matrix: 1 at |jj>|jj>
 _PDC_DIAGONAL = np.isin(np.arange(16), (0, 5, 10, 15)).astype(complex)
 
+# each sub-channel's Choi matrix as (kept, values) over a 16 x 16 Choi
+# matrix b: entry (i, j) is b[i, j] where kept, values[i, j] elsewhere
+_SUB_CHANNELS = {
+    "mdc": (np.eye(16, dtype=bool), np.zeros((16, 16), dtype=complex)),
+    "pdc": (~np.eye(16, dtype=bool), np.diag(_PDC_DIAGONAL)),
+}
+
+
+def _sub_channel_choi(b, part: str) -> np.ndarray:
+    """The Choi matrix of sub-channel ``part`` of b, or of each matrix of a stack."""
+    kept, values = _SUB_CHANNELS[part]
+    return np.where(kept, np.asarray(b, dtype=complex), values)
+
 
 def pdc_choi_from_choi(b) -> np.ndarray:
     """``pdc_choi`` of a two-qubit damping Choi matrix, or of each matrix of a
     stack (m, 16, 16)."""
-    b = np.asarray(b, dtype=complex)
-    return np.where(np.eye(16, dtype=bool), _PDC_DIAGONAL, b)
+    return _sub_channel_choi(b, "pdc")
 
 
 def pdc_kraus(co: Ad2Coefficients, cutoff: float = 1e-12) -> SignedKrausSet:
@@ -143,12 +155,35 @@ def pdc_apply(rho, co: Ad2Coefficients) -> np.ndarray:
 # positivity diagnostics
 
 
-def is_ppt(m, dim_a: int, dim_b: int, tol: float = 1e-10) -> bool | np.ndarray:
+@functools.cache
+def _ppt_map(dim_a: int, dim_b: int, part: str | None) -> tuple:
+    """``is_psd``'s (positions, values) of the partial transpose of a matrix
+    on A (x) B, or of the partial transpose of its sub-channel ``part``."""
+    pos = _partial_transpose_positions(dim_a, dim_b)
+    values = np.zeros(pos.shape, dtype=complex)
+    if part is not None:  # entry pos[i, j] of the sub-channel's Choi matrix
+        kept, fixed = (x.ravel()[pos] for x in _SUB_CHANNELS[part])
+        pos, values = np.where(kept, pos, -1), np.where(kept, 0.0, fixed)
+    pos.flags.writeable = values.flags.writeable = False  # every call with these arguments gets them
+    return pos, values
+
+
+def is_ppt(m, dim_a: int, dim_b: int, tol: float = 1e-10, part: str | None = None) -> bool | np.ndarray:
     """True if the partial transpose has no eigenvalue below -tol (``is_psd``).
 
     For a stack of matrices, returns one flag per matrix as a bool array.
+    The partial transpose is read from ``m`` through a cached position map,
+    not built.  With ``part`` "mdc" or "pdc", the matrix tested is that of
+    ``mdc_choi_from_choi(m)`` or ``pdc_choi_from_choi(m)``, read from each
+    16 x 16 ``m`` the same way, with the same flags and errors.
     """
-    return is_psd(partial_transpose(m, dim_a, dim_b), tol)
+    m = np.asarray(m, dtype=complex)
+    n = dim_a * dim_b
+    if m.shape[-2:] != (n, n) or m.ndim not in (2, 3):
+        raise ValueError(f"expected a {n} x {n} matrix or a stack of them")
+    if part is not None and (part not in _SUB_CHANNELS or n != 16):
+        raise ValueError(f"part must be None, or 'mdc' or 'pdc' of a 16 x 16 Choi matrix, got {part!r}")
+    return is_psd(m, tol, at=_ppt_map(dim_a, dim_b, part))
 
 
 @dataclass(frozen=True)
@@ -362,7 +397,8 @@ def concurrence(rho, floor: float = 1e-13) -> float | np.ndarray:
 # Choi index 4 j + a holds input j and output a; the effective state is
 # ordered (system output a, copy j) over {e, g} = {0, 3}, so its (a, j)
 # entry sits at Choi index 4 j + a: the two tensor factors swap.
-_EFFECTIVE_STATE_ENTRIES = np.ix_((0, 12, 3, 15), (0, 12, 3, 15))
+_EFFECTIVE_STATE_INDEX = np.array([0, 12, 3, 15])
+_EFFECTIVE_STATE_ENTRIES = np.ix_(_EFFECTIVE_STATE_INDEX, _EFFECTIVE_STATE_INDEX)
 
 
 def pdc_effective_state(co: Ad2Coefficients) -> np.ndarray:
@@ -383,7 +419,8 @@ def pdc_effective_state(co: Ad2Coefficients) -> np.ndarray:
 def pdc_effective_state_from_choi(b) -> np.ndarray:
     """``pdc_effective_state`` of a two-qubit damping Choi matrix, or of each
     matrix of a stack (m, 16, 16), giving (m, 4, 4)."""
-    s = pdc_choi_from_choi(b)[(...,) + _EFFECTIVE_STATE_ENTRIES]
+    s = np.asarray(b, dtype=complex)[(...,) + _EFFECTIVE_STATE_ENTRIES]  # a copy of 16 entries each
+    s[..., range(4), range(4)] = _PDC_DIAGONAL[_EFFECTIVE_STATE_INDEX]  # the sub-channel's diagonal
     s[(np.abs(s) <= 1e-12) & ~np.eye(4, dtype=bool)] = 0.0
     return 0.5 * s
 

@@ -399,9 +399,13 @@ def ad2_coefficients(params: Ad2Params, t=None) -> Ad2Coefficients:
     gm = gamma - g12
     # finite parameters can still overflow a phase, as 2 omega0 t does for
     # omega0 = 1e308; its coefficient is then undefined, and math.sin and
-    # math.cos reject the argument.  |w t| grows with t, so t_max decides.
-    if not all(math.isfinite(w * t_max) for w in (om0 - om12, 2.0 * om0, om0 + om12, 2.0 * om12)):
-        raise ValueError(f"the coefficients are not finite at {params.at(t_max)}")
+    # math.cos reject the argument.  |w t| grows with t, so t_max decides
+    # whether one does.
+    freqs = (om0 - om12, 2.0 * om0, om0 + om12, 2.0 * om12)
+    if not all(math.isfinite(w * t_max) for w in freqs):
+        if np.ndim(t):  # name the first time whose phase overflows
+            t = float(t[np.isfinite(np.multiply.outer(freqs, t)).all(axis=0).argmin()])
+        raise ValueError(f"the coefficients are not finite at {params.at(t)}")
 
     # 1 - exp(-x) via expm1 keeps the trace identities tight near t = 0
     f_p = -expm1(-gp * t)

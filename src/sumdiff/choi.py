@@ -295,17 +295,19 @@ def partition_from_masks(b, masks: Sequence, labels: Sequence[str] = (),
 
 
 def ad2_partition(co: Ad2Coefficients, strategy: str = "diag-pairs",
-                  rel_threshold: float = PARTITION_REL_THRESHOLD) -> HermitianPartition:
+                  rel_threshold: float = PARTITION_REL_THRESHOLD, b=None) -> HermitianPartition:
     """Partition the two-qubit damping Choi matrix by the named strategy.
 
     diag-pairs        diagonal plus one element per coherence position (1 + up to 8)
     split-real-imag   like diag-pairs but the two composite coherences are split
                       into their named parts, U + iV and iS + (-R) (1 + up to 10)
     full-spectral     the whole matrix as one element
+
+    ``b`` is ``choi_2ad(co)`` if the caller has built it.
     """
     if strategy not in PARTITIONS:
         raise ValueError(f"unknown partition strategy {strategy!r}")
-    b = choi_2ad(co)
+    b = choi_2ad(co) if b is None else b
     if strategy == "full-spectral":
         return partition_full(b)
     part = partition_diag_pairs(b, rel_threshold=rel_threshold, labels=AD2_PAIR_LABELS)
@@ -394,7 +396,7 @@ def _element_kinds(p: int, n: int, pattern: bytes) -> tuple:
 
 def extract_signed_kraus(partition: HermitianPartition, cutoff: float = 1e-12,
                          jacobi_tol: float = 1e-13,
-                         rel_threshold: float = 1e-14) -> SignedKrausSet:
+                         rel_threshold: float = 1e-14, relabel: Mapping[str, str] | None = None) -> SignedKrausSet:
     """Extract signed operators from a partitioned Choi matrix.
 
     Each element is eigendecomposed; eigenpairs with |value| <= cutoff are
@@ -404,7 +406,10 @@ def extract_signed_kraus(partition: HermitianPartition, cutoff: float = 1e-12,
     (labels ``label[i]``, by basis index) and single-pair ones (``label+``,
     ``label-``) take one ``_closed_form`` together, every other element
     ``eig_hermitian`` alone (``label[k]``, by descending eigenvalue).
-    Operator order follows the partition, so equal inputs give byte-equal outputs.
+    Operator order follows the partition, so equal inputs give byte-equal
+    outputs; except that a positive operator whose label is a key of
+    ``relabel`` takes its value as label and comes first, in the order of
+    ``relabel``.
     """
     stack, labels = partition.stack, partition.labels
     p, n, _ = stack.shape
@@ -428,8 +433,12 @@ def extract_signed_kraus(partition: HermitianPartition, cutoff: float = 1e-12,
     if not pos.size:
         raise ValueError("extraction produced no positive operators")
     names = [f"{labels[e]}{suffix}" for e, suffix in slots]
-    return SignedKrausSet(tuple(ops[pos]), tuple(ops[neg]), tuple(names[k] for k in order[pos]),
-                          tuple(names[k] for k in order[neg]))
+    plab = [names[k] for k in order[pos]]
+    if relabel:
+        keep = [plab.index(name) for name in relabel if name in plab]
+        keep += [i for i, name in enumerate(plab) if name not in relabel]
+        pos, plab = pos[keep], [relabel.get(plab[i], plab[i]) for i in keep]
+    return SignedKrausSet(tuple(ops[pos]), tuple(ops[neg]), tuple(plab), tuple(names[k] for k in order[neg]))
 
 
 def reconstruct_choi_stack(ops, signs) -> np.ndarray:
@@ -485,19 +494,21 @@ def ad2_diag_pairs_operators(chois, cutoff: float = 1e-12) -> tuple[np.ndarray, 
     return ops, signs
 
 
+# the positive diagonal operators of an ad2 export, relabeled in export order
+_AD2_DIAG_RELABEL = {f"diag[{i}]": AD2_DIAG_LABELS[i] for i in AD2_DIAG_EXPORT_ORDER}
+
+
 def ad2_signed_kraus(co: Ad2Coefficients, strategy: str = "diag-pairs",
-                     cutoff: float = 1e-12, jacobi_tol: float = 1e-13) -> SignedKrausSet:
+                     cutoff: float = 1e-12, jacobi_tol: float = 1e-13, b=None) -> SignedKrausSet:
     """Signed operators of the two-qubit damping channel, export-ordered:
     ``extract_signed_kraus`` of ``ad2_partition``, the positive diagonal
     operators relabeled by population coefficient in the order (H, G, F, E,
     D, C, A, 1, B), the other positive ones after them in extraction order
     (for diag-pairs by ascending Choi position, + before -).  A negative
-    diagonal operator keeps its ``diag[i]`` label and its place."""
-    ks = extract_signed_kraus(ad2_partition(co, strategy), cutoff=cutoff, jacobi_tol=jacobi_tol)
-    by_label = dict(zip(ks.positive_labels, ks.positive))
-    diag = [(AD2_DIAG_LABELS[i], by_label.pop(f"diag[{i}]")) for i in AD2_DIAG_EXPORT_ORDER if f"diag[{i}]" in by_label]
-    labels, ops = zip(*diag, *((lab, op) for lab, op in zip(ks.positive_labels, ks.positive) if lab in by_label))
-    return SignedKrausSet(ops, ks.negative, labels, ks.negative_labels)
+    diagonal operator keeps its ``diag[i]`` label and its place.  ``b`` is
+    ``choi_2ad(co)`` if the caller has built it."""
+    return extract_signed_kraus(ad2_partition(co, strategy, b=b), cutoff=cutoff, jacobi_tol=jacobi_tol,
+                                relabel=_AD2_DIAG_RELABEL)
 
 
 def charpoly_checks(co: Ad2Coefficients, diag_tol: float = 1e-10,

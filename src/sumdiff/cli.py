@@ -36,14 +36,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .analysis import (
-    concurrence,
-    eb_report,
-    is_ppt,
-    mdc_choi_from_choi,
-    pdc_choi_from_choi,
-    pdc_effective_state_from_choi,
-)
+from .analysis import concurrence, eb_report, is_ppt, pdc_effective_state_from_choi
 from .channels import (
     Ad2Coefficients,
     Ad2Params,
@@ -76,20 +69,22 @@ DEFAULT_TOLERANCE = 1e-10
 DEFAULT_CUTOFF = 1e-12
 TOLERANCE_ENV = "SUMDIFF_TOLERANCE"
 # sweep evaluates its coefficients, Choi matrices and per-row diagnostics
-# stacked over blocks of SWEEP_BLOCK_ROWS rows, which the diagnostics' 4-10 KB
-# a row of temporaries allow; it extracts and checks the diag-pairs operators
-# in chunks of SWEEP_CHECK_ROWS rows of a block, as those take about 25 KB a
-# row.  Against 50-row blocks, 100 rows wrote 10 % more rows a second on the
-# benchmark's sweep with 0.05 MB more peak RSS; 200 rows wrote 21 % more but
-# took 1.0-1.1 MB more (the README has the measurements)
-SWEEP_BLOCK_ROWS = 100
+# stacked over blocks of SWEEP_BLOCK_ROWS rows, so that a 200-step call is one
+# block: the diagnostics read the Choi stack (4.1 KB a row) without copying
+# it, the PPT flags through position maps.  It extracts and checks the
+# diag-pairs operators in chunks of SWEEP_CHECK_ROWS rows of a block, as those
+# take about 23 KB a row.  Against 100-row blocks whose PPT flags built two
+# copies of the stack each, this wrote 33 % more rows a second on the
+# benchmark's sweep, with 0.6 MB more peak RSS (the README has the
+# measurements)
+SWEEP_BLOCK_ROWS = 256
 SWEEP_CHECK_ROWS = 50
 # verify draws, applies and compares its random states in blocks of this many,
 # so memory stays bounded whatever --count is; the states are drawn in
 # sequence, so they do not depend on the block size
 VERIFY_BLOCK_STATES = 1000
 # upper bounds on the work one call may ask for: sweep keeps its whole CSV in
-# memory, about 1.4 KB a row at its peak, and wrote 100,000 rows in about 3 s
+# memory, about 1.4 KB a row at its peak, and wrote 100,000 rows in 2.6-3.2 s
 # on 2 vCPUs; verify checks about 155,000 states a second (README has the
 # measurements)
 MAX_SWEEP_STEPS = 1_000_000
@@ -136,7 +131,8 @@ def _ad2_action(params: dict):
 
 def _ad2_extract(params: dict, strategy: str, cutoff: float):
     co = ad2_coefficients(Ad2Params(**params))
-    return choi_2ad(co), ad2_signed_kraus(co, strategy=strategy, cutoff=cutoff)
+    b = choi_2ad(co)
+    return b, ad2_signed_kraus(co, strategy=strategy, cutoff=cutoff, b=b)
 
 
 CHANNELS = {
@@ -698,8 +694,8 @@ def cmd_sweep(args) -> int:
                                   eigvals_hermitian(chois, tol=1e-12)[:, -1],
                                   concurrence(pdc_effective_state_from_choi(chois))]).tolist()
         rows = zip(floats, counts.tolist(),
-                   is_ppt(mdc_choi_from_choi(chois), 4, 4, tol=tolerance).tolist(),
-                   is_ppt(pdc_choi_from_choi(chois), 4, 4, tol=tolerance).tolist())
+                   is_ppt(chois, 4, 4, tol=tolerance, part="mdc").tolist(),
+                   is_ppt(chois, 4, 4, tol=tolerance, part="pdc").tolist())
         lines += (",".join([*map(repr, xs[:-1]), str(count), str(mdc), str(pdc), repr(xs[-1])])
                   for xs, count, mdc, pdc in rows)
     lines.append("")

@@ -276,23 +276,36 @@ def eigvals_hermitian(h, tol: float = 1e-13, max_sweeps: int = 100) -> np.ndarra
     return _jacobi(h, tol, max_sweeps, with_vectors=False)[0]
 
 
-def _gather(h, tol: float) -> tuple:
+def _gather(h, tol: float, at=None) -> tuple:
     """(single, h as a stack, groups) for one n x n matrix or a stack (m, n, n),
     with one group (k, members, (row start, column) of each entry, h's
     blocks, their Hermitian parts) per size k of ``_components`` of the
     stack's combined nonzero pattern: the blocks are (m, c) for k = 1, else
-    (m c, k, k), and h is exactly 0 outside them.  Raises ValueError if an
+    (m c, k, k), and h is exactly 0 outside them.  With ``at`` (see
+    ``is_psd``), the pattern, blocks and checks are those of the matrices
+    that ``at`` maps out of h, which are not built.  Raises ValueError if an
     entry is not finite or a block is not Hermitian within ``tol``."""
     h = np.asarray(h, dtype=complex)
     if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
         raise ValueError("expected a square matrix or a stack of them")
     single = h.ndim == 2
     h = h[None] if single else h
-    m, n = h.shape[:2]
-    pattern = h.any(axis=0)
-    pattern |= pattern.T  # so that h is 0 wherever the pattern is
-    components, every = _components(n, pattern.tobytes())
-    every = np.take(h.reshape(m, n * n), every, axis=1)  # the blocks' entries, gathered once, row-major
+    flat = h.reshape(len(h), h.shape[1] ** 2)
+    if at is None:
+        pattern = h.any(axis=0)
+    else:
+        pos, values = at
+        pattern = np.where(pos >= 0, flat.any(axis=0)[pos], values != 0)
+    pattern |= pattern.T  # so that the matrices are 0 wherever the pattern is
+    components, every = _components(len(pattern), pattern.tobytes())
+    if at is None:
+        every = np.take(flat, every, axis=1)  # the blocks' entries, gathered once, row-major
+    else:
+        source = pos.ravel()[every]
+        fixed = source < 0  # these columns read h's last entry until given their values
+        values = values.ravel()[every[fixed]]
+        every = np.take(flat, source, axis=1)
+        every[:, fixed] = values
     if not np.isfinite(every).all():
         raise ValueError("matrix has non-finite entries")
     groups = []
@@ -310,7 +323,7 @@ def _gather(h, tol: float) -> tuple:
     return single, h, groups
 
 
-def is_psd(h, tol: float) -> bool | np.ndarray:
+def is_psd(h, tol: float, at=None) -> bool | np.ndarray:
     """True if Hermitian ``h`` has no eigenvalue below -tol (a bool array for
     a stack), decided without computing one.  ``h`` is gathered and checked
     as ``eig_hermitian`` does, Hermitian within 1e-12.  A 1 x 1 component
@@ -320,8 +333,14 @@ def is_psd(h, tol: float) -> bool | np.ndarray:
     (Higham 2002, Thm 10.3), so this misjudges a block only if its smallest
     eigenvalue lies within about k u max|h| of -tol, u the unit roundoff,
     where it is more accurate than a solver's eigenvalues.
+
+    With ``at``, a pair (positions, values) of n x n arrays, the matrix
+    tested is X instead: X[i, j] is entry positions[i, j] of h's flattened
+    matrix where that is >= 0, and values[i, j] where it is -1.  X is not
+    built; its pattern, blocks, checks, errors and flags are those of the
+    built X, read from h through the map.
     """
-    single, h, groups = _gather(h, 1e-12)
+    single, h, groups = _gather(h, 1e-12, at)
     flags = np.ones(len(h), dtype=bool)
     for k, members, _, _, a in groups:
         if k == 1:
@@ -471,6 +490,16 @@ def eig_rank2_pair(z: complex, r: int, c: int, dim: int) -> EigenSystem:
     return EigenSystem(values, np.column_stack([vp, vm]))
 
 
+@functools.cache
+def _partial_transpose_positions(dim_a: int, dim_b: int) -> np.ndarray:
+    """The n x n positions, n = dim_a dim_b, of the partial transpose's
+    entries in a flattened matrix: entry (a b, a' b') is entry (a b', a' b)."""
+    n = dim_a * dim_b
+    pos = np.arange(n * n).reshape(dim_a, dim_b, dim_a, dim_b).swapaxes(1, 3).reshape(n, n)
+    pos.flags.writeable = False  # every call with these dimensions gets this array
+    return pos
+
+
 def partial_transpose(m, dim_a: int, dim_b: int) -> np.ndarray:
     """Transpose the second tensor factor of an operator on A (x) B.
 
@@ -480,8 +509,7 @@ def partial_transpose(m, dim_a: int, dim_b: int) -> np.ndarray:
     n = dim_a * dim_b
     if m.shape[-2:] != (n, n) or m.ndim not in (2, 3):
         raise ValueError(f"expected a {n} x {n} matrix or a stack of them")
-    lead = m.shape[:-2]
-    return m.reshape(lead + (dim_a, dim_b, dim_a, dim_b)).swapaxes(-3, -1).reshape(m.shape)
+    return m.reshape(m.shape[:-2] + (n * n,))[..., _partial_transpose_positions(dim_a, dim_b)]
 
 
 def partial_trace(m, dim_a: int, dim_b: int, keep: str = "first") -> np.ndarray:

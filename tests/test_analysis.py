@@ -34,6 +34,7 @@ from sumdiff.channels import (
     random_density_matrix,
 )
 from sumdiff.choi import choi_2ad, choi_from_channel
+import sumdiff.analysis as analysis
 import sumdiff.linalg as linalg
 from sumdiff.linalg import dagger, eigvals_hermitian, kron, max_abs, partial_transpose
 
@@ -554,6 +555,30 @@ def test_ppt_flags_agree_with_the_eigenvalue_rule():
                 assert np.array_equal(flags[clear], (smallest >= -tol)[clear])
                 seen.update(flags.tolist())
     assert seen == {True, False}
+
+
+def _no_copy(*args, **kwargs):
+    raise AssertionError("a PPT flag built a copy of the matrix")
+
+
+def test_ppt_flags_read_the_choi_stack_without_a_copy(monkeypatch):
+    chois = _sweep_grid_chois(np.random.default_rng(73))
+    want = {part: is_ppt(sub(chois), 4, 4) for part, sub in (("mdc", mdc_choi_from_choi), ("pdc", pdc_choi_from_choi))}
+    monkeypatch.setattr(analysis, "_sub_channel_choi", _no_copy)
+    monkeypatch.setattr(linalg, "partial_transpose", _no_copy)
+    for part, flags in want.items():
+        assert np.array_equal(is_ppt(chois, 4, 4, part=part), flags)
+    assert isinstance(is_ppt(chois[0], 4, 4, part="pdc"), bool)
+    assert eb_report(chois[0]).ppt_of_choi == is_ppt(chois[0], 4, 4)
+
+
+@pytest.mark.parametrize("m, dims, part", [
+    (np.eye(4), (2, 2), "mdc"),  # the sub-channels are of 16 x 16 Choi matrices
+    (np.eye(16), (4, 4), "full"),
+])
+def test_is_ppt_rejects_an_unknown_part(m, dims, part):
+    with pytest.raises(ValueError, match="^part must be None, or 'mdc' or 'pdc' of a 16 x 16 Choi matrix"):
+        is_ppt(m, *dims, part=part)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

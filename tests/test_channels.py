@@ -433,11 +433,11 @@ def test_ad2_coefficients_over_times_check_overflow_at_the_largest():
 
 
 def test_ad2_coefficients_over_times_name_the_time_that_fails():
-    # an overflowing phase names the largest time, a non-finite coefficient
-    # the first time that gives one; neither names params.t
+    # an overflowing phase and a non-finite coefficient each name the first
+    # time that gives one, not the largest time; neither names params.t
     params = Ad2Params(1.0, 0.3, 2.0, 1e300, 5.0)
     with pytest.raises(ValueError, match=re.escape(f"not finite at {params.at(1e10)}")):
-        ad2_coefficients(params, [0.0, 1e10, 1.0])
+        ad2_coefficients(params, [0.0, 1e10, 1e20, 1.0])
     params = Ad2Params(1e308, 0.0, 0.0, 0.0, 5.0)  # 2 gamma = inf, and inf * 0 is NaN at t = 0 only
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match=re.escape(f"not finite at {params.at(0.0)}")):

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -545,19 +546,50 @@ def test_sweep_output_does_not_depend_on_block_or_chunk_size(capsys, monkeypatch
     # ground population underflows to 0 from about t = 550 on, so its later
     # chunks hold only the fully decayed channel
     defaults = (cli_module.SWEEP_BLOCK_ROWS, cli_module.SWEEP_CHECK_ROWS)
-    steps = 2 * defaults[0] + defaults[1] + 3
-    for gamma, t_max in (("1", "12"), ("3", "800")):
-        argv = ["sweep", "--channel", "ad2", "--gamma", gamma, "--gamma12", "0.3", "--omega12", "2",
-                "--omega0", "10", "--t-min", "0", f"--t-max={t_max}", "--steps", str(steps)]
+
+    def outcomes(argv):
         seen = set()
         for block, chunk in ((1, 1), (7, 3), defaults):
             monkeypatch.setattr(cli_module, "SWEEP_BLOCK_ROWS", block)
             monkeypatch.setattr(cli_module, "SWEEP_CHECK_ROWS", chunk)
             code = main(argv)
             seen.add((code, *capsys.readouterr()))
-        assert len(seen) == 1
-        (code, csv, err), = seen
+        return seen
+
+    steps = 2 * defaults[0] + defaults[1] + 3
+    for gamma, t_max in (("1", "12"), ("3", "800")):
+        (code, csv, err), = outcomes(["sweep", "--channel", "ad2", "--gamma", gamma, "--gamma12", "0.3",
+                                      "--omega12", "2", "--omega0", "10", "--t-min", "0", f"--t-max={t_max}",
+                                      "--steps", str(steps)])
         assert code == 0 and err.endswith(" ok\n") and csv.count("\n") == steps + 1
+    # the phase 2 omega0 t overflows from t = 90.2 on, the 37th time of the
+    # grid; the error names that time, not the last time of its block
+    (code, csv, err), = outcomes(["sweep", "--channel", "ad2", "--gamma", "1", "--gamma12", "0.3",
+                                  "--omega12", "2", "--omega0", "1e306", "--t-min", "0", "--t-max", "1000",
+                                  "--steps", "400"])
+    assert code == 1 and csv == "" and err.endswith(f"t={float(np.linspace(0.0, 1000.0, 400)[36])!r})\n")
+
+
+# tracemalloc's peak over one call, per row of a block: 8,850 bytes when
+# measured (Python 3.11, numpy 2.4), which is about 4,100 for the Choi stack,
+# 4,500 for a 50-row chunk of operator checks spread over the block, and the
+# CSV rows; the margin is 1,500 bytes, well under the 4,096 of one more copy
+# of the Choi stack, two of which each PPT flag once built
+SWEEP_BYTES_PER_BLOCK_ROW = 8_850 + 1_500
+
+
+def test_sweep_working_set_per_block_row_stays_in_budget(capsys):
+    steps = cli_module.SWEEP_BLOCK_ROWS + cli_module.SWEEP_CHECK_ROWS + 1  # a full block, then a chunk and a row
+    argv = ["sweep", *SWEEP_ARGS[:SWEEP_ARGS.index("--steps")], "--steps", str(steps)]
+    assert main(argv) == 0  # so that the caches are filled before the peak is taken
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.count("\n") == 2 * (steps + 1)
+    assert peak / cli_module.SWEEP_BLOCK_ROWS <= SWEEP_BYTES_PER_BLOCK_ROW
 
 
 @pytest.mark.parametrize("channel, args, other_args, dims", [
@@ -828,7 +860,7 @@ def test_sweep_overflowing_phase_names_the_time_that_overflows(capsys):
                      "--t-max=1e308", "--steps=3"]) == 1
     err = capsys.readouterr().err
     assert "the coefficients are not finite at Ad2Params(" in err
-    assert "t=1e+308" in err and "t=0.0" not in err
+    assert "t=5e+307" in err  # the first time of the grid whose phase 2 omega0 t overflows
 
 
 # --out: an existing file is rewritten in place and cut to length

@@ -15,6 +15,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, example, given, settings, strategies as st
 
+from sumdiff.analysis import is_ppt, mdc_choi_from_choi, pdc_choi_from_choi
 from sumdiff.channels import (
     Ad2Params,
     SignedKrausSet,
@@ -39,7 +40,8 @@ from sumdiff.choi import (
     reconstruct_choi,
 )
 from sumdiff.cli import CHANNELS, _dumps, main
-from sumdiff.linalg import JacobiConvergenceError, dagger, eig_hermitian, eigvals_hermitian, is_psd, max_abs
+from sumdiff.linalg import (JacobiConvergenceError, dagger, eig_hermitian, eigvals_hermitian, is_psd, max_abs,
+                            partial_transpose)
 
 
 def _export_order(ks: SignedKrausSet) -> SignedKrausSet:
@@ -530,3 +532,63 @@ def test_is_psd_matches_lapack(case):
     tilted[-1, i, j] += 1e-6j  # one entry no longer Hermitian
     with pytest.raises(ValueError, match="not Hermitian"):
         is_psd(tilted, tol)
+
+
+# ---------------------------------------------------------------------------
+# the positivity test read through a position map, against the built matrix
+
+
+@st.composite
+def ppt_cases(draw):
+    """(m, dim_a, dim_b, tol, bad): a stack on A (x) B whose partial transpose
+    has random sparse components, with exact zeros outside them, some
+    components all zero and the others with a smallest eigenvalue within 4
+    ulps of -tol; and an entry (i, j) with a value that breaks m (NaN, inf,
+    or a non-Hermitian tilt)."""
+    dim_a, dim_b = draw(st.sampled_from([(2, 2), (2, 3), (4, 4)]))
+    n = dim_a * dim_b
+    count = draw(st.sampled_from([1, 3]))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tol = draw(st.sampled_from([1e-10, 1e-6]))
+    x = np.zeros((count, n, n), dtype=complex)
+    for members in np.split(np.array(order), cuts):
+        k = len(members)
+        for h in x:
+            if rng.random() < 0.2:
+                continue  # an all-zero component
+            u, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+            lam = rng.uniform(0.0, 2.0, k)
+            lam[rng.integers(k)] = -tol + int(rng.integers(-4, 5)) * np.spacing(tol)
+            block = (u * lam) @ u.conj().T
+            h[np.ix_(members, members)] = (block + block.conj().T) / 2
+    bad = (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(st.sampled_from([np.nan, np.inf, 1e-6j])))
+    return partial_transpose(x, dim_a, dim_b), dim_a, dim_b, tol, bad
+
+
+def _outcome(test):
+    """The flags of ``test()`` as a list, or the message of its ValueError."""
+    try:
+        return np.atleast_1d(test()).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=ppt_cases())
+def test_mapped_ppt_test_matches_the_built_partial_transpose(case):
+    # a sub-channel drops the broken entry if it lies outside it, and then
+    # both routes pass the stack
+    m, dim_a, dim_b, tol, (i, j, value) = case
+    broken = m.copy()
+    broken[-1, i, j] += value
+    assert isinstance(_outcome(lambda: is_ppt(broken, dim_a, dim_b, tol=tol)), str)
+    for x in (m, broken, m[0]):
+        built = _outcome(lambda: is_psd(partial_transpose(x, dim_a, dim_b), tol))
+        assert _outcome(lambda: is_ppt(x, dim_a, dim_b, tol=tol)) == built
+        if dim_a * dim_b == 16:
+            for part, sub in (("mdc", mdc_choi_from_choi), ("pdc", pdc_choi_from_choi)):
+                built = _outcome(lambda: is_psd(partial_transpose(sub(x), 4, 4), tol))
+                assert _outcome(lambda: is_ppt(x, 4, 4, tol=tol, part=part)) == built
+                assert _outcome(lambda: is_ppt(sub(x), 4, 4, tol=tol)) == built
