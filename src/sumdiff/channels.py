@@ -156,7 +156,8 @@ def random_density_matrix(dim: int, rng: np.random.Generator, count: int | None 
     parts = rng.standard_normal((1 if count is None else count, 2, dim, dim))
     g = parts[:, 0] + 1j * parts[:, 1]
     rho = g @ dagger(g)
-    rho /= np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
+    flat = rho.reshape(len(rho), dim * dim)  # a view: the same division, bitwise, over one broadcast axis fewer
+    flat /= np.trace(rho, axis1=-2, axis2=-1)[:, None]
     return rho[0] if count is None else rho
 
 

@@ -182,15 +182,27 @@ class HermitianPartition:
 
     def __post_init__(self):
         stack = np.asarray(self.elements, dtype=complex)  # ValueError for elements of two shapes
+        if len(stack):
+            if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+                raise ValueError("every element must be Hermitian and same-shaped")
+            # is_hermitian(e, 1e-12 * max(1, max_abs(e))) for the whole stack at once
+            asym = np.abs(stack - dagger(stack)).max(axis=(1, 2), initial=0.0)
+            if not (asym <= 1e-12 * np.maximum(1.0, np.abs(stack).max(axis=(1, 2), initial=0.0))).all():
+                raise ValueError("every element must be Hermitian and same-shaped")
+        self._keep(stack, self.labels)
+
+    @classmethod
+    def _of_hermitian(cls, stack: np.ndarray, labels: tuple) -> "HermitianPartition":
+        """The partition of a complex (p, n, n) stack whose elements are
+        Hermitian by construction, which is not checked again."""
+        part = object.__new__(cls)
+        part._keep(stack, labels)
+        return part
+
+    def _keep(self, stack: np.ndarray, labels) -> None:
         if not len(stack):
             raise ValueError("a partition needs at least one element")
-        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-            raise ValueError("every element must be Hermitian and same-shaped")
-        # is_hermitian(e, 1e-12 * max(1, max_abs(e))) for the whole stack at once
-        asym = np.abs(stack - dagger(stack)).max(axis=(1, 2), initial=0.0)
-        if not (asym <= 1e-12 * np.maximum(1.0, np.abs(stack).max(axis=(1, 2), initial=0.0))).all():
-            raise ValueError("every element must be Hermitian and same-shaped")
-        labs = tuple(self.labels) or tuple(f"E{i}" for i in range(len(stack)))
+        labs = tuple(labels) or tuple(f"E{i}" for i in range(len(stack)))
         if len(labs) != len(stack):
             raise ValueError("label count must match element count")
         object.__setattr__(self, "elements", tuple(stack))
@@ -261,7 +273,7 @@ def partition_diag_pairs(b, rel_threshold: float = PARTITION_REL_THRESHOLD,
     stack[at, rows * n + cols] = z
     stack[at, cols * n + rows] = z.conj()
     labels = labels or {}
-    return HermitianPartition(stack.reshape(-1, n, n), ("diag",) * k + tuple(
+    return HermitianPartition._of_hermitian(stack.reshape(-1, n, n), ("diag",) * k + tuple(
         labels.get((r, c), f"({r},{c})") for r, c in zip(rows.tolist(), cols.tolist())))
 
 

@@ -31,7 +31,6 @@ import re
 import stat
 import sys
 from datetime import datetime, timezone
-from json.encoder import encode_basestring_ascii as _encode_string
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -326,97 +325,97 @@ def _pairs(m) -> list:
     return m.view(float).reshape(m.shape + (2,)).tolist()
 
 
-# the placeholder _dumps leaves for a held-out matrix or list of entries, with its index
-_HELD = re.compile(r'"\\u0000(\d+)"')
-
-
-@functools.cache  # an export asks for few: 2 x 2 or 4 x 4 matrices at two indents
-def _layout(shape: tuple, indent: int) -> tuple:
-    """The text of an array of the given shape, written as [re, im] pairs by
-    ``json.dumps(indent=2)`` on a line indented by ``indent`` spaces, split
-    at its floats: one more piece than the array has floats."""
-    blank = np.full(shape + (2,), None).tolist()
-    return tuple(json.dumps(blank, indent=2).replace("\n", "\n" + " " * indent).split("null"))
-
-
+_LITERALS = {None: "null", True: "true", False: "false"}
+_MARK = "\0"  # a skeleton's value; a structure with this key is written by json.dumps itself
+# json writes a NUL in a string as \u0000, so NULs can separate the texts of values
+_encode_values = json.JSONEncoder(separators=("\0", ":")).encode
 _ZERO_TEXTS = np.array(["0.0", "-0.0"], dtype=object)
 
 
-def _float_texts(values: np.ndarray) -> list:
-    """json's text of each float: an exact zero by its sign bit, the others
-    through one C-encoder call, which writes NaN and +-Infinity as json does."""
-    nonzero = values != 0
-    texts = _ZERO_TEXTS[np.signbit(values).view(np.int8)]
-    if nonzero.any():
-        texts[nonzero] = json.dumps(values[nonzero].tolist())[1:-1].split(", ")
-    return texts.tolist()
+def _walk(values, key: list, scalars: list, arrays: list) -> None:
+    """Append to ``key`` the structure of each of ``values``, to ``scalars``
+    its strings and numbers, and to ``arrays`` its matrices, in the order
+    json.dumps(sort_keys=True) writes them.  A token of the structure is a
+    dict's sorted keys, a list's length, a matrix's shape and 2, the text
+    of a boolean or None, or "" for a string or number."""
+    for value in values:
+        kind = type(value)
+        if kind is dict:
+            names = sorted(value)
+            if names and type(names[0]) is not str:  # json writes other keys as strings
+                raise TypeError
+            key.append(tuple(names))
+            _walk(map(value.__getitem__, names), key, scalars, arrays)
+        elif kind is list or kind is tuple:
+            key.append(len(value))
+            _walk(value, key, scalars, arrays)
+        elif kind is np.ndarray:
+            key.append((value.shape or (1,)) + (2,))  # np.ascontiguousarray makes a 0-d array 1-d
+            arrays.append(value)
+        elif value is None or kind is bool:
+            key.append(_LITERALS[value])
+        elif kind is str or kind is int or kind is float:
+            key.append("")
+            scalars.append(value)
+        else:
+            raise TypeError
 
 
-def _is_entries(data) -> bool:
-    """Whether ``data`` is a nonempty list of nonempty dicts that map strings
-    to strings and arrays, as the operator lists of an export are."""
-    return isinstance(data, list) and bool(data) and all(
-        isinstance(entry, dict) and bool(entry)
-        and all(isinstance(key, str) and isinstance(value, (str, np.ndarray)) for key, value in entry.items())
-        for entry in data)
+def _skeleton(tokens, floats: list):
+    """The structure ``tokens`` yields, with the marker for each string,
+    number and matrix float; ``floats`` gets whether each marker is a float."""
+    token = next(tokens)
+    if type(token) is int:
+        return [_skeleton(tokens, floats) for _ in range(token)]
+    if type(token) is tuple and not (token and type(token[0]) is int):
+        return {name: _skeleton(tokens, floats) for name in token}
+    if token in _LITERALS.values():
+        return json.loads(token)
+    floats += [True] * math.prod(token) if token else [False]
+    return functools.reduce(lambda value, size: [value] * size, reversed(token), _MARK)  # a shape, or ""
+
+
+# An export's structure changes with its partition, operator count, labels and point
+# channel; 30,000 calls of the benchmark's extract stream made 50, and a miss takes 1.4 ms
+@functools.lru_cache(maxsize=64)
+def _template(key: tuple):
+    """The text json.dumps(indent=2, sort_keys=True) writes between the values
+    of the structure ``key``, interned, so that templates share what their
+    matrices have in common; the indices of the slots that take a string or
+    number, and the mask of those that take a matrix float.  None if a key
+    of the structure reads as the marker."""
+    floats = []
+    parts = json.dumps(_skeleton(iter(key), floats), indent=2, sort_keys=True).split(json.dumps(_MARK))
+    floats = np.array(floats, dtype=bool)
+    if len(parts) != len(floats) + 1:
+        return None
+    return tuple(map(sys.intern, parts)), np.flatnonzero(~floats), floats
 
 
 def _dumps(payload) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte, with
     each matrix in the payload, an ndarray, written as rows of [re, im] pairs.
-
-    With ``indent`` set, CPython encodes in pure Python.  So each matrix, and
-    each list of entries (``_is_entries``), is held out of that encoder as a
-    placeholder and written at the indent of its placeholder's line, each
-    matrix through a cached layout.  The text is kept as the pieces between
-    floats, and the floats of all matrices are formatted together."""
-    held = []
-
-    def hold(item):
-        held.append(item)
-        return f"\0{len(held) - 1}"
-
-    def hold_entries(data):
-        if isinstance(data, dict):
-            return {key: hold_entries(value) for key, value in data.items()}
-        if isinstance(data, list):
-            return hold(data) if _is_entries(data) else [hold_entries(value) for value in data]
-        return data
-
-    parts = _HELD.split(json.dumps(hold_entries(payload), indent=2, sort_keys=True, default=hold))
-    if len(parts) != 2 * len(held) + 1:  # a string of the payload reads as a placeholder
+    CPython's indenting encoder runs in pure Python, so it lays out each
+    structure only once, as a template whose slots each call fills."""
+    key, scalars, arrays = [], [], []
+    try:
+        _walk((payload,), key, scalars, arrays)
+        template = _template(tuple(key))
+    except TypeError:
+        template = None
+    if template is None:
         return json.dumps(payload, indent=2, sort_keys=True, default=_pairs)
-    pieces = [parts[0]]  # the text between floats
-    arrays = []  # in the order their floats are written
-
-    def write_matrix(m, indent: int):
-        arrays.append(np.ascontiguousarray(m, dtype=complex))
-        layout = _layout(arrays[-1].shape, indent)
-        pieces[-1] += layout[0]
-        pieces.extend(layout[1:])
-
-    def write_entries(entries, indent: int):
-        pad = "\n" + " " * indent
-        pieces[-1] += "["
-        for n, entry in enumerate(entries):
-            pieces[-1] += f"{',' if n else ''}{pad}  {{"
-            for k, (key, value) in enumerate(sorted(entry.items())):
-                pieces[-1] += f"{',' if k else ''}{pad}    {_encode_string(key)}: "
-                if isinstance(value, str):
-                    pieces[-1] += _encode_string(value)
-                else:
-                    write_matrix(value, indent + 4)
-            pieces[-1] += f"{pad}  }}"
-        pieces[-1] += f"{pad}]"
-
-    for i in range(1, len(parts), 2):
-        line = parts[i - 1][parts[i - 1].rfind("\n") + 1:]
-        item = held[int(parts[i])]
-        (write_entries if isinstance(item, list) else write_matrix)(item, len(line) - len(line.lstrip()))
-        pieces[-1] += parts[i + 1]
-    texts = _float_texts(np.concatenate(arrays, axis=None).view(float)) if arrays else []
-    out = [None] * (len(pieces) + len(texts))
-    out[0::2], out[1::2] = pieces, texts
+    pieces, scalar_slots, float_slots = template
+    # each matrix as np.ascontiguousarray(m, dtype=complex) reads it
+    floats = np.concatenate([*arrays, ()], None, dtype=complex, casting="unsafe").view(float)
+    nonzero = floats != 0
+    values = np.empty(len(float_slots), dtype=object)
+    values[float_slots] = _ZERO_TEXTS[np.signbit(floats).view(np.int8)]  # an exact zero by its sign bit
+    # the other floats, the strings and the numbers, with one C-encoder call
+    written = np.concatenate([scalar_slots, np.flatnonzero(float_slots)[nonzero]])
+    values[written] = _encode_values(scalars + floats[nonzero].tolist())[1:-1].split("\0")
+    out = [None] * (2 * len(values) + 1)
+    out[0::2], out[1::2] = pieces, values.tolist()
     return "".join(out)
 
 

@@ -161,6 +161,25 @@ def test_partition_validates_hermiticity():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError):
         HermitianPartition(elements=(bad,), labels=("x",))
+    # next to Hermitian elements, and as the stack partition_diag_pairs builds
+    with pytest.raises(ValueError, match="must be Hermitian"):
+        HermitianPartition(elements=(np.eye(2), bad, np.eye(2)), labels=())
+    with pytest.raises(ValueError, match="must be Hermitian"):
+        HermitianPartition(np.stack([np.eye(2, dtype=complex), bad]), ("diag", "(0,1)"))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.7, 30.0])
+def test_partition_diag_pairs_is_what_the_checked_constructor_builds(t):
+    # partition_diag_pairs builds its elements Hermitian and skips the
+    # constructor's check; the partition must be the one the check passes
+    b = choi_2ad(ad2_coefficients(Ad2Params(gamma=1.0, gamma12=0.3, omega12=2.0, omega0=10.0, t=t)))
+    part = partition_diag_pairs(b, labels=AD2_PAIR_LABELS)
+    checked = HermitianPartition(part.stack, part.labels)
+    assert part.labels == checked.labels
+    assert part.stack.tobytes() == checked.stack.tobytes()
+    assert all(e.tobytes() == c.tobytes() for e, c in zip(part.elements, checked.elements))
+    with pytest.raises(ValueError, match="at least one element"):
+        partition_diag_pairs(np.zeros((4, 4), dtype=complex))
 
 
 def test_partition_from_elements_checks_sum():

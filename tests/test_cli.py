@@ -2,8 +2,10 @@
 
 import contextlib
 import errno
+import gc
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -125,12 +127,16 @@ def test_export_round_trips_exactly(tmp_path):
         assert max_abs(got - want) == 0.0  # lossless float round trip
 
 
-@pytest.mark.parametrize("cutoff", ["0", "1e-12", "1e-6"])
-@pytest.mark.parametrize("partition", PARTITIONS)
-@pytest.mark.parametrize("args", [
+EXPORT_GRID_ARGS = [
     *(["--channel", "gad", "--p", "0.5", "--lam", lam] for lam in ("0", "0.36", "1")),
     *([*AD2_ARGS[:-1], t] for t in ("0", "0.7", "800")),  # t = 800 gives a point channel
-], ids=lambda args: "-".join(args[1::2]))
+]
+EXPORT_GRID_CUTOFFS = ["0", "1e-12", "1e-6"]
+
+
+@pytest.mark.parametrize("cutoff", EXPORT_GRID_CUTOFFS)
+@pytest.mark.parametrize("partition", PARTITIONS)
+@pytest.mark.parametrize("args", EXPORT_GRID_ARGS, ids=lambda args: "-".join(args[1::2]))
 def test_export_text_is_the_indenting_json_encoders(tmp_path, args, partition, cutoff):
     code, out = run_extract(tmp_path, "e.json", args=args, extra=["--partition", partition, "--cutoff", cutoff])
     assert code == 0
@@ -1012,3 +1018,161 @@ def test_sweep_overflowing_rate_exits_one_without_numpy_warnings():
     assert proc.returncode == 1
     assert "RuntimeWarning" not in proc.stderr
     assert proc.stderr.startswith("error: the coefficients are not finite at Ad2Params(gamma=1e+308")
+
+
+# ---------------------------------------------------------------------------
+# the export writer's template cache
+
+
+def _reference_dumps(payload):
+    return json.dumps(payload, indent=2, sort_keys=True, default=cli_module._pairs)
+
+
+@pytest.fixture
+def fresh_templates():
+    cli_module._template.cache_clear()
+    yield cli_module._template
+    cli_module._template.cache_clear()
+
+
+@pytest.fixture
+def indenting_encoder_calls(monkeypatch):
+    """The number of json.dumps calls with an indent so far, in a list."""
+    calls, dumps = [0], json.dumps
+
+    def counting(obj, **kwargs):
+        calls[0] += kwargs.get("indent") is not None
+        return dumps(obj, **kwargs)
+    monkeypatch.setattr(cli_module.json, "dumps", counting)
+    return calls
+
+
+def _entries_payload(*values, point=None, **extra):
+    """An export-shaped payload whose floats are ``values``, one 2 x 2 matrix each."""
+    return {"operators": {"positive": [{"label": f"K{i}", "matrix": np.full((2, 2), complex(z))}
+                                       for i, z in enumerate(values)], "negative": []},
+            "residuals": {"completeness": float(abs(values[0]))},
+            "report": {"is_cp": True, "point_channel": point}, **extra}
+
+
+def test_export_of_a_known_structure_skips_the_indenting_encoder(fresh_templates, indenting_encoder_calls):
+    first = _entries_payload(0.5, -1.5j)
+    assert cli_module._dumps(first) == _reference_dumps(first)
+    assert indenting_encoder_calls[0] >= 1
+    written = indenting_encoder_calls[0]
+    for values in [(0.25, 3e-300), (-0.0, math.nan), (math.inf, complex(-math.inf, -0.0))]:
+        payload = _entries_payload(*values)
+        assert cli_module._dumps(payload) == _reference_dumps(payload)
+    assert indenting_encoder_calls[0] - written == 3  # the references only
+    assert fresh_templates.cache_info().currsize == 1
+
+
+def test_export_template_cache_is_bounded(fresh_templates):
+    size = fresh_templates.cache_info().maxsize
+    assert size is not None and 0 < size <= 256
+    for n in range(1, size + 11):  # a structure for each operator count
+        payload = _entries_payload(*range(n))
+        assert cli_module._dumps(payload) == _reference_dumps(payload)
+    assert fresh_templates.cache_info().currsize == size
+
+
+def test_exports_that_differ_in_structure_get_their_own_templates(fresh_templates):
+    payloads = [
+        _entries_payload(0.5, 1j),
+        {**_entries_payload(0.5, 1j), "report": {"is_cp": False, "point_channel": None}},  # a boolean
+        _entries_payload(0.5, 1j, point=np.eye(2)),  # a point channel
+        _entries_payload(0.5, 1j, point=np.eye(4)),  # of another shape
+        _entries_payload(0.5, 1j, point=[np.eye(2)]),
+        _entries_payload(0.5, 1j, point=np.array(1j)),  # written as np.ascontiguousarray makes it, 1-d
+        _entries_payload(0.5, 1j, dim=2),  # a key more; a string or number in its place shares this one
+        _entries_payload(0.5, 1j, dim=None),
+        _entries_payload(0.5, 1j, dim=[]),
+        _entries_payload(0.5, 1j, dim={}),
+        _entries_payload(0.5, 1j, dim=[[]]),
+        _entries_payload(0.5, 1j, dim=[0]),
+        _entries_payload(0.5, 1j, dim=[True]),  # which a list of length 1 must not be taken for
+    ]
+    for payload in payloads:
+        assert cli_module._dumps(payload) == _reference_dumps(payload)
+    assert fresh_templates.cache_info().currsize == len(payloads)
+    for payload in payloads:  # and every template is found again
+        assert cli_module._dumps(payload) == _reference_dumps(payload)
+    assert fresh_templates.cache_info().misses == len(payloads)
+
+
+
+def test_export_writer_leaves_no_reference_cycle(fresh_templates):
+    # the writer it replaced left 39 objects a call for the cyclic collector
+    payload = _entries_payload(0.5, 1j, point=np.eye(2))
+    cli_module._dumps(payload)  # builds the template
+    gc.collect()
+    gc.disable()
+    try:
+        cli_module._dumps(payload)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+@pytest.mark.parametrize("payload", [
+    {"\0": 1.5, "a": np.eye(2)},  # a key that is the marker
+    {"a": [{"\0": "x", "matrix": np.eye(2)}]},
+    {1: "x", 2: np.eye(2)},  # keys json writes as strings
+    {"a": True, "b": [np.float64(0.5), np.int64(3)]},  # number types json writes through default
+], ids=["marker", "marker-in-entry", "int-keys", "numpy-scalars"])
+def test_export_a_template_cannot_express_is_written_by_json_itself(
+        fresh_templates, indenting_encoder_calls, payload):
+    want = _reference_dumps(payload)
+    for _ in range(2):
+        calls = indenting_encoder_calls[0]
+        assert cli_module._dumps(payload) == want
+    assert indenting_encoder_calls[0] - calls == 1  # json.dumps itself, every time
+
+
+def test_export_keys_holding_the_marker_within_are_templated(fresh_templates, indenting_encoder_calls):
+    payload = {"a\0": 1.5, "\0\0": np.eye(2), "\\u0000": "\0", "b": {"\0 ": "\0"}}
+    want = _reference_dumps(payload)
+    assert cli_module._dumps(payload) == want
+    calls = indenting_encoder_calls[0]
+    assert cli_module._dumps(payload) == want
+    assert indenting_encoder_calls[0] == calls
+
+
+def _grid_payloads(tmp_path, monkeypatch):
+    """Every export payload of the grid of the test above, partitions and cutoffs."""
+    payloads, dumps = [], cli_module._dumps
+    with monkeypatch.context() as patch:
+        patch.setattr(cli_module, "_dumps", lambda payload: payloads.append(payload) or dumps(payload))
+        for args in EXPORT_GRID_ARGS:
+            for partition in PARTITIONS:
+                for cutoff in EXPORT_GRID_CUTOFFS:
+                    assert run_extract(tmp_path, "e.json", args=args,
+                                       extra=["--partition", partition, "--cutoff", cutoff])[0] == 0
+    return payloads
+
+
+# a full cache of templates of the largest exports, 64 of them, held 0.51 MB
+# when measured; the budget is 1 MB
+TEMPLATE_CACHE_BYTES = 1_000_000
+
+
+def test_export_template_cache_memory_stays_in_budget(tmp_path, monkeypatch, fresh_templates):
+    grid = _grid_payloads(tmp_path, monkeypatch)
+    # the grid has 14 structures; the largest export cut to shorter operator
+    # lists adds enough to fill the cache with large templates
+    largest = max(grid, key=lambda payload: payload["operator_count"])
+    positive, negative = largest["operators"]["positive"], largest["operators"]["negative"]
+    payloads = grid + [{**largest, "operators": {"positive": positive[:n], "negative": negative[:m]}}
+                       for n in range(len(positive)) for m in (0, len(negative) // 2, len(negative))]
+    fresh_templates.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for payload in payloads:
+            cli_module._dumps(payload)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert fresh_templates.cache_info().currsize == fresh_templates.cache_info().maxsize
+    assert grown <= TEMPLATE_CACHE_BYTES

@@ -278,10 +278,26 @@ def _as_lists(data):
     return data
 
 
-def _export_payload(d, positive, negative=(), point=None, label="x"):
+def _export_payload(d, positive, negative=(), point=None, label="x", scalar=0.5):
     entry = lambda m: {"label": label, "matrix": np.asarray(m, dtype=complex).reshape(d, d)}
     return {"operators": {"positive": [entry(m) for m in positive], "negative": [entry(m) for m in negative]},
-            "report": {"point_channel": point}}
+            "metadata": {"params": {"p": scalar}}, "report": {"point_channel": point}}
+
+
+# payloads of one structure, whose template the later ones reuse, with
+# signed zeros, NaN and infinities in the scalar leaf and the matrices
+_ONE_STRUCTURE = [
+    _export_payload(2, [[0.0, -0.0, math.nan, math.inf]], [np.eye(2)],
+                    np.full((2, 2), complex(-0.0, math.inf)), scalar=-0.0),
+    _export_payload(2, [[-0.0, 0.0, -math.inf, math.nan]], [np.eye(2) * -0.0],
+                    np.full((2, 2), complex(math.nan, 0.0)), scalar=math.nan),
+    _export_payload(2, [[math.nan, math.inf, -0.0, 0.0]], [np.full((2, 2), math.nan)],
+                    np.full((2, 2), -math.inf), scalar=math.inf),
+    _export_payload(2, [[math.inf, math.nan, 0.0, -0.0]], [np.full((2, 2), complex(-math.inf, math.inf))],
+                    np.zeros((2, 2)), scalar=-math.inf),
+    _export_payload(2, [[1.5, -0.0, 0.0, 5e-324]], [np.eye(2)],
+                    np.full((2, 2), complex(0.0, -0.0)), scalar=0.0),
+]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -292,6 +308,11 @@ def _export_payload(d, positive, negative=(), point=None, label="x"):
 @example(payload=_export_payload(4, [np.array([-0.0, complex(math.nan, -0.0), complex(math.inf, -math.inf), 5e-324,
                                                -5e-324j, 0.1 + 0.7j, -1.5, 0.0, 1e308, 2.5e-17j, complex(-0.0, math.nan),
                                                math.inf, -math.inf, 1 / 3, -0.0j, 0.0])]))
+@example(payload=_ONE_STRUCTURE[0])
+@example(payload=_ONE_STRUCTURE[1])
+@example(payload=_ONE_STRUCTURE[2])
+@example(payload=_ONE_STRUCTURE[3])
+@example(payload=_ONE_STRUCTURE[4])
 def test_export_writer_matches_indenting_json_encoder(payload):
     assert _dumps(payload) == json.dumps(_as_lists(payload), indent=2, sort_keys=True)
 
