@@ -64,8 +64,6 @@ from .choi import (
 from .linalg import eigvals_hermitian, max_abs
 
 EXPORT_FORMAT = "sumdiff-kraus/1"
-DEFAULT_TOLERANCE = 1e-10
-DEFAULT_CUTOFF = 1e-12
 TOLERANCE_ENV = "SUMDIFF_TOLERANCE"
 # sweep evaluates its coefficients, Choi matrices and per-row diagnostics
 # stacked over blocks of SWEEP_BLOCK_ROWS rows, so that a 200-step call is one
@@ -160,6 +158,59 @@ class ExportError(Exception):
     """Export file is readable but not a well-formed export."""
 
 
+# ---------------------------------------------------------------------------
+# options
+#
+# Each option is described once, in OPTIONS; COMMANDS lists the options each
+# command takes, build_parser adds their flags and _option resolves them.
+# --channel, --config and verify's export are flags only, outside the table.
+
+_MISSING = object()
+
+
+@dataclasses.dataclass(frozen=True)
+class Option:
+    """An option's JSON type (float, int or str), help, default (none if it
+    is required), range as (test, "must be ..." text) pairs and choices."""
+
+    type: type
+    help: str
+    default: object = _MISSING
+    rules: tuple = ()
+    choices: tuple | None = None
+
+
+def _at_least(low):
+    return lambda value: value >= low, f"must be at least {low}"
+
+
+def _at_most(high):
+    return lambda value: value <= high, f"must be at most {high}"
+
+
+_FINITE = (math.isfinite, "must be finite")
+_NONNEGATIVE = (lambda value: value >= 0, "must be nonnegative")
+
+OPTIONS = {
+    **{name: Option(float, f"{channel}: {text}")  # the library checks their ranges
+       for channel, record in CHANNELS.items() for name, text in record.params.items()},
+    "partition": Option(str, "partition strategy", PARTITIONS[0], choices=PARTITIONS),
+    # a NaN or negative cutoff would keep zero-weight operators, an infinite one none
+    "cutoff": Option(float, "eigenvalue cutoff for keeping operators", 1e-12,
+                     ((lambda value: 0 <= value < math.inf, "must be a nonnegative number and finite"),)),
+    "out": Option(str, "output path, JSON for extract and CSV for sweep (default stdout)", None),
+    "tolerance": Option(float, f"verification tolerance, else ${TOLERANCE_ENV}, else (verify) the export's",
+                        1e-10, (_FINITE, (lambda value: value > 0, "must be positive"))),
+    # numpy's generators take no negative seed
+    "seed": Option(int, "RNG seed for random-state checks, else (verify) the export's", 0, (_NONNEGATIVE,)),
+    "against": Option(str, "reference to compare with", "direct-action",
+                      choices=("direct-action", "standard-kraus")),
+    "count": Option(int, "number of random states", 100, (_at_least(1), _at_most(MAX_VERIFY_COUNT))),
+    "t_min": Option(float, "first time of the grid", rules=(_FINITE, _NONNEGATIVE)),
+    "t_max": Option(float, "last time of the grid", rules=(_FINITE,)),
+    "steps": Option(int, "number of time points", rules=(_at_least(2), _at_most(MAX_SWEEP_STEPS))),
+}
+
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
@@ -180,57 +231,25 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> _Parser:
     parser = _Parser(prog="sumdiff", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, seed=True):
+    for command, (_, text, names) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        channels = [channel for channel, record in CHANNELS.items() if not record.params.keys().isdisjoint(names)]
+        if channels:
+            p.add_argument("--channel", choices=channels, required=True)
+        for name in names:
+            option = OPTIONS[name]
+            notes = [text for _, text in option.rules]
+            if option.default not in (_MISSING, None):
+                notes.append(f"default {option.default}")
+            p.add_argument(f"--{name.replace('_', '-')}", type=option.type, choices=option.choices,
+                           help=f"{option.help} ({'; '.join(notes)})" if notes else option.help)
         p.add_argument("--config", help="JSON file of default option values")
-        p.add_argument("--tolerance", type=float, default=None,
-                       help=f"verification tolerance (default {DEFAULT_TOLERANCE} or ${TOLERANCE_ENV})")
-        if seed:  # sweep draws nothing at random
-            p.add_argument("--seed", type=int, default=None, help="RNG seed for random-state checks (default 0)")
-
-    def add_channel(p, channels, skip=()):
-        p.add_argument("--channel", choices=tuple(channels), required=True)
-        for channel in channels:
-            for name, text in CHANNELS[channel].params.items():
-                if name not in skip:
-                    p.add_argument(f"--{name}", type=float, default=None, help=f"{channel}: {text}")
-
-    p_extract = sub.add_parser("extract", help="extract and export a signed operator set")
-    add_channel(p_extract, CHANNELS)
-    p_extract.add_argument("--partition", choices=PARTITIONS,
-                           default=None, help=f"partition strategy (default {PARTITIONS[0]})")
-    p_extract.add_argument("--cutoff", type=float, default=None,
-                           help=f"eigenvalue cutoff for keeping operators (default {DEFAULT_CUTOFF})")
-    p_extract.add_argument("--out", default=None, help="output JSON path (default stdout)")
-    add_common(p_extract)
-
-    p_verify = sub.add_parser("verify", help="recheck an exported operator set")
-    p_verify.add_argument("export", help="JSON file produced by extract")
-    p_verify.add_argument("--against", choices=("direct-action", "standard-kraus"),
-                          default="direct-action", help="reference to compare with")
-    p_verify.add_argument("--count", type=int, default=None,
-                          help=f"number of random states, at most {MAX_VERIFY_COUNT} (default 100)")
-    add_common(p_verify)
-
-    p_sweep = sub.add_parser("sweep", help="tabulate diagnostics over a time grid")
-    add_channel(p_sweep, ("ad2",), skip=("t",))
-    p_sweep.add_argument("--t-min", type=float, default=None)
-    p_sweep.add_argument("--t-max", type=float, default=None)
-    p_sweep.add_argument("--steps", type=int, default=None, help=f"number of time points, 2 to {MAX_SWEEP_STEPS}")
-    p_sweep.add_argument("--cutoff", type=float, default=None)
-    p_sweep.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    add_common(p_sweep, seed=False)
+    sub.choices["verify"].add_argument("export", help="JSON file produced by extract")
     return parser
 
 
-# ---------------------------------------------------------------------------
-# option resolution
-
-_MISSING = object()
-
-
 def _load_config(path: str | None) -> dict:
-    if not path:
+    if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -239,81 +258,53 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _from_config(config: dict, name: str):
-    for key in (name, name.replace("_", "-")):
-        if key in config:
-            return config[key]
-    return _MISSING
-
-
-def _resolve(args, config: dict, name: str, default=_MISSING, cast=None):
-    """Flag > config > default; raises UsageError when required and absent,
-    null in the config, or of a value ``cast`` rejects.  A boolean is no
-    value of any option, and an integer option takes no fraction: int()
-    would read true as 1 and truncate 2.7 to 2."""
-    flag = f"--{name.replace('_', '-')}"
-    value = getattr(args, name, None)
-    if value is None and (value := _from_config(config, name)) is None:
+def _option(args, config: dict, name: str, default=_MISSING):
+    """Option ``name`` from its flag, else the config, else (tolerance only)
+    $SUMDIFF_TOLERANCE read as a float, else ``default`` or the table's
+    default, which is returned as it is.  A given value must be of the
+    option's JSON type, which no boolean is (int() would read true as 1),
+    nor a fraction for an int option (int() would truncate 2.7 to 2); a
+    whole float is read as an int, an int as a float.  It must pass the
+    option's rules and choices.  Raises UsageError, naming the option, if
+    it does not, is null in the config, or is required and absent."""
+    option, flag = OPTIONS[name], f"--{name.replace('_', '-')}"
+    value = getattr(args, name)
+    if value is None and (value := config.get(name, config.get(flag[2:], _MISSING))) is None:
         raise UsageError(f"config value of {flag} is null")
+    if value is _MISSING and name == "tolerance" and TOLERANCE_ENV in os.environ:
+        try:
+            value = float(os.environ[TOLERANCE_ENV])
+        except ValueError:
+            raise UsageError(f"bad value {os.environ[TOLERANCE_ENV]!r} for ${TOLERANCE_ENV}") from None
     if value is _MISSING:
-        if default is _MISSING:
+        if (value := option.default if default is _MISSING else default) is _MISSING:
             raise UsageError(f"missing required option {flag}")
-        value = default
-    if isinstance(value, bool) or (cast is int and isinstance(value, float) and not value.is_integer()):
+        return value
+    try:
+        if {type(value), option.type} == {int, float} and (option.type is float or value.is_integer()):
+            value = option.type(value)
+    except OverflowError:  # an integer past float stays an int, and fails below
+        pass
+    if type(value) is not option.type:
         raise UsageError(f"bad value {value!r} for {flag}")
-    try:
-        return cast(value) if cast is not None and value is not None else value
-    except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"bad value {value!r} for {flag}") from None
-
-
-def _resolve_tolerance(args, config: dict, fallback: float = DEFAULT_TOLERANCE) -> float:
-    """Tolerance precedence: flag > config > environment > fallback."""
-    value = getattr(args, "tolerance", None)
-    if value is None:
-        value = _from_config(config, "tolerance")
-    if value is _MISSING:
-        env = os.environ.get(TOLERANCE_ENV)
-        value = env if env is not None else fallback
-    if isinstance(value, bool):
-        raise UsageError(f"bad tolerance value {value!r}")
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"bad tolerance value {value!r}")
-    if not math.isfinite(value):
-        raise UsageError(f"tolerance must be finite, got {value}")
-    if value <= 0:
-        raise UsageError("tolerance must be positive")
+    for test, text in option.rules:
+        if not test(value):
+            raise UsageError(f"{flag} {text}, got {value!r}")
+    if option.choices is not None and value not in option.choices:
+        raise UsageError(f"{flag} must be one of {', '.join(option.choices)}, got {value!r}")
     return value
 
 
-def _resolve_cutoff(args, config: dict) -> float:
-    """Flag > config > default; a NaN or negative cutoff would keep zero-weight
-    operators, an infinite one every operator."""
-    value = _resolve(args, config, "cutoff", default=DEFAULT_CUTOFF, cast=float)
-    if not 0 <= value < math.inf:
-        raise UsageError(f"--cutoff must be a nonnegative number and finite, got {value}")
-    return value
-
-
-def _resolve_seed(args, config: dict, default):
-    """Flag > config > default; numpy's generators take no negative seed."""
-    value = _resolve(args, config, "seed", default=default, cast=int)
-    if value is not None and value < 0:
-        raise UsageError(f"--seed must be nonnegative, got {value}")
-    return value
-
-
-def _channel_params(args, config: dict, channel: str, skip=()) -> dict:
-    """The channel's parameters, flag > config; a flag of another channel is
-    an error, a config key of one is not, since a config may serve both."""
+def _channel_params(args, config: dict) -> dict:
+    """The parameters of ``args.channel`` that the command takes; a flag of
+    another channel is an error, a config key of one is not, since a config
+    may serve both."""
+    channel = args.channel
     for other, record in CHANNELS.items():
         given = [name for name in record.params if getattr(args, name, None) is not None]
         if other != channel and given:
             raise UsageError(f"--{given[0]} does not apply to channel {channel!r}")
-    return {name: _resolve(args, config, name, cast=float)
-            for name in CHANNELS[channel].params if name not in skip}
+    return {name: _option(args, config, name) for name in CHANNELS[channel].params if name in args}
 
 
 # ---------------------------------------------------------------------------
@@ -523,14 +514,9 @@ def _write_text(path: str | None, text: str) -> None:
 def cmd_extract(args) -> int:
     config = _load_config(args.config)
     channel = args.channel
-    params = _channel_params(args, config, channel)
-    strategy = _resolve(args, config, "partition", default=PARTITIONS[0], cast=str)
-    if strategy not in PARTITIONS:
-        raise UsageError(f"unknown partition strategy {strategy!r}")
-    tolerance = _resolve_tolerance(args, config)
-    cutoff = _resolve_cutoff(args, config)
-    seed = _resolve_seed(args, config, default=0)
-    out_path = _resolve(args, config, "out", default=None, cast=os.fspath)  # rejects any JSON value but a str
+    params = _channel_params(args, config)
+    strategy, tolerance, cutoff, seed, out_path = [
+        _option(args, config, name) for name in ("partition", "tolerance", "cutoff", "seed", "out")]
 
     b, ks = CHANNELS[channel].extract(params, strategy, cutoff)
     completeness = check_completeness(ks)
@@ -588,18 +574,13 @@ def cmd_verify(args) -> int:
     record = CHANNELS[channel]
     if sorted(params) != sorted(record.params):
         raise ExportError(f"export params {sorted(params)} do not fit channel {channel!r}")
-    # fall back to the tolerance the export was produced with
-    tolerance = _resolve_tolerance(args, config, fallback=stored_tolerance)
-    count = _resolve(args, config, "count", default=100, cast=int)
-    if count < 1:
-        raise UsageError("--count must be at least 1")
-    if count > MAX_VERIFY_COUNT:
-        raise UsageError(f"--count must be at most {MAX_VERIFY_COUNT}")
-    seed = _resolve_seed(args, config, default=None)
-    if seed is None:
-        if type(stored_seed) is not int or stored_seed < 0:
-            raise ExportError(f"export holds a bad seed {stored_seed!r}")
-        seed = stored_seed
+    # fall back to the tolerance and seed the export was produced with
+    tolerance = _option(args, config, "tolerance", default=stored_tolerance)
+    count = _option(args, config, "count")
+    seed = _option(args, config, "seed", default=stored_seed)
+    if type(seed) is not int or seed < 0:  # only the export's seed, taken unchecked, can fail this
+        raise ExportError(f"export holds a bad seed {seed!r}")
+    against = _option(args, config, "against")
 
     ks = _kraus_from_json(operators)
     try:
@@ -609,7 +590,7 @@ def cmd_verify(args) -> int:
     dim = math.isqrt(reference.shape[0])
     if ks.dim != dim:
         raise ExportError(f"export operators are {ks.dim} x {ks.dim}, channel {channel!r} acts on dimension {dim}")
-    if args.against == "standard-kraus":
+    if against == "standard-kraus":
         std = standard_kraus_from_choi(reference)
         action = lambda rho: apply_signed_kraus(rho, std)
     else:
@@ -626,7 +607,7 @@ def cmd_verify(args) -> int:
     checks = [
         ("completeness", completeness),
         ("reconstruction", reconstruction),
-        (f"action vs {args.against} ({count} states)", action_dev),
+        (f"action vs {against} ({count} states)", action_dev),
     ]
     ok = True
     for name, value in checks:
@@ -650,24 +631,11 @@ def _operator_checks(chois: np.ndarray, cutoff: float) -> tuple:
 
 def cmd_sweep(args) -> int:
     config = _load_config(args.config)
-    params = _channel_params(args, config, args.channel, skip=("t",))
-    t_min = _resolve(args, config, "t_min", cast=float)
-    t_max = _resolve(args, config, "t_max", cast=float)
-    steps = _resolve(args, config, "steps", cast=int)
-    tolerance = _resolve_tolerance(args, config)
-    cutoff = _resolve_cutoff(args, config)
-    out_path = _resolve(args, config, "out", default=None, cast=os.fspath)  # rejects any JSON value but a str
-    if steps < 2:
-        raise UsageError("--steps must be at least 2")
-    if steps > MAX_SWEEP_STEPS:
-        raise UsageError(f"--steps must be at most {MAX_SWEEP_STEPS}")
-    for flag, value in (("--t-min", t_min), ("--t-max", t_max)):
-        if not math.isfinite(value):
-            raise UsageError(f"{flag} must be finite, got {value}")
+    params = _channel_params(args, config)
+    t_min, t_max, steps, tolerance, cutoff, out_path = [
+        _option(args, config, name) for name in ("t_min", "t_max", "steps", "tolerance", "cutoff", "out")]
     if t_max < t_min:
         raise UsageError("--t-max must not be below --t-min")
-    if t_min < 0:
-        raise UsageError("--t-min must be nonnegative")
 
     base = Ad2Params(t=0.0, **params)
     # no field needs quoting, so joining with commas writes what csv.writer
@@ -704,15 +672,22 @@ def cmd_sweep(args) -> int:
     return 0 if worst <= tolerance else 2
 
 
+COMMANDS = {  # name -> (function, help, its options in the order of their flags)
+    "extract": (cmd_extract, "extract and export a signed operator set",
+                (*(name for record in CHANNELS.values() for name in record.params),
+                 "partition", "cutoff", "out", "tolerance", "seed")),
+    "verify": (cmd_verify, "recheck an exported operator set", ("against", "count", "tolerance", "seed")),
+    "sweep": (cmd_sweep, "tabulate diagnostics over a time grid",
+              (*(name for name in CHANNELS["ad2"].params if name != "t"),
+               "t_min", "t_max", "steps", "cutoff", "out", "tolerance")),
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "extract":
-            return cmd_extract(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        return cmd_sweep(args)
+        return COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

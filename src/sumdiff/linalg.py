@@ -348,12 +348,16 @@ def is_psd(h, tol: float, at=None) -> bool | np.ndarray:
         else:
             a.reshape(-1, k * k)[:, ::k + 1] += tol
             ok = np.ones(len(a), dtype=bool)
-            for j in range(k):
-                pivot = a[:, j, j].real
-                ok &= pivot > 0.0
-                if j + 1 < k:  # a failed block takes a zero column and stays as it is
-                    col = a[:, j + 1:, j] / np.sqrt(np.where(ok, pivot, np.inf))[:, None]
-                    a[:, j + 1:, j + 1:] -= col[:, :, None] * col.conj()[:, None, :]
+            # a pivot near a subnormal tol overflows the columns below it;
+            # that happens only in a block that is not PSD, whose later
+            # pivots come out inf - inf = NaN or -inf and fail
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j in range(k):
+                    pivot = a[:, j, j].real
+                    ok &= pivot > 0.0
+                    if j + 1 < k:  # a failed block takes a zero column and stays as it is
+                        col = a[:, j + 1:, j] / np.sqrt(np.where(ok, pivot, np.inf))[:, None]
+                        a[:, j + 1:, j + 1:] -= col[:, :, None] * col.conj()[:, None, :]
         flags &= ok.reshape(len(h), len(members)).all(axis=1)
     return bool(flags[0]) if single else flags
 

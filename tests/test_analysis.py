@@ -1,6 +1,7 @@
 """Tests for the derived sub-channels and entanglement diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -555,6 +556,19 @@ def test_ppt_flags_agree_with_the_eigenvalue_rule():
                 assert np.array_equal(flags[clear], (smallest >= -tol)[clear])
                 seen.update(flags.tolist())
     assert seen == {True, False}
+
+
+def test_ppt_flags_at_a_subnormal_tolerance_warn_nothing():
+    # a pivot of about tol overflowed the columns below it, with a numpy
+    # warning; only a block that is not PSD meets one, so the flags stood
+    ts = np.linspace(0.0, 3.0, 31)
+    chois = choi_2ad(ad2_coefficients(PROBE, ts))
+    for part, sub in ((None, lambda b: b), ("pdc", pdc_choi_from_choi)):
+        smallest = np.linalg.eigvalsh(partial_transpose(sub(chois), 4, 4))[:, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flags = is_ppt(chois, 4, 4, tol=5e-324, part=part)
+        assert np.array_equal(flags, smallest >= -5e-324)
 
 
 def _no_copy(*args, **kwargs):

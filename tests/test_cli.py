@@ -206,6 +206,16 @@ def test_config_that_is_not_utf8_is_io_error(tmp_path, capsys, command):
     assert "not UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["extract", "verify", "sweep"])
+def test_empty_config_path_is_io_error(tmp_path, capsys, command):
+    # an empty path was taken for no config at all
+    _, export = run_extract(tmp_path, "gad.json")
+    argv = {"extract": GAD_ARGS, "verify": [str(export)], "sweep": SWEEP_ARGS}[command]
+    capsys.readouterr()
+    assert main([command, *argv, "--config", ""]) == 3
+    assert "No such file or directory: ''" in capsys.readouterr().err
+
+
 def test_verify_wrong_format_marker_is_io_error(tmp_path):
     bad = tmp_path / "other.json"
     bad.write_text(json.dumps({"format": "something-else/9"}))
@@ -746,6 +756,10 @@ def test_every_channel_and_partition_extracts_and_verifies(tmp_path, channel, pa
     ("sweep", "--steps", {"steps": float("inf")}, "--steps"),
     ("sweep", None, {"cutoff": [1]}, "--cutoff"),
     ("extract", "--gamma", {"gamma": [1]}, "--gamma"),
+    ("extract", "--gamma", {"gamma": "1"}, "--gamma"),
+    ("sweep", "--steps", {"steps": "3"}, "--steps"),
+    ("extract", None, {"tolerance": "1e-10"}, "--tolerance"),
+    ("sweep", None, {"tolerance": None}, "config value of --tolerance is null"),
 ])
 def test_config_value_of_wrong_type_exits_one(tmp_path, capsys, command, dropped, config, flag):
     argv = list(SWEEP_ARGS if command == "sweep" else AD2_ARGS)
@@ -755,6 +769,21 @@ def test_config_value_of_wrong_type_exits_one(tmp_path, capsys, command, dropped
     conf.write_text(json.dumps(config))
     assert main([command, *argv, "--config", str(conf)]) == 1
     assert flag in capsys.readouterr().err
+
+
+def test_verify_reads_against_from_config(tmp_path, capsys):
+    # verify took --against only as a flag, though the config holds every long option
+    _, export = run_extract(tmp_path, "gad.json")
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"against": "standard-kraus"}))
+    capsys.readouterr()
+    assert main(["verify", str(export), "--config", str(conf)]) == 0
+    assert "action vs standard-kraus (100 states)" in capsys.readouterr().out
+    assert main(["verify", str(export), "--config", str(conf), "--against", "direct-action"]) == 0
+    assert "action vs direct-action (100 states)" in capsys.readouterr().out
+    conf.write_text(json.dumps({"against": "standard"}))
+    assert main(["verify", str(export), "--config", str(conf)]) == 1
+    assert "--against must be one of direct-action, standard-kraus, got 'standard'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["extract", "sweep"])

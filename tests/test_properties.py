@@ -7,6 +7,8 @@ import io
 import itertools
 import json
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -39,7 +41,7 @@ from sumdiff.choi import (
     partition_full,
     reconstruct_choi,
 )
-from sumdiff.cli import CHANNELS, _dumps, main
+from sumdiff.cli import CHANNELS, COMMANDS, MAX_SWEEP_STEPS, MAX_VERIFY_COUNT, OPTIONS, _dumps, main
 from sumdiff.linalg import (JacobiConvergenceError, dagger, eig_hermitian, eigvals_hermitian, is_psd, max_abs,
                             partial_transpose)
 
@@ -429,6 +431,87 @@ def test_verify_exit_codes_on_mutated_exports(fresh_exports, channel, mutation, 
     path.write_text(json.dumps(_mutate(copy.deepcopy(exports[channel]), mutation)))
     code = _quiet_main(["verify", str(path), "--against", against, "--count", "3"])
     assert code in (0, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# main over drawn flags, config files and $SUMDIFF_TOLERANCE
+
+_SWEEP_ARGS = ["--channel", "ad2", "--gamma", "1", "--gamma12", "0.3", "--omega12", "2", "--omega0", "10",
+               "--t-min", "0", "--t-max", "1", "--steps", "3"]
+_NUMBERS = st.one_of(st.integers(-3, 5), st.floats(-10.0, 10.0),
+                     st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, -5e-324, -0.0, 1e-10, 1e308, -1e308]))
+_OPTION_VALUES = st.one_of(  # numbers three times in four
+    _NUMBERS, _NUMBERS, _NUMBERS,
+    st.none() | st.booleans() | st.text(max_size=3) | st.lists(st.integers(0, 2), max_size=2)
+    | st.sampled_from([10**400, *OPTIONS["partition"].choices, *OPTIONS["against"].choices]),
+)
+# a call may ask for at most this many steps or states; only values past
+# a limit test it, as a call at the limit runs for minutes
+_SMALL_LIMITS = {"steps": (5, MAX_SWEEP_STEPS), "count": (5, MAX_VERIFY_COUNT)}
+
+
+def _option_value(name, value, folder, numbers, flag=False):
+    """``value`` for option ``name``, made safe to run: a steps or count of
+    more than 5 moves past its limit, and an output path, which a flag's
+    text always is, into ``folder``."""
+    if name in _SMALL_LIMITS:
+        small, limit = _SMALL_LIMITS[name]
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            if small < float(value) <= limit:
+                return type(value)(limit + 1)
+    if name == "out" and value != "" and (flag or isinstance(value, str)):
+        return str(folder / f"out-{next(numbers)}")
+    return value
+
+
+@st.composite
+def main_calls(draw):
+    """(command, channel, flags kept of a call that succeeds, drawn flags,
+    config or None, $SUMDIFF_TOLERANCE or None) of a call of main; the
+    drawn options are mostly the command's own."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    names = st.sampled_from([*COMMANDS[command][2] * 3, *OPTIONS, "t-min", "t-max"])
+    return (command, draw(st.sampled_from(["ad2", "gad"])), draw(st.sampled_from([None] * 4 + [0, 1, 2, 3, 5])),
+            draw(st.lists(st.tuples(names, _OPTION_VALUES), max_size=2)),
+            draw(st.none() | st.dictionaries(names, _OPTION_VALUES, max_size=2)),
+            draw(st.sampled_from([None] * 5 + ["nan", "-inf", "0", "-1e-10", "5e-324", "1e-30", "x", ""])))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(call=main_calls())
+@example(call=("extract", "ad2", None, [("tolerance", 5e-324)], None, None))
+@example(call=("sweep", "ad2", None, [("tolerance", 5e-324)], None, None))
+@example(call=("sweep", "ad2", None, [], None, "5e-324"))
+@example(call=("verify", "gad", None, [("count", 3)], {"against": "standard-kraus"}, None))
+@example(call=("sweep", "ad2", None, [], {"tolerance": 10**400}, None))  # float() raised OverflowError out of main
+def test_main_exits_with_a_code_and_no_warning(fresh_exports, call):
+    command, channel, keep, flags, config, env = call
+    folder, _, numbers = fresh_exports
+    base = {"extract": _EXPORT_ARGS[channel], "verify": [str(folder / f"{channel}.json")], "sweep": _SWEEP_ARGS}[command]
+    argv = [command, *base[:None if keep is None else 2 * keep]]
+    for name, value in flags:
+        value = _option_value(name, value, folder, numbers, flag=True)
+        argv.append(f"--{name.replace('_', '-')}={value if isinstance(value, str) else repr(value)}")
+    if config is not None:
+        path = folder / f"config-{next(numbers)}.json"
+        path.write_text(json.dumps({key: _option_value(key, value, folder, numbers) for key, value in config.items()}))
+        argv += ["--config", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    saved = os.environ.pop("SUMDIFF_TOLERANCE", None)
+    try:
+        if env is not None:
+            os.environ["SUMDIFF_TOLERANCE"] = env
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+    finally:
+        os.environ.pop("SUMDIFF_TOLERANCE", None)
+        if saved is not None:
+            os.environ["SUMDIFF_TOLERANCE"] = saved
+    assert code in (0, 1, 2, 3)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (argv, caught)
+    assert "Warning" not in err.getvalue()
 
 
 # ---------------------------------------------------------------------------
