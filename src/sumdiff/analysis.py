@@ -429,12 +429,12 @@ def pdc_entanglement_trace(params: Ad2Params, t_max: float, steps: int = 50) -> 
     """Concurrence decay of the effective pair state under the phase-damping
     sub-channel, sampled at ``steps`` times from 0 to ``t_max`` inclusive.
 
-    Returns an array of (t, concurrence) rows.
+    Returns an array of (t, concurrence) rows.  The coefficients are
+    evaluated at all times at once, each bitwise its scalar value.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     ts = np.linspace(0.0, float(t_max), int(steps))
-    states = np.stack([pdc_effective_state(ad2_coefficients(params.at(float(t)))) for t in ts])
-    return np.column_stack((ts, concurrence(states)))
+    return np.column_stack((ts, concurrence(pdc_effective_state(ad2_coefficients(params, ts)))))

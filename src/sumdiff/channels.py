@@ -36,6 +36,7 @@ __all__ = [
     "gad_split_kraus",
     "gad_split_report",
     "random_density_matrix",
+    "reconstruct_choi_stack",
 ]
 
 
@@ -49,6 +50,11 @@ class SignedKrausSet:
 
     Action: rho' = sum_i K+_i rho K+_i^dag - sum_k K-_k rho K-_k^dag.
     A plain Kraus set is the special case with an empty negative list.
+
+    Every set is built through ``of_stack``, which copies its operators into
+    one read-only (count, d, d) stack and computes the set's Choi matrix
+    (which ``choi.reconstruct_choi`` returns) and superoperator from it once;
+    ``positive`` and ``negative`` are views of that stack.
     """
 
     positive: tuple
@@ -57,23 +63,45 @@ class SignedKrausSet:
     negative_labels: tuple = ()
 
     def __post_init__(self):
-        pos, neg = tuple(self.positive), tuple(self.negative)
-        if not pos:
+        pos = tuple(self.positive)
+        self._keep(pos + tuple(self.negative), len(pos), self.positive_labels, self.negative_labels)
+
+    @classmethod
+    def of_stack(cls, ops, positive_count: int, positive_labels=(), negative_labels=()) -> "SignedKrausSet":
+        """The set of the operators ``ops`` (count, d, d), of which the first
+        ``positive_count`` are positive and the rest negative; labels default
+        to ``+i`` and ``-i``.  ValueError if there is no positive operator,
+        if the operators are not square of one dimension, or if a label
+        count does not match its operator count."""
+        ks = object.__new__(cls)
+        ks._keep(ops, positive_count, positive_labels, negative_labels)
+        return ks
+
+    def _keep(self, ops, npos: int, positive_labels, negative_labels) -> None:
+        if not npos:
             raise ValueError("at least one positive operator is required")
-        ops = np.asarray(pos + neg, dtype=complex)  # ValueError for operators of two shapes
+        ops = np.array(ops, dtype=complex)  # ValueError for operators of two shapes
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
             raise ValueError("all operators must be square with a common dimension")
-        plab = tuple(self.positive_labels) or tuple(f"+{i}" for i in range(len(pos)))
-        nlab = tuple(self.negative_labels) or tuple(f"-{i}" for i in range(len(neg)))
-        if len(plab) != len(pos) or len(nlab) != len(neg):
+        nneg = len(ops) - npos
+        plab = tuple(positive_labels) or tuple(f"+{i}" for i in range(npos))
+        nlab = tuple(negative_labels) or tuple(f"-{i}" for i in range(nneg))
+        if len(plab) != npos or len(nlab) != nneg:
             raise ValueError("label count must match operator count")
-        signs = np.array([1] * len(pos) + [-1] * len(neg))
-        ops.flags.writeable = signs.flags.writeable = False
-        object.__setattr__(self, "positive", tuple(ops[:len(pos)]))
-        object.__setattr__(self, "negative", tuple(ops[len(pos):]))
+        signs = np.repeat([1, -1], (npos, nneg))[None]
+        ops.flags.writeable = signs.flags.writeable = False  # before any view is taken, which would stay writeable
+        stacked = (ops[None], signs)
+        d = ops.shape[1]
+        choi = reconstruct_choi_stack(*stacked)[0]
+        superop = choi.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
+        choi.flags.writeable = superop.flags.writeable = False
+        object.__setattr__(self, "positive", tuple(ops[:npos]))
+        object.__setattr__(self, "negative", tuple(ops[npos:]))
         object.__setattr__(self, "positive_labels", plab)
         object.__setattr__(self, "negative_labels", nlab)
-        object.__setattr__(self, "_stacked", (ops[None], signs[None]))
+        object.__setattr__(self, "_stacked", stacked)
+        object.__setattr__(self, "_choi", choi)
+        object.__setattr__(self, "_superoperator", superop)
 
     @property
     def dim(self) -> int:
@@ -90,15 +118,15 @@ class SignedKrausSet:
         return self._stacked
 
     def superoperator(self) -> np.ndarray:
-        """The d^2 x d^2 matrix S = sum_k s_k conj(K_k) (x) K_k of the map in the
-        ``unfold`` (column-stacking) convention: unfold(E(rho)) = S unfold(rho).
+        """The read-only d^2 x d^2 matrix S = sum_k s_k conj(K_k) (x) K_k of
+        the map in the ``unfold`` (column-stacking) convention: unfold(E(rho))
+        = S unfold(rho).
 
-        S is a reshuffle of the Choi matrix (Wood, Biamonte & Cory 2015):
-        S[(a, b), (k, j)] = B[(j, b), (k, a)].
+        S is a reshuffle of the set's Choi matrix (Wood, Biamonte & Cory
+        2015), S[(a, b), (k, j)] = B[(j, b), (k, a)], taken once when the set
+        is built.
         """
-        ops, signs = self.stacked()
-        d = self.dim
-        return np.einsum("k,kac,kbe->abce", signs[0], ops[0].conj(), ops[0]).reshape(d * d, d * d)
+        return self._superoperator
 
 
 def apply_signed_kraus(rho, ks: SignedKrausSet) -> np.ndarray:
@@ -116,6 +144,21 @@ def apply_signed_kraus(rho, ks: SignedKrausSet) -> np.ndarray:
     vecs = rho.swapaxes(-1, -2).reshape(-1, 1, d * d)  # unfold(rho_n) as a row
     out = vecs @ ks.superoperator().T
     return out.reshape(rho.shape).swapaxes(-1, -2)
+
+
+def reconstruct_choi_stack(ops, signs) -> np.ndarray:
+    """Rebuild sum_k signs_k |unfold(K_k)><unfold(K_k)| for each row of a stack.
+
+    ``ops`` has shape (m, k, d, d) and ``signs`` shape (m, k); a sign of 0
+    leaves its operator out.  Returns (m, d^2, d^2), one batched product of
+    the (m, d^2, k) and (m, k, d^2) matrices of unfolded operators.
+    """
+    ops = np.asarray(ops, dtype=complex)
+    m, k, d, _ = ops.shape
+    vecs = ops.swapaxes(-1, -2).reshape(m, k, d * d)  # row k is unfold(K_k)
+    weighted = vecs.conj()
+    weighted *= signs[:, :, None]
+    return vecs.swapaxes(-1, -2) @ weighted
 
 
 def completeness_residuals(ops, signs) -> np.ndarray:
@@ -151,13 +194,15 @@ def random_density_matrix(dim: int, rng: np.random.Generator, count: int | None 
 
     With ``count`` given, returns a stack (count, dim, dim) drawn as ``count``
     successive single calls would draw it: each state takes the real and then
-    the imaginary part of its G from the generator.
+    the imaginary part of its G from the generator.  Each state is scaled by
+    1 / Re Tr(G G^dag) as floats: the trace is real but for rounding dust,
+    which a complex division would carry into the state's last bits.
     """
     parts = rng.standard_normal((1 if count is None else count, 2, dim, dim))
     g = parts[:, 0] + 1j * parts[:, 1]
     rho = g @ dagger(g)
-    flat = rho.reshape(len(rho), dim * dim)  # a view: the same division, bitwise, over one broadcast axis fewer
-    flat /= np.trace(rho, axis1=-2, axis2=-1)[:, None]
+    flat = rho.view(float).reshape(len(rho), 2 * dim * dim)  # a view of the real and imaginary parts
+    flat *= 1.0 / np.trace(rho, axis1=-2, axis2=-1).real[:, None]
     return rho[0] if count is None else rho
 
 
@@ -270,14 +315,9 @@ def gad_split_report(p: float, lam: float) -> dict:
     the operators rebuild twice the intended part) plus the action deviation
     of the verbatim signed set from the true channel.
     """
-    from .choi import reconstruct_choi  # local import to avoid a cycle
-
     plus, minus = gad_split_choi(p, lam)
     ks = gad_split_kraus(p, lam)
-    neg_only = SignedKrausSet(ks.negative, positive_labels=ks.negative_labels)
-    pos_only = SignedKrausSet(ks.positive, positive_labels=ks.positive_labels)
-    recon_neg = reconstruct_choi(neg_only)
-    recon_pos = reconstruct_choi(pos_only)
+    recon_neg, recon_pos = (SignedKrausSet(ops)._choi for ops in (ks.negative, ks.positive))
 
     corner = np.abs(minus) > 1e-14
     neg_ratios = (recon_neg[corner] / minus[corner]).real
@@ -408,20 +448,29 @@ def ad2_coefficients(params: Ad2Params, t=None) -> Ad2Coefficients:
             t = float(t[np.isfinite(np.multiply.outer(freqs, t)).all(axis=0).argmin()])
         raise ValueError(f"the coefficients are not finite at {params.at(t)}")
 
+    # A to H take the rates only through their products with t and their
+    # ratios.  The ratios are taken of the rates scaled by 2^-k, k the
+    # exponent of gamma, so that neither 2 gamma (gamma near the largest
+    # float) nor 2 / gm (gm subnormal) overflows; -2 gamma t is taken as
+    # -2 (gamma t).  Doubling and a power of two scale exactly, so elsewhere
+    # this changes no value.
+    k = math.frexp(gamma)[1]
+    g2_s, gp_s, gm_s = math.ldexp(gamma, 1 - k), math.ldexp(gp, -k), math.ldexp(gm, -k)
+    neg_2gt = -2.0 * (gamma * t)
     # 1 - exp(-x) via expm1 keeps the trace identities tight near t = 0
     f_p = -expm1(-gp * t)
     f_m = -expm1(-gm * t)
-    a = exp(-2.0 * gamma * t)
+    a = exp(neg_2gt)
     b = exp(-gp * t)
-    c = (gp / gm) * f_m * b
+    c = (gp_s / gm_s) * f_m * b
     d = exp(-gm * t)
-    e = (gm / gp) * f_p * d
+    e = (gm_s / gp_s) * f_p * d
     # The second term of H is (gm/gp) (f_m - (gm/2gamma)(1 - a)), rewritten
     # with gm + gp = 2 gamma so that nothing cancels as gp -> 0; gp > 0
     # because Ad2Params keeps |gamma12| < gamma, so f_p / gp needs no limit
     # at gp = 0.  d f_p equals a expm1(gp t) but cannot overflow at large t.
-    h = (gp / (2.0 * gamma)) * (1.0 - (2.0 / gm) * ((gp / 2.0) * f_m + gm / 2.0) * b) + gm * (
-        -d * f_p / gp - expm1(-2.0 * gamma * t) / (2.0 * gamma)
+    h = (gp_s / g2_s) * (1.0 - (2.0 / gm_s) * ((gp_s / 2.0) * f_m + gm_s / 2.0) * b) + gm_s * (
+        -d * f_p / gp_s - expm1(neg_2gt) / g2_s
     )
 
     def osc(freq: float, rate: float):

@@ -22,7 +22,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .channels import Ad2Coefficients, SignedKrausSet
+# reconstruct_choi_stack is defined in channels, which builds each set's Choi
+# matrix with it; it stays importable from here
+from .channels import Ad2Coefficients, SignedKrausSet, reconstruct_choi_stack  # noqa: F401
 from .linalg import (
     dagger,
     eig_hermitian,
@@ -51,7 +53,6 @@ __all__ = [
     "partition_from_masks",
     "partition_full",
     "reconstruct_choi",
-    "reconstruct_choi_stack",
     "standard_kraus_from_choi",
     "trace_preservation_residual",
 ]
@@ -450,27 +451,14 @@ def extract_signed_kraus(partition: HermitianPartition, cutoff: float = 1e-12,
         keep = [plab.index(name) for name in relabel if name in plab]
         keep += [i for i, name in enumerate(plab) if name not in relabel]
         pos, plab = pos[keep], [relabel.get(plab[i], plab[i]) for i in keep]
-    return SignedKrausSet(tuple(ops[pos]), tuple(ops[neg]), tuple(plab), tuple(names[k] for k in order[neg]))
-
-
-def reconstruct_choi_stack(ops, signs) -> np.ndarray:
-    """Rebuild sum_k signs_k |unfold(K_k)><unfold(K_k)| for each row of a stack.
-
-    ``ops`` has shape (m, k, d, d) and ``signs`` shape (m, k); a sign of 0
-    leaves its operator out.  Returns (m, d^2, d^2), one batched product of
-    the (m, d^2, k) and (m, k, d^2) matrices of unfolded operators.
-    """
-    ops = np.asarray(ops, dtype=complex)
-    m, k, d, _ = ops.shape
-    vecs = ops.swapaxes(-1, -2).reshape(m, k, d * d)  # row k is unfold(K_k)
-    weighted = vecs.conj()
-    weighted *= signs[:, :, None]
-    return vecs.swapaxes(-1, -2) @ weighted
+    return SignedKrausSet.of_stack(ops[np.concatenate([pos, neg])], len(pos), plab, [names[k] for k in order[neg]])
 
 
 def reconstruct_choi(ks: SignedKrausSet) -> np.ndarray:
-    """Rebuild sum |unfold(K+)><unfold(K+)| - sum |unfold(K-)><unfold(K-)|."""
-    return reconstruct_choi_stack(*ks.stacked())[0]
+    """Rebuild sum |unfold(K+)><unfold(K+)| - sum |unfold(K-)><unfold(K-)|:
+    the read-only Choi matrix the set computed once when it was built,
+    bitwise ``reconstruct_choi_stack(*ks.stacked())[0]``."""
+    return ks._choi
 
 
 def standard_kraus_from_choi(b, cutoff: float = 1e-12, jacobi_tol: float = 1e-13) -> SignedKrausSet:

@@ -469,6 +469,18 @@ def test_entanglement_trace_positive_and_decaying():
     assert vals[-1] < 1e-8
 
 
+@pytest.mark.parametrize("params, t_max, steps", [
+    (PROBE, 50.0, 26),
+    (Ad2Params(2.5, -2.4999, -3.0, 7.0, 0.0), 9.0, 40),  # gamma12 near -gamma
+    (Ad2Params(1.0, 0.99999999, 0.0, 10.0, 0.0), 800.0, 33),
+])
+def test_entanglement_trace_is_the_per_time_loop_bitwise(params, t_max, steps):
+    ts = np.linspace(0.0, t_max, steps)
+    states = np.stack([pdc_effective_state(ad2_coefficients(params.at(float(t)))) for t in ts])
+    want = np.column_stack((ts, concurrence(states)))
+    assert pdc_entanglement_trace(params, t_max=t_max, steps=steps).tobytes() == want.tobytes()
+
+
 def test_entanglement_trace_rejects_bad_steps():
     with pytest.raises(ValueError):
         pdc_entanglement_trace(PROBE, t_max=1.0, steps=1)

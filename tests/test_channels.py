@@ -103,14 +103,15 @@ def test_random_density_matrix_stack_is_successive_single_draws(dim, count):
 @pytest.mark.parametrize("dim", [2, 4])
 @pytest.mark.parametrize("count", [None, 1, 250])
 def test_random_density_matrix_normalises_as_the_per_matrix_division(dim, count):
-    # the states are divided by their traces through a (count, dim * dim)
-    # view; it must give the bits of dividing the (count, dim, dim) stack
+    # the states are scaled by 1 / Re Tr through a (count, 2 * dim * dim)
+    # float view; it must give the bits of scaling the (count, dim, 2 * dim)
+    # float view of the stack
     for seed in range(20):
         rng = np.random.default_rng(seed)
         parts = rng.standard_normal((1 if count is None else count, 2, dim, dim))
         g = parts[:, 0] + 1j * parts[:, 1]
         rho = g @ g.conj().swapaxes(-1, -2)
-        rho /= np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
+        rho.view(float)[...] *= 1.0 / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
         got = random_density_matrix(dim, np.random.default_rng(seed), count=count)
         want = rho[0] if count is None else rho
         assert got.shape == want.shape

@@ -144,6 +144,18 @@ def test_export_text_is_the_indenting_json_encoders(tmp_path, args, partition, c
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("partition", PARTITIONS)
+@pytest.mark.parametrize("args", EXPORT_GRID_ARGS, ids=lambda args: "-".join(args[1::2]))
+def test_export_text_is_the_indenting_json_encoders_from_cold_caches(tmp_path, args, partition):
+    # the test above mostly finds its templates and matrix layouts cached
+    cli_module._template.cache_clear()
+    cli_module._matrix_layout.cache_clear()
+    code, out = run_extract(tmp_path, "e.json", args=args, extra=["--partition", partition, "--cutoff", "1e-12"])
+    assert code == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 def test_verify_fresh_export_passes(tmp_path, capsys):
     _, out = run_extract(tmp_path, "gad_v.json")
     code = main(["verify", str(out)])
@@ -659,6 +671,23 @@ def test_extract_and_sweep_at_tiny_rates(tmp_path, gamma, omega12):
         co = ad2_coefficients(Ad2Params(float(gamma), 0.0, float(omega12), 1.0, t))
         assert abs(co.A + co.C + co.E + co.H - 1.0) <= 1e-14
         assert all(np.isfinite(getattr(co, name)) for name in "RSUV")
+
+
+@pytest.mark.parametrize("gamma", ["9e307", "1e308", "1e-310", "5e-324"])
+def test_extract_at_the_ends_of_the_float_range(tmp_path, gamma):
+    # 2 gamma overflowed above about 8.99e307 (completeness 1.0, exit 2), and
+    # 2 / (gamma - gamma12) for a subnormal gamma (exit 1)
+    args = ["--channel", "ad2", "--gamma", gamma, "--gamma12", "0", "--omega12", "2", "--omega0", "10"]
+    code, out = run_extract(tmp_path, "edge.json", args=[*args, "--t", "0.7"])
+    assert code == 0
+    assert main(["verify", str(out)]) == 0
+    # the channel is the one at rates scaled by 2^-k and time by 2^k, which
+    # are exact and keep every parameter normal
+    k = 80 if float(gamma) > 1.0 else -80
+    scaled = Ad2Params(math.ldexp(float(gamma), -k), 0.0, math.ldexp(2.0, -k), math.ldexp(10.0, -k),
+                       math.ldexp(0.7, k))
+    ks = _kraus_from_json(json.loads(out.read_text())["operators"])
+    assert max_abs(reconstruct_choi(ks) - choi_2ad(ad2_coefficients(scaled))) <= 1e-14
 
 
 def test_verify_action_deviation_does_not_depend_on_block_size(tmp_path, capsys, monkeypatch):

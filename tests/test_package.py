@@ -62,3 +62,15 @@ def test_package_never_calls_eig_rank2_pair():
                  if isinstance(node, ast.Call)
                  and "eig_rank2_pair" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
     assert offenders == []
+
+
+def test_channels_imports_nothing_from_choi():
+    # choi builds on channels (SignedKrausSet, reconstruct_choi_stack); an
+    # import the other way, even a local one, would make a cycle
+    import ast
+    import pathlib
+    tree = ast.parse(pathlib.Path(channels.__file__).read_text(encoding="utf-8"))
+    imported = [(node.lineno, f"{node.module or ''}.{alias.name}" if isinstance(node, ast.ImportFrom) else alias.name)
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert imported
+    assert [f"channels.py:{n} {name}" for n, name in imported if "choi" in name.split(".")] == []

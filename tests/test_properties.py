@@ -41,7 +41,8 @@ from sumdiff.choi import (
     partition_full,
     reconstruct_choi,
 )
-from sumdiff.cli import CHANNELS, COMMANDS, MAX_SWEEP_STEPS, MAX_VERIFY_COUNT, OPTIONS, _dumps, main
+from sumdiff.cli import (CHANNELS, COMMANDS, MAX_SWEEP_STEPS, MAX_VERIFY_COUNT, OPTIONS, _dumps, _kraus_from_json,
+                         _kraus_json, main)
 from sumdiff.linalg import (JacobiConvergenceError, dagger, eig_hermitian, eigvals_hermitian, is_psd, max_abs,
                             partial_transpose)
 
@@ -174,6 +175,31 @@ def test_stacked_apply_matches_operator_loop(ks, count, seed):
     choi = reconstruct_choi(ks).reshape(d, d, d, d)
     reshuffled = choi.transpose(3, 1, 2, 0).reshape(d * d, d * d)
     assert max_abs(ks.superoperator() - reshuffled) <= 1e-14 * max_abs(reshuffled)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(ks=signed_sets())
+def test_set_holds_one_stack_and_its_choi_matrix(ks):
+    d = ks.dim
+    ops, signs = ks.stacked()
+    choi, superop = reconstruct_choi(ks), ks.superoperator()
+    # the superoperator is bitwise the reshuffled Choi matrix, S[(a, b), (k, j)] = B[(j, b), (k, a)]
+    assert superop.tobytes() == choi.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d).tobytes()
+    # and the sum of conj(K) (x) K it stands for
+    oracle = np.einsum("k,kac,kbe->abce", signs[0], ops[0].conj(), ops[0]).reshape(d * d, d * d)
+    assert max_abs(superop - oracle) <= 1e-14 * max_abs(superop)
+    for cached in (ops, signs, choi, superop, ks.positive[0]):
+        with pytest.raises(ValueError):
+            cached[(0,) * cached.ndim] = 0
+    # an export read back gives the set built from the operators as tuples
+    read = _kraus_from_json(json.loads(_dumps(_kraus_json(ks))))
+    built = SignedKrausSet(tuple(ks.positive), tuple(ks.negative), ks.positive_labels, ks.negative_labels)
+    for other in (read, built):
+        assert (other.positive_labels, other.negative_labels) == (ks.positive_labels, ks.negative_labels)
+        assert other.stacked()[0].tobytes() == ops.tobytes()
+        assert other.stacked()[1].tobytes() == signs.tobytes()
+        assert reconstruct_choi(other).tobytes() == choi.tobytes()
+        assert other.superoperator().tobytes() == superop.tobytes()
 
 
 # ---------------------------------------------------------------------------
