@@ -13,6 +13,7 @@ excitations, 3 the ground state.  Equivalently (e, s, a, g) <-> (0, 1, 2, 3).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,9 +53,10 @@ class SignedKrausSet:
     A plain Kraus set is the special case with an empty negative list.
 
     Every set is built through ``of_stack``, which copies its operators into
-    one read-only (count, d, d) stack and computes the set's Choi matrix
-    (which ``choi.reconstruct_choi`` returns) and superoperator from it once;
-    ``positive`` and ``negative`` are views of that stack.
+    one read-only (count, d, d) stack; ``positive`` and ``negative`` are
+    views of that stack.  The set's Choi matrix (which
+    ``choi.reconstruct_choi`` returns) and its superoperator are computed
+    from the stack once, when first asked for, and kept read-only.
     """
 
     positive: tuple
@@ -90,18 +92,25 @@ class SignedKrausSet:
             raise ValueError("label count must match operator count")
         signs = np.repeat([1, -1], (npos, nneg))[None]
         ops.flags.writeable = signs.flags.writeable = False  # before any view is taken, which would stay writeable
-        stacked = (ops[None], signs)
-        d = ops.shape[1]
-        choi = reconstruct_choi_stack(*stacked)[0]
-        superop = choi.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
-        choi.flags.writeable = superop.flags.writeable = False
         object.__setattr__(self, "positive", tuple(ops[:npos]))
         object.__setattr__(self, "negative", tuple(ops[npos:]))
         object.__setattr__(self, "positive_labels", plab)
         object.__setattr__(self, "negative_labels", nlab)
-        object.__setattr__(self, "_stacked", stacked)
-        object.__setattr__(self, "_choi", choi)
-        object.__setattr__(self, "_superoperator", superop)
+        object.__setattr__(self, "_stacked", (ops[None], signs))
+
+    # cached_property writes the instance's __dict__, not through the frozen __setattr__
+    @functools.cached_property
+    def _choi(self) -> np.ndarray:
+        choi = reconstruct_choi_stack(*self._stacked)[0]
+        choi.flags.writeable = False
+        return choi
+
+    @functools.cached_property
+    def _superoperator(self) -> np.ndarray:
+        d = self.dim
+        superop = self._choi.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
+        superop.flags.writeable = False
+        return superop
 
     @property
     def dim(self) -> int:
@@ -123,8 +132,8 @@ class SignedKrausSet:
         = S unfold(rho).
 
         S is a reshuffle of the set's Choi matrix (Wood, Biamonte & Cory
-        2015), S[(a, b), (k, j)] = B[(j, b), (k, a)], taken once when the set
-        is built.
+        2015), S[(a, b), (k, j)] = B[(j, b), (k, a)], taken once, on the
+        first call.
         """
         return self._superoperator
 
@@ -455,22 +464,22 @@ def ad2_coefficients(params: Ad2Params, t=None) -> Ad2Coefficients:
     # -2 (gamma t).  Doubling and a power of two scale exactly, so elsewhere
     # this changes no value.
     k = math.frexp(gamma)[1]
-    g2_s, gp_s, gm_s = math.ldexp(gamma, 1 - k), math.ldexp(gp, -k), math.ldexp(gm, -k)
+    g2_k, gp_k, gm_k = math.ldexp(gamma, 1 - k), math.ldexp(gp, -k), math.ldexp(gm, -k)
     neg_2gt = -2.0 * (gamma * t)
     # 1 - exp(-x) via expm1 keeps the trace identities tight near t = 0
     f_p = -expm1(-gp * t)
     f_m = -expm1(-gm * t)
     a = exp(neg_2gt)
     b = exp(-gp * t)
-    c = (gp_s / gm_s) * f_m * b
+    c = (gp_k / gm_k) * f_m * b
     d = exp(-gm * t)
-    e = (gm_s / gp_s) * f_p * d
+    e = (gm_k / gp_k) * f_p * d
     # The second term of H is (gm/gp) (f_m - (gm/2gamma)(1 - a)), rewritten
     # with gm + gp = 2 gamma so that nothing cancels as gp -> 0; gp > 0
     # because Ad2Params keeps |gamma12| < gamma, so f_p / gp needs no limit
     # at gp = 0.  d f_p equals a expm1(gp t) but cannot overflow at large t.
-    h = (gp_s / g2_s) * (1.0 - (2.0 / gm_s) * ((gp_s / 2.0) * f_m + gm_s / 2.0) * b) + gm_s * (
-        -d * f_p / gp_s - expm1(neg_2gt) / g2_s
+    h = (gp_k / g2_k) * (1.0 - (2.0 / gm_k) * ((gp_k / 2.0) * f_m + gm_k / 2.0) * b) + gm_k * (
+        -d * f_p / gp_k - expm1(neg_2gt) / g2_k
     )
 
     def osc(freq: float, rate: float):

@@ -456,7 +456,7 @@ def extract_signed_kraus(partition: HermitianPartition, cutoff: float = 1e-12,
 
 def reconstruct_choi(ks: SignedKrausSet) -> np.ndarray:
     """Rebuild sum |unfold(K+)><unfold(K+)| - sum |unfold(K-)><unfold(K-)|:
-    the read-only Choi matrix the set computed once when it was built,
+    the read-only Choi matrix the set computes once, on the first call,
     bitwise ``reconstruct_choi_stack(*ks.stacked())[0]``."""
     return ks._choi
 

@@ -352,60 +352,35 @@ def _walk(values, key: list, scalars: list, arrays: list) -> None:
             raise TypeError
 
 
-def _skeleton(tokens, kinds: list):
+def _skeleton(tokens, floats: list):
     """The structure ``tokens`` yields, with the marker for each string,
-    number and matrix; ``kinds`` gets each marker's token, "" for a string
-    or number and the shape for a matrix."""
+    number and matrix float; ``floats`` gets whether each marker is a float."""
     token = next(tokens)
     if type(token) is int:
-        return [_skeleton(tokens, kinds) for _ in range(token)]
+        return [_skeleton(tokens, floats) for _ in range(token)]
     if type(token) is tuple and not (token and type(token[0]) is int):
-        return {name: _skeleton(tokens, kinds) for name in token}
+        return {name: _skeleton(tokens, floats) for name in token}
     if token in _LITERALS.values():
         return json.loads(token)
-    kinds.append(token)
-    return _MARK
-
-
-@functools.lru_cache(maxsize=32)
-def _matrix_layout(shape: tuple, indent: int) -> tuple:
-    """The text json.dumps(indent=2) writes between the floats of a matrix
-    of ``shape`` (a nested list ending in pairs) that starts on a line
-    indented by ``indent`` spaces, interned."""
-    nested = functools.reduce(lambda value, size: [value] * size, reversed(shape), _MARK)
-    text = json.dumps(nested, indent=2).replace("\n", "\n" + " " * indent)
-    return tuple(map(sys.intern, text.split(json.dumps(_MARK))))
+    floats += [True] * math.prod(token) if token else [False]
+    return functools.reduce(lambda value, size: [value] * size, reversed(token), _MARK)  # a shape, or ""
 
 
 # An export's structure changes with its partition, operator count, labels and point
-# channel; 30,000 calls of the benchmark's extract stream made 50
+# channel; 30,000 calls of the benchmark's extract stream made 50, and a miss takes 1.4 ms
 @functools.lru_cache(maxsize=64)
 def _template(key: tuple):
     """The text json.dumps(indent=2, sort_keys=True) writes between the values
     of the structure ``key``, interned, so that templates share what their
     matrices have in common; the indices of the slots that take a string or
     number, and the mask of those that take a matrix float.  None if a key
-    of the structure reads as the marker.  The indenting encoder lays out
-    the structure with one marker per matrix, and each matrix is then laid
-    out once per shape and indent."""
-    kinds = []
-    parts = json.dumps(_skeleton(iter(key), kinds), indent=2, sort_keys=True).split(json.dumps(_MARK))
-    if len(parts) != len(kinds) + 1:
-        return None
-    pieces, floats = [parts[0]], []
-    for kind, part in zip(kinds, parts[1:]):
-        if kind:  # a matrix, at the indent of the line its marker is on
-            line = pieces[-1].rpartition("\n")[2]
-            layout = _matrix_layout(kind, len(line) - len(line.lstrip(" ")))
-            pieces[-1] += layout[0]
-            pieces += layout[1:]
-            pieces[-1] += part
-            floats += [True] * (len(layout) - 1)
-        else:
-            pieces.append(part)
-            floats.append(False)
+    of the structure reads as the marker."""
+    floats = []
+    parts = json.dumps(_skeleton(iter(key), floats), indent=2, sort_keys=True).split(json.dumps(_MARK))
     floats = np.array(floats, dtype=bool)
-    return tuple(map(sys.intern, pieces)), np.flatnonzero(~floats), floats
+    if len(parts) != len(floats) + 1:
+        return None
+    return tuple(map(sys.intern, parts)), np.flatnonzero(~floats), floats
 
 
 def _dumps(payload) -> str:

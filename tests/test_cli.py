@@ -147,9 +147,8 @@ def test_export_text_is_the_indenting_json_encoders(tmp_path, args, partition, c
 @pytest.mark.parametrize("partition", PARTITIONS)
 @pytest.mark.parametrize("args", EXPORT_GRID_ARGS, ids=lambda args: "-".join(args[1::2]))
 def test_export_text_is_the_indenting_json_encoders_from_cold_caches(tmp_path, args, partition):
-    # the test above mostly finds its templates and matrix layouts cached
+    # the test above mostly finds its templates cached
     cli_module._template.cache_clear()
-    cli_module._matrix_layout.cache_clear()
     code, out = run_extract(tmp_path, "e.json", args=args, extra=["--partition", partition, "--cutoff", "1e-12"])
     assert code == 0
     text = out.read_text()
@@ -636,6 +635,25 @@ def test_verify_operator_dimension_must_fit_the_channel(tmp_path, capsys, channe
     err = capsys.readouterr().err
     assert all(text in err for text in dims)
 
+
+
+def test_verify_refuses_a_large_operator_of_the_wrong_dimension_before_any_choi_work(tmp_path, capsys):
+    # a d x d operator has a d^2 x d^2 Choi matrix: 16 MB at d = 32, 4 GB at d = 128
+    d = 32
+    _, out = run_extract(tmp_path, "gad.json")
+    data = json.loads(out.read_text())
+    data["operators"] = {"positive": [{"label": "I", "matrix": [[[float(i == j), 0.0] for j in range(d)]
+                                                                 for i in range(d)]}], "negative": []}
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(["verify", str(out)]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"export operators are {d} x {d}, channel 'gad' acts on dimension 2" in capsys.readouterr().err
+    assert peak < 16 * d**4
 
 @pytest.mark.parametrize("seed", ["x", -1, 1.5, None])
 def test_verify_bad_stored_seed_is_export_error(tmp_path, capsys, seed):
