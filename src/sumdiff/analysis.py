@@ -80,15 +80,9 @@ def mdc_kraus(co: Ad2Coefficients) -> SignedKrausSet:
     Ordered by coefficient label (H, G, F, E, D, C, A, 1, B); all positive,
     so this is an ordinary Kraus set, and it preserves trace on its own.
     """
-    diag = np.diagonal(choi_2ad(co))
-    ops, labels = [], []
-    for idx in AD2_DIAG_EXPORT_ORDER:
-        val = diag[idx].real
-        vec = np.zeros(16, dtype=complex)
-        vec[idx] = 1.0
-        ops.append(fold(np.sqrt(max(val, 0.0)) * vec))
-        labels.append(AD2_DIAG_LABELS[idx])
-    return SignedKrausSet(tuple(ops), positive_labels=tuple(labels))
+    diag, units = np.diagonal(choi_2ad(co)).real, np.eye(16, dtype=complex)
+    ops = tuple(fold(np.sqrt(max(diag[i], 0.0)) * units[i]) for i in AD2_DIAG_EXPORT_ORDER)
+    return SignedKrausSet(ops, positive_labels=tuple(AD2_DIAG_LABELS[i] for i in AD2_DIAG_EXPORT_ORDER))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +180,7 @@ def is_ppt(m, dim_a: int, dim_b: int, tol: float = 1e-10, part: str | None = Non
     return is_psd(m, tol, at=_ppt_map(dim_a, dim_b, part))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equal only to itself: a point channel is an array
 class ChannelReport:
     """Diagnostics of a channel given by its Choi matrix."""
 
@@ -211,14 +205,14 @@ def _point_output(b: np.ndarray, d: int, tol: float) -> np.ndarray | None:
     return sigma
 
 
-def eb_report(b, tol: float = 1e-10, point_tol: float = 1e-8) -> ChannelReport:
+def eb_report(b, tol: float = 1e-10) -> ChannelReport:
     """Bundle positivity, trace preservation, partial-transpose positivity,
     and point-channel detection for a Choi matrix.
 
     A positive partial transpose of the (state-normalized) Choi matrix is the
     entanglement-breaking signature this report is named for; the point
     channel (constant output) is its extreme case and is returned as that
-    output state when detected within ``point_tol``.
+    output state when detected within 1e-8 (max-entry).
     """
     b = np.asarray(b, dtype=complex)
     d = int(round(b.shape[0] ** 0.5))
@@ -232,7 +226,7 @@ def eb_report(b, tol: float = 1e-10, point_tol: float = 1e-8) -> ChannelReport:
         is_trace_preserving=bool(completeness <= tol),
         completeness_residual=float(completeness),
         ppt_of_choi=is_ppt(b, d, d, tol=tol),
-        point_channel=_point_output(b, d, point_tol),
+        point_channel=_point_output(b, d, 1e-8),
     )
 
 
@@ -264,7 +258,7 @@ def qc_form_test(b, d: int, tol: float = 1e-10):
 # measure-and-prepare (Holevo) form
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equal only to itself: its fields hold arrays
 class HolevoForm:
     """Measure-and-prepare channel: rho -> sum_i outputs[i] Tr(effects[i] rho).
 
@@ -357,8 +351,8 @@ def _spin_flip(rho: np.ndarray) -> np.ndarray:
     return _YY @ rho.conj() @ _YY
 
 
-def _clip_spectrum(values: np.ndarray, floor: float) -> np.ndarray:
-    """Zero out nonnegative-spectrum dust below the floor.
+def _clip_spectrum(values: np.ndarray) -> np.ndarray:
+    """Zero out nonnegative-spectrum dust below a floor of 1e-13.
 
     The floor is taken relative to the larger of the top eigenvalue and 1,
     the natural scale of trace-one states and their products; a matrix made
@@ -366,16 +360,16 @@ def _clip_spectrum(values: np.ndarray, floor: float) -> np.ndarray:
     through the square root.
     """
     out = np.clip(values, 0.0, None)
-    out[out < floor * np.maximum(out[..., :1], 1.0)] = 0.0
+    out[out < 1e-13 * np.maximum(out[..., :1], 1.0)] = 0.0
     return out
 
 
-def concurrence(rho, floor: float = 1e-13) -> float | np.ndarray:
+def concurrence(rho) -> float | np.ndarray:
     """Wootters concurrence of a two-qubit state.
 
     Uses the Hermitian form sqrt(rho) rho~ sqrt(rho): its eigenvalue square
     roots, descending, give C = max(0, l1 - l2 - l3 - l4).  Eigenvalue dust
-    below ``floor`` (relative) is zeroed before each square root; the root
+    below 1e-13 (relative) is zeroed before each square root; the root
     would otherwise amplify O(1e-16) dust of rank-deficient states to O(1e-8)
     in the result.  A stack of states of shape (m, 4, 4) gives an array of
     m concurrences.
@@ -386,10 +380,10 @@ def concurrence(rho, floor: float = 1e-13) -> float | np.ndarray:
     if not max_abs(rho - dagger(rho)) <= 1e-10:
         raise ValueError("state must be Hermitian")
     sys = eig_hermitian(rho, tol=1e-13)
-    root = EigenSystem(np.sqrt(_clip_spectrum(sys.values, floor)), sys.vectors).reconstruct()
+    root = EigenSystem(np.sqrt(_clip_spectrum(sys.values)), sys.vectors).reconstruct()
     middle = root @ _spin_flip(rho) @ root
     vals = eigvals_hermitian((middle + dagger(middle)) / 2.0, tol=1e-13)
-    lam = np.sqrt(_clip_spectrum(vals, floor))
+    lam = np.sqrt(_clip_spectrum(vals))
     c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
     return float(c) if c.ndim == 0 else c
 

@@ -45,7 +45,7 @@ __all__ = [
 # signed operator sets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equal only to itself: its fields hold arrays
 class SignedKrausSet:
     """Operators of a sum-difference representation.
 
@@ -215,14 +215,14 @@ def random_density_matrix(dim: int, rng: np.random.Generator, count: int | None 
     return rho[0] if count is None else rho
 
 
-def check_density_matrix(rho, tol: float = 1e-10) -> None:
-    """Raise ValueError unless rho is Hermitian, unit trace, and PSD within tol."""
+def check_density_matrix(rho) -> None:
+    """Raise ValueError unless rho is Hermitian, unit trace, and PSD within 1e-10."""
     rho = np.asarray(rho, dtype=complex)
-    if not is_hermitian(rho, tol):
+    if not is_hermitian(rho, 1e-10):
         raise ValueError("state is not Hermitian")
-    if abs(rho.trace() - 1.0) > tol:
+    if abs(rho.trace() - 1.0) > 1e-10:
         raise ValueError(f"state trace {rho.trace():.6g} is not 1")
-    if not is_psd(rho, tol):
+    if not is_psd(rho, 1e-10):
         raise ValueError(f"state has negative eigenvalue {eigvals_hermitian(rho, tol=1e-12)[-1]:.3e}")
 
 

@@ -65,13 +65,13 @@ PARTITIONS = ("diag-pairs", "split-real-imag", "full-spectral")
 PARTITION_REL_THRESHOLD = 1e-14
 
 
-def choi_from_channel(action: Callable[[np.ndarray], np.ndarray], dim: int,
-                      linearity_tol: float = 1e-10) -> np.ndarray:
+def choi_from_channel(action: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
     """Assemble the Choi matrix of a channel given as a callable on matrices.
 
     ``action`` is evaluated on each matrix unit |j><k|; block (j, k) of the
     result is E(|j><k|).  Linearity is spot-checked first on a seeded random
-    pair of inputs so a silently nonlinear callable fails loudly.
+    pair of inputs, within 1e-10 relative, so a silently nonlinear callable
+    fails loudly.
     """
     rng = np.random.default_rng(2718)
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -80,7 +80,7 @@ def choi_from_channel(action: Callable[[np.ndarray], np.ndarray], dim: int,
     be = complex(rng.standard_normal(), rng.standard_normal())
     lhs = action(al * x + be * y)
     rhs = al * action(x) + be * action(y)
-    if max_abs(lhs - rhs) > linearity_tol * max(1.0, max_abs(rhs)):
+    if max_abs(lhs - rhs) > 1e-10 * max(1.0, max_abs(rhs)):
         raise ValueError("action is not linear within tolerance")
 
     b = np.zeros((dim * dim, dim * dim), dtype=complex)
@@ -106,43 +106,30 @@ def trace_preservation_residual(b: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # the two-qubit damping Choi matrix
 
-# Position of each coherence coefficient in the 16 x 16 Choi matrix (upper
-# triangle); the conjugate sits at the mirrored position.
-AD2_PAIR_LABELS: dict[tuple[int, int], str] = {
-    (0, 5): "J",
-    (0, 10): "M",
-    (0, 15): "L",
-    (1, 7): "U+iV",
-    (2, 11): "iS-R",
-    (5, 10): "P",
-    (5, 15): "T",
-    (10, 15): "Q",
-}
+# Where each coefficient sits in the 16 x 16 Choi matrix, as (label, row,
+# column) in export order: the nine populations on the diagonal in the order
+# of their operators, then the eight coherences at (r, c), r < c, ascending.
+# The conjugate of a coherence sits at (c, r).
+_AD2_LAYOUT = (
+    ("H", 3, 3), ("G", 11, 11), ("F", 7, 7), ("E", 2, 2), ("D", 10, 10),
+    ("C", 1, 1), ("A", 0, 0), ("1", 15, 15), ("B", 5, 5),
+    ("J", 0, 5), ("M", 0, 10), ("L", 0, 15), ("U+iV", 1, 7), ("iS-R", 2, 11),
+    ("P", 5, 10), ("T", 5, 15), ("Q", 10, 15),
+)
 
-# Population coefficient sitting at each nonzero diagonal position.
-AD2_DIAG_LABELS: dict[int, str] = {
-    0: "A", 1: "C", 2: "E", 3: "H", 5: "B", 7: "F", 10: "D", 11: "G", 15: "1",
-}
-
-# Export order of the diagonal operators by coefficient label.
-AD2_DIAG_EXPORT_ORDER: tuple[int, ...] = (3, 11, 7, 2, 10, 1, 0, 15, 5)  # H G F E D C A 1 B
+# From the layout: the coherence coefficient at each position of the upper
+# triangle, the population coefficient at each nonzero diagonal position
+# (ascending), and the diagonal positions in the export order of their operators.
+AD2_PAIR_LABELS: dict[tuple[int, int], str] = {(r, c): label for label, r, c in _AD2_LAYOUT if r != c}
+AD2_DIAG_LABELS: dict[int, str] = dict(sorted((r, label) for label, r, c in _AD2_LAYOUT if r == c))
+AD2_DIAG_EXPORT_ORDER: tuple[int, ...] = tuple(r for _, r, c in _AD2_LAYOUT if r == c)
 
 
-def _ad2_pair_values(co: Ad2Coefficients) -> dict[tuple[int, int], complex]:
-    return {
-        (0, 5): co.J,
-        (0, 10): co.M,
-        (0, 15): co.L,
-        (1, 7): co.U + 1j * co.V,
-        (2, 11): 1j * co.S - co.R,
-        (5, 10): co.P,
-        (5, 15): co.T,
-        (10, 15): co.Q,
-    }
-
-
-def _ad2_diag_values(co: Ad2Coefficients) -> dict[int, float]:
-    return {0: co.A, 1: co.C, 2: co.E, 3: co.H, 5: co.B, 7: co.F, 10: co.D, 11: co.G, 15: 1.0}
+def _ad2_values(co: Ad2Coefficients) -> dict:
+    """The value of every label of the layout, and of the parts of the two
+    composite coherences that split-real-imag separates, given ``co``."""
+    parts = {"iV": 1j * co.V, "iS": 1j * co.S, "-R": -co.R}
+    return vars(co) | parts | {"1": 1.0, "U+iV": co.U + parts["iV"], "iS-R": parts["iS"] + parts["-R"]}
 
 
 def choi_2ad(co: Ad2Coefficients) -> np.ndarray:
@@ -156,11 +143,10 @@ def choi_2ad(co: Ad2Coefficients) -> np.ndarray:
     """
     lead = (slice(None),) * np.ndim(co.A)  # not an Ellipsis, which indexes slower
     b = np.zeros(np.shape(co.A) + (16, 16), dtype=complex)
-    for i, val in _ad2_diag_values(co).items():
-        b[lead + (i, i)] = val
-    for (r, c), z in _ad2_pair_values(co).items():
-        b[lead + (r, c)] = z
-        b[lead + (c, r)] = np.conj(z)
+    values = _ad2_values(co)
+    for label, r, c in _AD2_LAYOUT:  # the mirror first, so a diagonal entry ends as its value
+        b[lead + (c, r)] = np.conj(values[label])
+        b[lead + (r, c)] = values[label]
     return b
 
 
@@ -168,7 +154,7 @@ def choi_2ad(co: Ad2Coefficients) -> np.ndarray:
 # Hermitian partitions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equal only to itself: its fields hold arrays
 class HermitianPartition:
     """Hermitian matrices summing to a target Hermitian matrix.
 
@@ -218,18 +204,17 @@ class HermitianPartition:
         return self.stack.sum(axis=0)
 
 
-def partition_from_elements(elements: Sequence, labels: Sequence[str] = (),
-                            reference=None, tol: float = 1e-12) -> HermitianPartition:
+def partition_from_elements(elements: Sequence, labels: Sequence[str] = (), reference=None) -> HermitianPartition:
     """Build a partition from explicit Hermitian elements.
 
-    When ``reference`` is given the elements must sum to it within ``tol``
-    (max-entry).  Signed splits such as (B_plus, -B_minus) are expressed by
-    passing the negated matrix as an element.
+    When ``reference`` is given the elements must sum to it within 1e-12
+    max(1, max|reference|) (max-entry).  Signed splits such as (B_plus,
+    -B_minus) are expressed by passing the negated matrix as an element.
     """
     part = HermitianPartition(tuple(elements), tuple(labels))
     if reference is not None:
         resid = max_abs(part.sum_matrix() - np.asarray(reference, dtype=complex))
-        if resid > tol * max(1.0, max_abs(reference)):
+        if resid > 1e-12 * max(1.0, max_abs(reference)):
             raise ValueError(f"elements do not sum to the reference (residual {resid:.3e})")
     return part
 
@@ -247,22 +232,21 @@ def _pair_element(b: np.ndarray, r: int, c: int, z: complex) -> np.ndarray:
     return el
 
 
-def partition_diag_pairs(b, rel_threshold: float = PARTITION_REL_THRESHOLD,
-                         labels: Mapping[tuple[int, int], str] | None = None) -> HermitianPartition:
+def partition_diag_pairs(b, labels: Mapping[tuple[int, int], str] | None = None) -> HermitianPartition:
     """Split a Hermitian matrix into its diagonal plus one element per
     off-diagonal pair.
 
     Pair (r, c) with r < c contributes z |r><c| + conj(z) |c><r|.  Entries
-    with magnitude at most ``rel_threshold`` times the largest entry are
-    treated as structural zeros.  Elements are ordered diagonal first, then
-    pairs by ascending (r, c), labelled ``labels[(r, c)]`` or "(r,c)".
+    with magnitude at most PARTITION_REL_THRESHOLD times the largest entry
+    are treated as structural zeros.  Elements are ordered diagonal first,
+    then pairs by ascending (r, c), labelled ``labels[(r, c)]`` or "(r,c)".
     """
     b = np.asarray(b, dtype=complex)
     top = max_abs(b)
     if not is_hermitian(b, 1e-12 * max(1.0, top)):
         raise ValueError("partition_diag_pairs expects a Hermitian matrix")
     n = b.shape[0]
-    thresh = rel_threshold * top
+    thresh = PARTITION_REL_THRESHOLD * top
     diag = np.diagonal(b).real
     k = int(max_abs(diag) > thresh)  # the diagonal element, if any
     # |z| through np.hypot, bitwise Python's abs of a complex, which np.abs is not
@@ -278,17 +262,16 @@ def partition_diag_pairs(b, rel_threshold: float = PARTITION_REL_THRESHOLD,
         labels.get((r, c), f"({r},{c})") for r, c in zip(rows.tolist(), cols.tolist())))
 
 
-def partition_from_masks(b, masks: Sequence, labels: Sequence[str] = (),
-                         rel_threshold: float = PARTITION_REL_THRESHOLD) -> HermitianPartition:
+def partition_from_masks(b, masks: Sequence, labels: Sequence[str] = ()) -> HermitianPartition:
     """Partition by disjoint boolean masks over entry positions.
 
     Each mask must be symmetric (include (c, r) with (r, c)); together the
-    masks must cover every entry above threshold exactly once.  Element i is
-    the entrywise product b * mask_i.
+    masks must cover every entry above PARTITION_REL_THRESHOLD times the
+    largest exactly once.  Element i is the entrywise product b * mask_i.
     """
     b = np.asarray(b, dtype=complex)
     n = b.shape[0]
-    thresh = rel_threshold * max_abs(b)
+    thresh = PARTITION_REL_THRESHOLD * max_abs(b)
     cover = np.zeros((n, n), dtype=int)
     elements = []
     for mk in masks:
@@ -307,8 +290,7 @@ def partition_from_masks(b, masks: Sequence, labels: Sequence[str] = (),
     return HermitianPartition(tuple(elements), tuple(labels))
 
 
-def ad2_partition(co: Ad2Coefficients, strategy: str = "diag-pairs",
-                  rel_threshold: float = PARTITION_REL_THRESHOLD, b=None) -> HermitianPartition:
+def ad2_partition(co: Ad2Coefficients, strategy: str = "diag-pairs", b=None) -> HermitianPartition:
     """Partition the two-qubit damping Choi matrix by the named strategy.
 
     diag-pairs        diagonal plus one element per coherence position (1 + up to 8)
@@ -323,7 +305,7 @@ def ad2_partition(co: Ad2Coefficients, strategy: str = "diag-pairs",
     b = choi_2ad(co) if b is None else b
     if strategy == "full-spectral":
         return partition_full(b)
-    part = partition_diag_pairs(b, rel_threshold=rel_threshold, labels=AD2_PAIR_LABELS)
+    part = partition_diag_pairs(b, labels=AD2_PAIR_LABELS)
     if strategy == "diag-pairs":
         return part
 
@@ -331,19 +313,18 @@ def ad2_partition(co: Ad2Coefficients, strategy: str = "diag-pairs",
     # parts are not the real/imaginary entry components since U and V share
     # a common phase.  A part is at most as large as its pair, so every part
     # above threshold belongs to a pair element.
-    split = {"U+iV": (("U", complex(co.U)), ("iV", 1j * co.V)),
-             "iS-R": (("iS", 1j * co.S), ("-R", -co.R))}
-    position = {label: rc for rc, label in AD2_PAIR_LABELS.items()}
-    thresh = rel_threshold * max_abs(b)
+    split = {"U+iV": ("U", "iV"), "iS-R": ("iS", "-R")}
+    values, position = _ad2_values(co), {label: (r, c) for label, r, c in _AD2_LAYOUT}
+    thresh = PARTITION_REL_THRESHOLD * max_abs(b)
     elements, labels = [], []
     for el, label in zip(part.elements, part.labels):
         if label not in split:
             elements.append(el)
             labels.append(label)
             continue
-        for name, z in split[label]:
-            if abs(z) > thresh:
-                elements.append(_pair_element(b, *position[label], z))
+        for name in split[label]:
+            if abs(values[name]) > thresh:
+                elements.append(_pair_element(b, *position[label], values[name]))
                 labels.append(name)
     return partition_from_elements(elements, labels, reference=b)
 
@@ -408,17 +389,16 @@ def _element_kinds(p: int, n: int, pattern: bytes) -> tuple:
 
 
 def extract_signed_kraus(partition: HermitianPartition, cutoff: float = 1e-12,
-                         jacobi_tol: float = 1e-13,
-                         rel_threshold: float = 1e-14, relabel: Mapping[str, str] | None = None) -> SignedKrausSet:
+                         relabel: Mapping[str, str] | None = None) -> SignedKrausSet:
     """Extract signed operators from a partitioned Choi matrix.
 
     Each element is eigendecomposed; eigenpairs with |value| <= cutoff are
     dropped, and fold(sqrt(|value|) * vector) joins the positive or negative
     list by the sign of the eigenvalue.  From the pattern of the partition's
-    stack above rel_threshold * max(1, max|element|), the diagonal elements
-    (labels ``label[i]``, by basis index) and single-pair ones (``label+``,
-    ``label-``) take one ``_closed_form`` together, every other element
-    ``eig_hermitian`` alone (``label[k]``, by descending eigenvalue).
+    stack above PARTITION_REL_THRESHOLD * max(1, max|element|), the diagonal
+    elements (labels ``label[i]``, by basis index) and single-pair ones
+    (``label+``, ``label-``) take one ``_closed_form`` together, every other
+    element ``eig_hermitian`` alone (``label[k]``, by descending eigenvalue).
     Operator order follows the partition, so equal inputs give byte-equal
     outputs; except that a positive operator whose label is a key of
     ``relabel`` takes its value as label and comes first, in the order of
@@ -427,7 +407,7 @@ def extract_signed_kraus(partition: HermitianPartition, cutoff: float = 1e-12,
     stack, labels = partition.stack, partition.labels
     p, n, _ = stack.shape
     mag = np.abs(stack)
-    big = mag > (rel_threshold * np.maximum(1.0, mag.max(axis=(1, 2))))[:, None, None]
+    big = mag > (PARTITION_REL_THRESHOLD * np.maximum(1.0, mag.max(axis=(1, 2))))[:, None, None]
     diag, pair, rows, cols, general, slots, order = _element_kinds(p, n, big.tobytes())
     ops, signs = [], []
     if diag.size or pair.size:
@@ -436,7 +416,7 @@ def extract_signed_kraus(partition: HermitianPartition, cutoff: float = 1e-12,
         ops.append(got[0][0])
         signs.append(got[1][0])
     for e in general:
-        sys = eig_hermitian(stack[e], tol=jacobi_tol)
+        sys = eig_hermitian(stack[e])
         keep = ~(np.abs(sys.values) <= cutoff)
         weighted = np.where(keep, np.sqrt(np.abs(sys.values)), 0.0) * sys.vectors  # column k is vector k
         ops.append(weighted.T.reshape(n, math.isqrt(n), -1).swapaxes(1, 2))
@@ -461,13 +441,13 @@ def reconstruct_choi(ks: SignedKrausSet) -> np.ndarray:
     return ks._choi
 
 
-def standard_kraus_from_choi(b, cutoff: float = 1e-12, jacobi_tol: float = 1e-13) -> SignedKrausSet:
+def standard_kraus_from_choi(b, cutoff: float = 1e-12) -> SignedKrausSet:
     """Operators from the full Choi eigensystem (no partitioning).
 
     For a completely positive channel the negative list comes back empty;
     negative eigenvalues below -cutoff land there otherwise.
     """
-    return extract_signed_kraus(partition_full(b, label="S"), cutoff=cutoff, jacobi_tol=jacobi_tol)
+    return extract_signed_kraus(partition_full(b, label="S"), cutoff=cutoff)
 
 
 def ad2_diag_pairs_operators(chois, cutoff: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
@@ -486,7 +466,7 @@ def ad2_diag_pairs_operators(chois, cutoff: float = 1e-12) -> tuple[np.ndarray, 
     if b.ndim != 3 or b.shape[1:] != (16, 16):
         raise ValueError("expected a stack of 16 x 16 Choi matrices")
     diag = np.array(AD2_DIAG_EXPORT_ORDER)
-    rows, cols = np.array(sorted(AD2_PAIR_LABELS)).T
+    rows, cols = np.array(list(AD2_PAIR_LABELS)).T
     floor = PARTITION_REL_THRESHOLD * np.abs(b).max(axis=(1, 2), initial=0.0)
     ops, signs = _closed_form(16, b[:, diag, diag].real, diag, b[:, rows, cols], rows, cols, cutoff, floor[:, None])
     if not (signs > 0).any(axis=1).all():
@@ -495,11 +475,11 @@ def ad2_diag_pairs_operators(chois, cutoff: float = 1e-12) -> tuple[np.ndarray, 
 
 
 # the positive diagonal operators of an ad2 export, relabeled in export order
-_AD2_DIAG_RELABEL = {f"diag[{i}]": AD2_DIAG_LABELS[i] for i in AD2_DIAG_EXPORT_ORDER}
+_AD2_DIAG_RELABEL = {f"diag[{r}]": label for label, r, c in _AD2_LAYOUT if r == c}
 
 
 def ad2_signed_kraus(co: Ad2Coefficients, strategy: str = "diag-pairs",
-                     cutoff: float = 1e-12, jacobi_tol: float = 1e-13, b=None) -> SignedKrausSet:
+                     cutoff: float = 1e-12, b=None) -> SignedKrausSet:
     """Signed operators of the two-qubit damping channel, export-ordered:
     ``extract_signed_kraus`` of ``ad2_partition``, the positive diagonal
     operators relabeled by population coefficient in the order (H, G, F, E,
@@ -507,44 +487,42 @@ def ad2_signed_kraus(co: Ad2Coefficients, strategy: str = "diag-pairs",
     (for diag-pairs by ascending Choi position, + before -).  A negative
     diagonal operator keeps its ``diag[i]`` label and its place.  ``b`` is
     ``choi_2ad(co)`` if the caller has built it."""
-    return extract_signed_kraus(ad2_partition(co, strategy, b=b), cutoff=cutoff, jacobi_tol=jacobi_tol,
-                                relabel=_AD2_DIAG_RELABEL)
+    return extract_signed_kraus(ad2_partition(co, strategy, b=b), cutoff=cutoff, relabel=_AD2_DIAG_RELABEL)
 
 
-def charpoly_checks(co: Ad2Coefficients, diag_tol: float = 1e-10,
-                    pair_tol: float = 1e-12, jacobi_tol: float = 1e-13) -> dict:
+def charpoly_checks(co: Ad2Coefficients) -> dict:
     """Compare block spectra of the partitioned Choi matrix with closed forms.
 
     The diagonal element must carry the nine population coefficients plus
-    seven zeros; each pair element contributes exactly ±|coefficient|.
-    Spectra are computed with the iterative eigensolver so this doubles as an
-    end-to-end check of it.  Returns per-block expected/computed spectra,
-    per-block error, and an overall flag.
+    seven zeros, within 1e-10; each pair element contributes exactly
+    ±|coefficient|, within 1e-12.  Spectra are computed with the iterative
+    eigensolver so this doubles as an end-to-end check of it.  Returns
+    per-block expected/computed spectra, per-block error, and an overall
+    flag.
     """
-    b = choi_2ad(co)
+    b, values = choi_2ad(co), _ad2_values(co)
     report: dict = {"blocks": {}, "max_error": 0.0, "ok": True}
 
     diag_el = np.diag(np.diagonal(b))
-    computed = eigvals_hermitian(diag_el, tol=jacobi_tol)
-    expected = np.sort(np.concatenate([list(_ad2_diag_values(co).values()), np.zeros(7)]))[::-1]
+    computed = eigvals_hermitian(diag_el)
+    expected = np.sort(np.concatenate([[values[label] for label in AD2_DIAG_LABELS.values()], np.zeros(7)]))[::-1]
     err = float(np.max(np.abs(np.sort(computed) - np.sort(expected))))
     report["blocks"]["diag"] = {
         "expected": expected.tolist(), "computed": computed.tolist(), "error": err,
-        "ok": err <= diag_tol,
+        "ok": err <= 1e-10,
     }
 
-    for (r, c), z in _ad2_pair_values(co).items():
-        label = AD2_PAIR_LABELS[(r, c)]
-        computed = eigvals_hermitian(_pair_element(b, r, c, z), tol=jacobi_tol)
+    for (r, c), label in AD2_PAIR_LABELS.items():
+        z = values[label]
+        computed = eigvals_hermitian(_pair_element(b, r, c, z))
         expected = np.concatenate([[abs(z)], np.zeros(14), [-abs(z)]])
         err = float(np.max(np.abs(np.sort(computed) - np.sort(expected))))
         report["blocks"][label] = {
             "expected_nonzero": [abs(z), -abs(z)],
             "computed_nonzero": [float(computed[0]), float(computed[-1])],
-            "error": err, "ok": err <= pair_tol,
+            "error": err, "ok": err <= 1e-12,
         }
 
-    errors = [blk["error"] for blk in report["blocks"].values()]
-    report["max_error"] = max(errors)
+    report["max_error"] = max(blk["error"] for blk in report["blocks"].values())
     report["ok"] = all(blk["ok"] for blk in report["blocks"].values())
     return report

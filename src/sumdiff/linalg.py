@@ -81,7 +81,7 @@ def fold(v) -> np.ndarray:
     return v.reshape(d, d).T.copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equal only to itself: its fields hold arrays
 class EigenSystem:
     """Real eigenvalues in descending order with matching unit eigenvectors.
 
@@ -258,13 +258,15 @@ def eig_hermitian(h, tol: float = 1e-13, max_sweeps: int = 100) -> EigenSystem:
     ordering of Brent & Luk (1985), a round of disjoint pivots at a time.
     Sweeps repeat until each matrix's whole off-diagonal Frobenius norm,
     over all its blocks, drops below ``tol``; a matrix that got there takes
-    identity rotations from then on.  A matrix's result is bitwise the one
-    it gets alone when its stack mates leave the components of its own
-    pattern unchanged; a mate that joins two components changes the blocks,
-    and the result agrees to rounding.  Each matrix must be finite and
-    Hermitian within ``tol``.  Raises JacobiConvergenceError if
-    ``max_sweeps`` full sweeps do not reach the target, or if a matrix's
-    reconstruction misses it by more than 10 tol max(1, max|h|).
+    identity rotations from then on.  When its stack mates leave the
+    components of its own pattern unchanged, a matrix's values and vectors
+    equal those it gets alone (``np.array_equal``), though not always
+    bitwise: an identity rotation can turn a +0.0 entry into -0.0.  A mate
+    that joins two components changes the blocks, and the result agrees to
+    rounding.  Each matrix must be finite and Hermitian within ``tol``.
+    Raises JacobiConvergenceError if ``max_sweeps`` full sweeps do not reach
+    the target, or if a matrix's reconstruction misses it by more than
+    10 tol max(1, max|h|).
     """
     return EigenSystem(*_jacobi(h, tol, max_sweeps, with_vectors=True))
 

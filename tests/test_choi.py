@@ -153,7 +153,7 @@ def test_partition_threshold_drops_dust():
     b = np.diag([1.0, 1.0]).astype(complex)
     b[0, 1] = 1e-16
     b[1, 0] = 1e-16
-    part = partition_diag_pairs(b, rel_threshold=1e-14)
+    part = partition_diag_pairs(b)
     assert len(part.elements) == 1
 
 

@@ -1,4 +1,12 @@
-"""The package namespace re-exports each module's public names."""
+"""The package as a whole: its namespace, what it never calls, its result
+records, and the size report of its modules."""
+
+import copy
+import importlib.util
+import pathlib
+
+import numpy as np
+import pytest
 
 import sumdiff
 from sumdiff import analysis, channels, choi, linalg
@@ -74,3 +82,43 @@ def test_channels_imports_nothing_from_choi():
                 for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
     assert imported
     assert [f"channels.py:{n} {name}" for n, name in imported if "choi" in name.split(".")] == []
+
+
+RESULT_RECORDS = {
+    "SignedKrausSet": lambda: channels.gad_kraus(0.5, 0.3),
+    "HermitianPartition": lambda: choi.partition_diag_pairs(channels.gad_choi(0.5, 0.36)),
+    "EigenSystem": lambda: linalg.eig_hermitian(np.diag([2.0, 1.0]).astype(complex)),
+    "ChannelReport": lambda: analysis.eb_report(
+        choi.choi_2ad(channels.ad2_coefficients(channels.Ad2Params(1.0, 0.3, 2.0, 10.0, 800.0)))),
+    "HolevoForm": lambda: analysis.holevo_point_form(),
+}
+
+
+@pytest.mark.parametrize("name", RESULT_RECORDS)
+def test_result_records_compare_and_hash_by_identity(name):
+    # their fields hold arrays, whose == gives no single truth value
+    x = RESULT_RECORDS[name]()
+    assert type(x).__name__ == name
+    assert name != "ChannelReport" or x.point_channel is not None
+    twin = copy.deepcopy(x)
+    assert x == x and not x != x
+    assert x != twin and not x == twin
+    assert hash(x) == hash(x) and len({x, twin, x}) == 2
+
+
+def _size_report():
+    path = pathlib.Path(__file__).resolve().parent.parent / "tools" / "size_report.py"
+    spec = importlib.util.spec_from_file_location("size_report", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_size_report_counts_lines_and_branch_sites(tmp_path, capsys):
+    (tmp_path / "a.py").write_text("if x:\n    y = 1 if z else 2\nw = [v for v in u if v]\n")
+    (tmp_path / "b.py").write_text("while x:\n    pass\n")
+    size_report = _size_report()
+    assert size_report.main([str(tmp_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows == [["a.py", "3", "2"], ["b.py", "2", "0"], ["total", "5", "2"]]
+    assert size_report.main([str(tmp_path / "none")]) == 1

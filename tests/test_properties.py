@@ -19,6 +19,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from sumdiff.analysis import is_ppt, mdc_choi_from_choi, pdc_choi_from_choi
 from sumdiff.channels import (
+    Ad2Coefficients,
     Ad2Params,
     SignedKrausSet,
     ad2_coefficients,
@@ -30,6 +31,7 @@ from sumdiff.channels import (
 from sumdiff.choi import (
     AD2_DIAG_EXPORT_ORDER,
     AD2_DIAG_LABELS,
+    AD2_PAIR_LABELS,
     PARTITION_REL_THRESHOLD,
     ad2_diag_pairs_operators,
     ad2_partition,
@@ -124,6 +126,28 @@ def test_ad2_stacked_operators_match_export_path(params, ts, cutoff):
         assert [op.tobytes() for op in row_ops[row_signs > 0]] == [op.tobytes() for op in ks.positive]
         negative = sorted(op.tobytes() for op in row_ops[row_signs < 0])
         assert negative == sorted(op.tobytes() for op in ks.negative)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_layout_labels_name_the_choi_entries(seed):
+    # distinct drawn values, so that a label at the wrong place shows
+    rng = np.random.default_rng(seed)
+    co = Ad2Coefficients(**{
+        f.name: float(rng.uniform(0.1, 0.9)) if f.name in "ABCDEFGH" else complex(*rng.uniform(-0.9, 0.9, 2))
+        for f in dataclasses.fields(Ad2Coefficients)})
+    value = dataclasses.asdict(co) | {"1": 1.0, "U+iV": co.U + 1j * co.V, "iS-R": 1j * co.S - co.R}
+    want = np.zeros((16, 16), dtype=complex)
+    for i, label in AD2_DIAG_LABELS.items():
+        want[i, i] = value[label]
+    for (r, c), label in AD2_PAIR_LABELS.items():
+        want[r, c] = value[label]
+        want[c, r] = np.conj(want[r, c])
+    assert choi_2ad(co).tobytes() == want.tobytes()  # the sign of a zero imaginary part too
+    assert "".join(AD2_DIAG_LABELS[i] for i in AD2_DIAG_EXPORT_ORDER) == "HGFEDCA1B"
+    assert sorted(AD2_DIAG_EXPORT_ORDER) == list(AD2_DIAG_LABELS)
+    assert list(AD2_PAIR_LABELS.values()) == ["J", "M", "L", "U+iV", "iS-R", "P", "T", "Q"]
+    assert list(AD2_PAIR_LABELS) == sorted(AD2_PAIR_LABELS) and all(r < c for r, c in AD2_PAIR_LABELS)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -612,6 +636,34 @@ def test_eig_hermitian_keeps_its_checks(k, count, seed):
         tilted[-1, 0, 1] += 1e-6  # no longer Hermitian
         with pytest.raises(ValueError):
             solve(tilted)
+
+
+@st.composite
+def shared_pattern_stacks(draw):
+    """Stacks of 2 to 4 Hermitian n x n matrices, n from 2 to 8, that share
+    one nonzero pattern; one of them is scaled by 1e-14, so that it is done
+    before the first sweep and takes identity rotations while its mates go
+    on."""
+    n, count = draw(st.integers(2, 8)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pattern = rng.random((n, n)) < draw(st.sampled_from([0.3, 0.6, 0.9]))
+    g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    stack = np.where(pattern | pattern.T, g + dagger(g), 0.0)
+    stack[draw(st.integers(0, count - 1))] *= 1e-14
+    return stack
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(stack=shared_pattern_stacks())
+def test_stacked_solve_equals_the_solo_solves_up_to_the_sign_of_zero(stack):
+    # an identity rotation can turn a +0.0 entry of the held matrix into
+    # -0.0, so its bytes may differ from the solo solve's, but no value does
+    sys, vals = eig_hermitian(stack), eigvals_hermitian(stack)
+    for k, h in enumerate(stack):
+        solo = eig_hermitian(h)
+        assert np.array_equal(sys.values[k], solo.values)
+        assert np.array_equal(vals[k], solo.values)
+        assert np.array_equal(sys.vectors[k], solo.vectors)
 
 
 # ---------------------------------------------------------------------------
