@@ -102,14 +102,14 @@ class Channel:
     """What the commands need of one channel."""
 
     params: Mapping[str, str]  # parameter name -> help text of its flag
-    choi: Callable[[dict], np.ndarray]
-    action: Callable[[dict], Callable[[np.ndarray], np.ndarray]]  # the reference action
+    # (Choi matrix, action) of the reference, from one evaluation of the channel
+    reference: Callable[[dict], tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]
     extract: Callable[[dict, str, float], tuple[np.ndarray, SignedKrausSet]]  # (Choi matrix, operators)
 
 
-def _gad_action(params: dict):
+def _gad_reference(params: dict):
     ks = gad_kraus(**params)
-    return lambda rho: apply_signed_kraus(rho, ks)
+    return gad_choi(**params), lambda rho: apply_signed_kraus(rho, ks)
 
 
 def _gad_extract(params: dict, strategy: str, cutoff: float):
@@ -121,9 +121,9 @@ def _gad_extract(params: dict, strategy: str, cutoff: float):
     return b, extract_signed_kraus(part, cutoff=cutoff)
 
 
-def _ad2_action(params: dict):
+def _ad2_reference(params: dict):
     co = ad2_coefficients(Ad2Params(**params))
-    return lambda rho: ad2_apply(rho, co)
+    return choi_2ad(co), lambda rho: ad2_apply(rho, co)
 
 
 def _ad2_extract(params: dict, strategy: str, cutoff: float):
@@ -135,16 +135,14 @@ def _ad2_extract(params: dict, strategy: str, cutoff: float):
 CHANNELS = {
     "gad": Channel(
         params={"p": "excitation bias in [0, 1]", "lam": "damping strength in [0, 1]"},
-        choi=lambda params: gad_choi(**params),
-        action=_gad_action,
+        reference=_gad_reference,
         extract=_gad_extract,
     ),
     "ad2": Channel(
         params={"gamma": "single-atom decay rate", "gamma12": "collective decay rate",
                 "omega12": "collective coupling shift", "omega0": "transition frequency",
                 "t": "evolution time"},
-        choi=lambda params: choi_2ad(ad2_coefficients(Ad2Params(**params))),
-        action=_ad2_action,
+        reference=_ad2_reference,
         extract=_ad2_extract,
     ),
 }
@@ -245,6 +243,7 @@ def build_parser() -> _Parser:
                            help=f"{option.help} ({'; '.join(notes)})" if notes else option.help)
         p.add_argument("--config", help="JSON file of default option values")
     sub.choices["verify"].add_argument("export", help="JSON file produced by extract")
+    parser.commands = sub.choices  # command word -> its parser
     return parser
 
 
@@ -549,6 +548,18 @@ def cmd_extract(args) -> int:
     return 0 if ok else 2
 
 
+def _export_number(value, field: str) -> float:
+    """``value``, read from the export's ``field``, as a float; ExportError,
+    naming the field, unless it is a JSON number: float() would read true as
+    1.0 and the string "0.5" as 0.5."""
+    if type(value) is not int and type(value) is not float:
+        raise ExportError(f"export {field} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer past float
+        raise ExportError(f"export {field} must be a JSON number within float range, got {value!r}") from None
+
+
 def cmd_verify(args) -> int:
     config = _load_config(args.config)
     with open(args.export, "r", encoding="utf-8") as fh:
@@ -560,11 +571,11 @@ def cmd_verify(args) -> int:
     try:
         meta = data["metadata"]
         channel = meta["channel"]
-        params = {k: float(v) for k, v in meta["params"].items()}
-        stored_tolerance = float(meta["tolerance"])
+        params = {k: _export_number(v, f"metadata.params.{k}") for k, v in meta["params"].items()}
+        stored_tolerance = _export_number(meta["tolerance"], "metadata.tolerance")
         stored_seed = meta.get("seed", 0)
         operators = data["operators"]
-    except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ExportError(f"export file is missing or corrupts required fields: {exc}") from exc
     if not 0 < stored_tolerance < math.inf:
         raise ExportError(f"export holds a bad tolerance {stored_tolerance}")
@@ -583,7 +594,7 @@ def cmd_verify(args) -> int:
 
     ks = _kraus_from_json(operators)
     try:
-        reference = record.choi(params)
+        reference, action = record.reference(params)
     except ValueError as exc:
         raise ExportError(f"export params are invalid: {exc}") from exc
     dim = math.isqrt(reference.shape[0])
@@ -592,8 +603,6 @@ def cmd_verify(args) -> int:
     if against == "standard-kraus":
         std = standard_kraus_from_choi(reference)
         action = lambda rho: apply_signed_kraus(rho, std)
-    else:
-        action = record.action(params)
 
     completeness = check_completeness(ks)
     reconstruction = max_abs(reconstruct_choi(ks) - reference)
@@ -683,9 +692,17 @@ COMMANDS = {  # name -> (function, help, its options in the order of their flags
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # a command word goes straight to its own parser, which reads the
+        # rest once; the top-level parser only answers --help, a missing
+        # command and a bad command word
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
         return COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -155,7 +155,8 @@ def _components(n: int, pattern: bytes) -> tuple:
     within a component and ordered by the smallest, and the row starts and
     columns of the entries of the components' k x k blocks in a row-major
     n x n matrix, block after block; after the groups, the flat indices of
-    all their entries in one array."""
+    all their entries in one array, and for each entry the place in that
+    array of its mirror entry (j, i)."""
     links = np.frombuffer(pattern, dtype=bool).reshape(n, n)
     seen = [False] * n
     groups = {}
@@ -175,7 +176,10 @@ def _components(n: int, pattern: bytes) -> tuple:
         members = np.array(members)
         flats.append(flat := (members[:, :, None] * n + members[:, None, :]).ravel())
         out.append((k, members, (flat - flat % n, flat % n)))
-    return tuple(out), np.concatenate(flats)
+    every = np.concatenate(flats)
+    place = np.empty(n * n, int)
+    place[every] = np.arange(every.size)
+    return tuple(out), every, place[every % n * n + every // n]
 
 
 def _angles(mag: np.ndarray, diff: np.ndarray) -> tuple:
@@ -299,7 +303,7 @@ def _gather(h, tol: float, at=None) -> tuple:
         pos, values = at
         pattern = np.where(pos >= 0, flat.any(axis=0)[pos], values != 0)
     pattern |= pattern.T  # so that the matrices are 0 wherever the pattern is
-    components, every = _components(len(pattern), pattern.tobytes())
+    components, every, mirror = _components(len(pattern), pattern.tobytes())
     if at is None:
         every = np.take(flat, every, axis=1)  # the blocks' entries, gathered once, row-major
     else:
@@ -310,18 +314,33 @@ def _gather(h, tol: float, at=None) -> tuple:
         every[:, fixed] = values
     if not np.isfinite(every).all():
         raise ValueError("matrix has non-finite entries")
-    groups = []
+    # every entry against the conjugate of its mirror entry, all blocks at
+    # once; a 1 x 1 block is off its Hermitian part by twice its imaginary
+    # part.  The Hermitian parts are written over the mirror entries, in
+    # place: on a stack, new arrays of this size made the allocator hand
+    # pages back and fault them in again on every call.  A 1 x 1 block's
+    # part is its real part, as the halved sum of a real entry past half the
+    # largest float would overflow; its column is zeroed first, so nothing
+    # overflows there
+    halved = np.take(every, mirror, axis=1)
+    np.conjugate(halved, out=halved)
+    if np.abs(every - halved).max(initial=0.0) > tol:
+        raise ValueError("matrix is not Hermitian within tol")
+    ones = components[0][1].size if components and components[0][0] == 1 else 0
+    if ones < len(mirror):  # some block is larger than 1 x 1
+        halved[:, :ones] = 0.0
+        halved += every
+        halved /= 2.0
+    groups, start = [], 0
     for k, members, place in components:
-        blk, every = every[:, :place[1].size], every[:, place[1].size:]
-        if k == 1:  # off its Hermitian part by twice its imaginary part
-            skew, part = 2.0 * np.abs(blk.imag).max(initial=0.0), blk.real
+        end = start + place[1].size
+        if k == 1:
+            blk = every[:, :end]
+            groups.append((k, members, place, blk, blk.real))
         else:
-            blk = blk.reshape(-1, k, k)
-            blk_h = blk.conj().swapaxes(1, 2)
-            skew, part = np.abs(blk - blk_h).max(initial=0.0), (blk + blk_h) / 2.0
-        if skew > tol:
-            raise ValueError("matrix is not Hermitian within tol")
-        groups.append((k, members, place, blk, part))
+            groups.append((k, members, place, every[:, start:end].reshape(-1, k, k),
+                           halved[:, start:end].reshape(-1, k, k)))
+        start = end
     return single, h, groups
 
 
@@ -344,23 +363,28 @@ def is_psd(h, tol: float, at=None) -> bool | np.ndarray:
     """
     single, h, groups = _gather(h, 1e-12, at)
     flags = np.ones(len(h), dtype=bool)
-    for k, members, _, _, a in groups:
-        if k == 1:
-            ok = a >= -tol
-        else:
-            a.reshape(-1, k * k)[:, ::k + 1] += tol
-            ok = np.ones(len(a), dtype=bool)
-            # a pivot near a subnormal tol overflows the columns below it;
-            # that happens only in a block that is not PSD, whose later
-            # pivots come out inf - inf = NaN or -inf and fail
-            with np.errstate(over="ignore", invalid="ignore"):
-                for j in range(k):
-                    pivot = a[:, j, j].real
-                    ok &= pivot > 0.0
-                    if j + 1 < k:  # a failed block takes a zero column and stays as it is
-                        col = a[:, j + 1:, j] / np.sqrt(np.where(ok, pivot, np.inf))[:, None]
-                        a[:, j + 1:, j + 1:] -= col[:, :, None] * col.conj()[:, None, :]
-        flags &= ok.reshape(len(h), len(members)).all(axis=1)
+    # pivot j of a block is its diagonal entry j once the steps before it are
+    # done, and no later step changes it, so the block is read off its
+    # diagonal at the end.  A pivot that is not > 0 fails the block, and its
+    # NaN or inf spreads only to that block's later pivots; so does the
+    # overflow of a pivot near a subnormal tol, which happens only in a block
+    # that is not PSD
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k, members, _, _, a in groups:
+            if k == 1:
+                ok = a >= -tol
+            elif k == 2:  # both steps at once, in the arithmetic of the loop below
+                pivot = a[:, 0, 0].real + tol
+                col = a[:, 1, 0] / np.sqrt(pivot)
+                ok = (pivot > 0.0) & (a[:, 1, 1].real + tol - (col * col.conj()).real > 0.0)
+            else:
+                diagonal = a.reshape(-1, k * k)[:, ::k + 1]
+                diagonal += tol
+                for j in range(k - 1):
+                    col = a[:, j + 1:, j] / np.sqrt(a[:, j, j].real)[:, None]
+                    a[:, j + 1:, j + 1:] -= col[:, :, None] * col.conj()[:, None, :]
+                ok = (diagonal.real > 0.0).all(axis=1)
+            flags &= ok.reshape(len(h), len(members)).all(axis=1)
     return bool(flags[0]) if single else flags
 
 
@@ -387,7 +411,7 @@ def _jacobi(h, tol: float, max_sweeps: int, with_vectors: bool) -> tuple:
     for sweep in range(max_sweeps + 1):
         # summed directly over off-diagonal entries; total minus diagonal
         # would cancel catastrophically once the off-diagonal part is tiny
-        off = np.zeros(m)
+        off = None  # 0 + x is x for every nonnegative x, so the sum starts at the first
         for k, _, _, _, state in blocks:
             if k == 2:
                 if state[3] is not None:
@@ -399,18 +423,19 @@ def _jacobi(h, tol: float, max_sweeps: int, with_vectors: bool) -> tuple:
                 sq = np.abs(state[0]).reshape(-1, k * k)
                 sq *= sq
                 sq[:, ::k + 1] = 0.0
-            off += sq.reshape(m, -1).sum(axis=1)
-        norms = np.sqrt(off)
+            sq = sq.reshape(m, -1).sum(axis=1)
+            off = sq if off is None else off + sq
+        norms = np.sqrt(off) if off is not None else np.zeros(m)
         done |= norms < tol
-        if done.all():
+        finished = np.count_nonzero(done)
+        if finished == m:
             break
         if sweep == max_sweeps:
             raise JacobiConvergenceError(
                 f"off-diagonal norm {np.max(norms[~done]):.3e} after {max_sweeps} sweeps (target {tol:.1e})"
             )
-        some_done = done.any()
         for k, members, _, _, state in blocks:
-            hold = np.repeat(done, len(members))[:, None] if some_done else None
+            hold = np.repeat(done, len(members))[:, None] if finished else None
             if k > 2:
                 for step in _jacobi_schedule(k):
                     state[:] = _rotate(*state, step, hold)
@@ -427,24 +452,25 @@ def _jacobi(h, tol: float, max_sweeps: int, with_vectors: bool) -> tuple:
     # the Hermitian check bound its residual by 1.5 tol; the budget is
     # 10 tol max(1, max|h|), so max|h| matters only above 10 tol, and a NaN
     # residual is over too
-    residual = np.zeros(m)
+    residual = None
     for _, _, blk, vals, vecs in solved:
         if vecs is not None:
-            err = np.abs((vecs * vals[:, None, :]) @ vecs.conj().swapaxes(1, 2) - blk)
-            np.maximum(residual, err.reshape(m, -1).max(axis=1), out=residual)
-    over = ~(residual <= 10 * max(tol, 1e-15))
-    if over.any():
-        over &= ~(residual <= 10 * max(tol, 1e-15) * np.maximum(1.0, np.abs(h).reshape(m, -1).max(axis=1)))
-    if over.any():
-        raise JacobiConvergenceError(f"reconstruction residual {np.max(residual[over]):.3e} exceeds budget")
+            err = np.abs((vecs * vals[:, None, :]) @ vecs.conj().swapaxes(1, 2) - blk).reshape(m, -1).max(axis=1)
+            residual = err if residual is None else np.maximum(residual, err)
+    budget = 10 * max(tol, 1e-15)
+    if residual is not None and not (residual <= budget).all():
+        over = ~(residual <= budget * np.maximum(1.0, np.abs(h).reshape(m, -1).max(axis=1)))
+        if over.any():
+            raise JacobiConvergenceError(f"reconstruction residual {np.max(residual[over]):.3e} exceeds budget")
 
-    # descending order, ties in index order; eigenvalue j of matrix b is the
-    # rank[b, j]-th
+    # descending order, ties in index order (a stable sort keeps -0.0 and
+    # 0.0 where they were); eigenvalue j of matrix b is the rank[b, j]-th
+    if not with_vectors:
+        values = -np.sort(-values, axis=1, kind="stable")
+        return (values[0] if single else values), None
     order = (-values).argsort(axis=1, kind="stable")
     rows = np.arange(m)[:, None]
     values = values[rows, order]
-    if not with_vectors:
-        return (values[0] if single else values), None
     rank = np.empty_like(order)
     rank[rows, order] = np.arange(n)
 

@@ -258,6 +258,42 @@ def test_usage_errors_exit_one(tmp_path):
                  "--t-min", "2", "--t-max", "1", "--steps", "5"]) == 1
 
 
+_CHOICES = "(choose from 'extract', 'verify', 'sweep')"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], f"argument command: invalid choice: 'bogus' {_CHOICES}"),
+    (["--channel", "ad2", "extract"], f"argument command: invalid choice: 'ad2' {_CHOICES}"),
+    (["extract"], "the following arguments are required: --channel"),
+    (["verify"], "the following arguments are required: export"),
+    (["extract", *GAD_ARGS, "--seed", "1", "2"], "unrecognized arguments: 2"),
+])
+def test_usage_errors_keep_their_messages(capsys, argv, message):
+    # a command word goes straight to its own parser; the top-level parser
+    # answers the rest, as it did when it read every argv
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_a_command_parser_takes_abbreviated_flags(capsys):
+    assert main(["extract", "--channel", "gad", "--p=0.5", "--lam=0.3", "--part", "full-spectral"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["metadata"]["partition"] == "full-spectral"
+    assert re.fullmatch(r"extract: gad partition=full-spectral operators=4 completeness=\S+ reconstruction=\S+ ok\n",
+                        captured.err)
+
+
+def test_help_is_answered_by_both_parsers(capsys):
+    for argv, usage in ((["--help"], "usage: sumdiff [-h] {extract,verify,sweep} ..."),
+                        (["verify", "-h"], "usage: sumdiff verify [-h]")):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0
+        assert capsys.readouterr().out.startswith(usage)
+
+
 def test_invalid_parameters_exit_one():
     # library-level range rejection surfaces as a usage failure
     assert main(["extract", "--channel", "gad", "--p", "1.5", "--lam", "0.2"]) == 1
@@ -523,6 +559,37 @@ def test_nan_or_negative_cutoff_exits_one(tmp_path, monkeypatch, capsys, source,
         assert code == 1 and not out.exists()
     assert main(["sweep", *SWEEP_ARGS, *extra]) == 1
     assert capsys.readouterr().err.count("cutoff must be a nonnegative number") == 3
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tolerance", True), ("tolerance", "1e-10"), ("tolerance", None), ("tolerance", [1e-10]), ("tolerance", 10**400),
+    ("p", True), ("p", "0.5"), ("lam", None), ("lam", {"x": 1}), ("lam", 10**400),
+], ids=lambda x: "10**400" if x == 10**400 else None)
+def test_verify_reads_only_json_numbers_from_the_export(tmp_path, capsys, field, value):
+    # float() read true as 1.0 and "0.5" as 0.5: a tampered export with
+    # "tolerance": true passed at a tolerance of 1.0
+    _, out = run_extract(tmp_path, "gad.json")
+    data = json.loads(out.read_text())
+    data["operators"]["positive"][0]["matrix"][0][0][0] *= 1.001
+    (data["metadata"] if field == "tolerance" else data["metadata"]["params"])[field] = value
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 3
+    captured = capsys.readouterr()
+    name = "metadata.tolerance" if field == "tolerance" else f"metadata.params.{field}"
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: export {name} must be a JSON number")
+    assert captured.err.endswith(f", got {value!r}\n")
+
+
+def test_verify_takes_whole_numbers_from_the_export(tmp_path, capsys):
+    _, out = run_extract(tmp_path, "gad.json", args=["--channel", "gad", "--p", "0.5", "--lam", "1"])
+    data = json.loads(out.read_text())
+    assert data["metadata"]["params"]["lam"] == 1.0
+    data["metadata"]["params"]["lam"] = 1
+    out.write_text(json.dumps(data))
+    assert main(["verify", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("verify: PASS (tolerance 1.0e-10)\n")
 
 
 @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1e-10])

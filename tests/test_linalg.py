@@ -525,6 +525,86 @@ def test_is_psd_decides_blocks_at_the_shifted_boundary():
     assert is_psd(stack[0], tol) is True and is_psd(stack[1], tol) is False
 
 
+def test_is_psd_decides_a_pair_block_at_the_shifted_boundary():
+    # a 2 x 2 block, eliminated in one step, with smallest eigenvalue
+    # -tol +- 1e-11 beside a 1 x 1 one
+    rng = np.random.default_rng(31)
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    tol = 1e-6
+    stack = np.zeros((2, 3, 3), dtype=complex)
+    for h, delta in zip(stack, (1e-11, -1e-11)):
+        block = (u * [-tol + delta, 0.4]) @ dagger(u)
+        h[np.ix_([0, 2], [0, 2])] = (block + dagger(block)) / 2
+        h[1, 1] = 0.7
+    assert np.all(stack[:, 0, 2] != 0)
+    assert is_psd(stack, tol).tolist() == [True, False]
+    assert is_psd(stack[0], tol) is True and is_psd(stack[1], tol) is False
+
+
+def _blocks_of_one_two_and_four(rng):
+    """An 8 x 8 Hermitian matrix with 1 x 1 blocks {0} and {7}, a 2 x 2
+    block {1, 6} and a 4 x 4 block {2, 3, 4, 5}."""
+    h = np.zeros((8, 8), dtype=complex)
+    h[0, 0], h[7, 7] = 0.3, -0.2
+    for members in ([1, 6], [2, 3, 4, 5]):
+        h[np.ix_(members, members)] = random_hermitian(rng, len(members))
+    return h
+
+
+# an entry (row, column) of h and the change that breaks Hermiticity there alone
+_NOT_HERMITIAN = {"pair off-diagonal": (1, 6, 1e-9), "four off-diagonal": (3, 5, 1e-9j),
+                  "four diagonal": (4, 4, 1e-9j)}
+
+
+@pytest.mark.parametrize("where", sorted(_NOT_HERMITIAN))
+@pytest.mark.parametrize("check", [eig_hermitian, eigvals_hermitian, lambda h: is_psd(h, 1e-10)],
+                         ids=["eig_hermitian", "eigvals_hermitian", "is_psd"])
+def test_a_block_that_alone_is_not_hermitian_is_rejected(where, check):
+    rng = np.random.default_rng(32)
+    h = _blocks_of_one_two_and_four(rng)
+    row, col, change = _NOT_HERMITIAN[where]
+    bad = h.copy()
+    bad[row, col] += change
+    mates = [np.diag(np.arange(1.0, 9.0)).astype(complex), h, _blocks_of_one_two_and_four(rng)]
+    check(np.stack(mates))  # the mates alone pass
+    for matrix in (bad, np.stack([mates[0], bad, mates[1]]), np.stack([bad, *mates])):
+        with pytest.raises(ValueError, match="^matrix is not Hermitian within tol$"):
+            check(matrix)
+
+
+@pytest.mark.parametrize("where", sorted(_NOT_HERMITIAN))
+def test_is_psd_rejects_a_mapped_block_that_alone_is_not_hermitian(where):
+    # the bad entry of X comes from the map's values, the rest from h
+    h = _blocks_of_one_two_and_four(np.random.default_rng(33))
+    row, col, change = _NOT_HERMITIAN[where]
+    positions = np.arange(64).reshape(8, 8)
+    values = np.zeros((8, 8), dtype=complex)
+    assert is_psd(h, 1e-10, at=(positions, values)) == is_psd(h, 1e-10)
+    positions[row, col], values[row, col] = -1, h[row, col] + change
+    for matrix in (h, np.stack([np.eye(8), h])):
+        with pytest.raises(ValueError, match="^matrix is not Hermitian within tol$"):
+            is_psd(matrix, 1e-10, at=(positions, values))
+    values[row, col] = h[row, col]
+    assert is_psd(h, 1e-10, at=(positions, values)) == is_psd(h, 1e-10)
+
+
+def test_a_huge_real_single_entry_is_its_own_eigenvalue():
+    # (x + conj x) / 2 overflows at x = 1.7e308, so a 1 x 1 block's
+    # Hermitian part is its real part, beside a 2 x 2 block that is halved
+    h = np.zeros((4, 4), dtype=complex)
+    h[0, 0], h[3, 3] = 1.7e308, -1.0
+    h[1:3, 1:3] = [[1.0, 0.5j], [-0.5j, 1.0]]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        values = eigvals_hermitian(h)
+        system = eig_hermitian(h)
+        flags = is_psd(np.stack([h, np.diag([1.7e308, 1.0, 2.0, 0.0])]), 1e-10)
+    assert values[0] == system.values[0] == 1.7e308
+    assert values[-1] == system.values[-1] == -1.0
+    assert max_abs(values[1:3] - [1.5, 0.5]) <= 1e-15
+    assert np.array_equal(system.vectors[:, 0], [1, 0, 0, 0])
+    assert flags.tolist() == [False, True]
+
+
 def test_is_psd_keeps_the_hermitian_check():
     h = np.diag([1.0, 2.0]).astype(complex)
     h[0, 1] = 2e-12
