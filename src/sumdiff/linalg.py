@@ -335,7 +335,7 @@ def _gather(h, tol: float, at=None) -> tuple:
     for k, members, place in components:
         end = start + place[1].size
         if k == 1:
-            blk = every[:, :end]
+            blk = every[:, start:end]
             groups.append((k, members, place, blk, blk.real))
         else:
             groups.append((k, members, place, every[:, start:end].reshape(-1, k, k),
