@@ -124,10 +124,7 @@ def _call(main, argv: list) -> tuple:
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # --help
-            code = f"SystemExit {exc.code}"
+        code = main(argv)
     notes = "".join(f"warning: {w.category.__name__}: {w.message}\n" for w in caught)
     return code, out.getvalue(), err.getvalue() + notes
 
