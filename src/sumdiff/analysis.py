@@ -200,7 +200,7 @@ def _point_output(b: np.ndarray, d: int, tol: float) -> np.ndarray | None:
     sigma = np.add.reduce(diagonal, axis=0, initial=0.0)
     sigma /= d
     diagonal -= sigma
-    if np.abs(dev).max(initial=0.0) > tol:
+    if max_abs(dev) > tol:
         return None
     return sigma
 

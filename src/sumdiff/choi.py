@@ -31,6 +31,7 @@ from .linalg import (
     eigvals_hermitian,
     is_hermitian,
     max_abs,
+    partial_trace,
 )
 
 __all__ = [
@@ -99,9 +100,9 @@ def trace_preservation_residual(b: np.ndarray) -> float:
     d = int(round(d2 ** 0.5))
     if d * d != d2 or b.shape != (d2, d2):
         raise ValueError("expected a d^2 x d^2 matrix")
-    traced = np.einsum("ibjb->ij", b.reshape(d, d, d, d))  # partial_trace(b, d, d), a new array
+    traced = partial_trace(b, d, d)
     traced.flat[::d + 1] -= 1.0
-    return float(np.abs(traced).max(initial=0.0))
+    return max_abs(traced)
 
 
 # ---------------------------------------------------------------------------

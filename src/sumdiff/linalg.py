@@ -316,18 +316,22 @@ def _gather(h, tol: float, at=None) -> tuple:
         raise ValueError("matrix has non-finite entries")
     # every entry against the conjugate of its mirror entry, all blocks at
     # once; a 1 x 1 block is off its Hermitian part by twice its imaginary
-    # part.  The Hermitian parts are written over the mirror entries, in
-    # place: on a stack, new arrays of this size made the allocator hand
-    # pages back and fault them in again on every call.  A 1 x 1 block's
-    # part is its real part, as the halved sum of a real entry past half the
-    # largest float would overflow; its column is zeroed first, so nothing
-    # overflows there
-    halved = np.take(every, mirror, axis=1)
-    np.conjugate(halved, out=halved)
-    if np.abs(every - halved).max(initial=0.0) > tol:
-        raise ValueError("matrix is not Hermitian within tol")
+    # part, so a stack of 1 x 1 blocks takes no mirror copy.  The Hermitian
+    # parts are written over the mirror entries, in place: on a stack, new
+    # arrays of this size made the allocator hand pages back and fault them
+    # in again on every call.  A 1 x 1 block's part is its real part, as the
+    # halved sum of a real entry past half the largest float would overflow;
+    # its column is zeroed first, so nothing overflows there
     ones = components[0][1].size if components and components[0][0] == 1 else 0
-    if ones < len(mirror):  # some block is larger than 1 x 1
+    if ones == len(mirror):
+        halved, skew = None, 2.0 * np.abs(every.imag).max(initial=0.0)
+    else:
+        halved = np.take(every, mirror, axis=1)
+        np.conjugate(halved, out=halved)
+        skew = np.abs(every - halved).max(initial=0.0)
+    if skew > tol:
+        raise ValueError("matrix is not Hermitian within tol")
+    if halved is not None:
         halved[:, :ones] = 0.0
         halved += every
         halved /= 2.0
@@ -349,11 +353,12 @@ def is_psd(h, tol: float, at=None) -> bool | np.ndarray:
     a stack), decided without computing one.  ``h`` is gathered and checked
     as ``eig_hermitian`` does, Hermitian within 1e-12.  A 1 x 1 component
     passes if it is at least -tol, a k x k one if the Cholesky elimination
-    of its Hermitian part plus tol I (k steps over all blocks of that size)
-    meets only pivots > 0, NaN failing.  Cholesky is backward stable
-    (Higham 2002, Thm 10.3), so this misjudges a block only if its smallest
-    eigenvalue lies within about k u max|h| of -tol, u the unit roundoff,
-    where it is more accurate than a solver's eigenvalues.
+    of its Hermitian part plus tol I (k - 1 steps over all blocks of that
+    size, each pivot read off the diagonal at the end) meets only pivots
+    > 0, NaN failing.  Cholesky is backward stable (Higham 2002, Thm 10.3),
+    so this misjudges a block only if its smallest eigenvalue lies within
+    about k u max|h| of -tol, u the unit roundoff, where it is more accurate
+    than a solver's eigenvalues.
 
     With ``at``, a pair (positions, values) of n x n arrays, the matrix
     tested is X instead: X[i, j] is entry positions[i, j] of h's flattened
@@ -373,10 +378,6 @@ def is_psd(h, tol: float, at=None) -> bool | np.ndarray:
         for k, members, _, _, a in groups:
             if k == 1:
                 ok = a >= -tol
-            elif k == 2:  # both steps at once, in the arithmetic of the loop below
-                pivot = a[:, 0, 0].real + tol
-                col = a[:, 1, 0] / np.sqrt(pivot)
-                ok = (pivot > 0.0) & (a[:, 1, 1].real + tol - (col * col.conj()).real > 0.0)
             else:
                 diagonal = a.reshape(-1, k * k)[:, ::k + 1]
                 diagonal += tol
@@ -411,7 +412,7 @@ def _jacobi(h, tol: float, max_sweeps: int, with_vectors: bool) -> tuple:
     for sweep in range(max_sweeps + 1):
         # summed directly over off-diagonal entries; total minus diagonal
         # would cancel catastrophically once the off-diagonal part is tiny
-        off = None  # 0 + x is x for every nonnegative x, so the sum starts at the first
+        off = np.zeros(m)
         for k, _, _, _, state in blocks:
             if k == 2:
                 if state[3] is not None:
@@ -423,9 +424,8 @@ def _jacobi(h, tol: float, max_sweeps: int, with_vectors: bool) -> tuple:
                 sq = np.abs(state[0]).reshape(-1, k * k)
                 sq *= sq
                 sq[:, ::k + 1] = 0.0
-            sq = sq.reshape(m, -1).sum(axis=1)
-            off = sq if off is None else off + sq
-        norms = np.sqrt(off) if off is not None else np.zeros(m)
+            off += sq.reshape(m, -1).sum(axis=1)
+        norms = np.sqrt(off)
         done |= norms < tol
         finished = np.count_nonzero(done)
         if finished == m:
@@ -452,13 +452,13 @@ def _jacobi(h, tol: float, max_sweeps: int, with_vectors: bool) -> tuple:
     # the Hermitian check bound its residual by 1.5 tol; the budget is
     # 10 tol max(1, max|h|), so max|h| matters only above 10 tol, and a NaN
     # residual is over too
-    residual = None
+    residual = np.zeros(m)
     for _, _, blk, vals, vecs in solved:
         if vecs is not None:
-            err = np.abs((vecs * vals[:, None, :]) @ vecs.conj().swapaxes(1, 2) - blk).reshape(m, -1).max(axis=1)
-            residual = err if residual is None else np.maximum(residual, err)
+            err = np.abs((vecs * vals[:, None, :]) @ vecs.conj().swapaxes(1, 2) - blk)
+            np.maximum(residual, err.reshape(m, -1).max(axis=1), out=residual)
     budget = 10 * max(tol, 1e-15)
-    if residual is not None and not (residual <= budget).all():
+    if not (residual <= budget).all():
         over = ~(residual <= budget * np.maximum(1.0, np.abs(h).reshape(m, -1).max(axis=1)))
         if over.any():
             raise JacobiConvergenceError(f"reconstruction residual {np.max(residual[over]):.3e} exceeds budget")

@@ -588,6 +588,27 @@ def test_is_psd_rejects_a_mapped_block_that_alone_is_not_hermitian(where):
     assert is_psd(h, 1e-10, at=(positions, values)) == is_psd(h, 1e-10)
 
 
+@pytest.mark.parametrize("beside_a_pair", [False, True])
+def test_a_single_entry_is_off_its_hermitian_part_by_twice_its_imaginary_part(beside_a_pair):
+    # a diagonal entry x + iy misses x by 2|y| against its own conjugate;
+    # a stack of 1 x 1 blocks alone takes that directly, with no mirror copy
+    def matrix(y):
+        h = np.diag([2.0, 1.0 + y * 1j, 0.5, 0.25])
+        if beside_a_pair:
+            h[2, 3] = h[3, 2] = 0.1
+        return h
+
+    positions = np.arange(16).reshape(4, 4)
+    values = np.zeros((4, 4), dtype=complex)
+    for tol, check in ((1e-13, eigvals_hermitian), (1e-12, lambda h: is_psd(h, 0.0)),
+                       (1e-12, lambda h: is_psd(h, 0.0, at=(positions, values)))):
+        for h in (matrix(0.4 * tol), np.stack([np.eye(4), matrix(0.4 * tol)])):
+            check(h)
+        for h in (matrix(0.6 * tol), np.stack([np.eye(4), matrix(0.6 * tol)])):
+            with pytest.raises(ValueError, match="^matrix is not Hermitian within tol$"):
+                check(h)
+
+
 def test_a_huge_real_single_entry_is_its_own_eigenvalue():
     # (x + conj x) / 2 overflows at x = 1.7e308, so a 1 x 1 block's
     # Hermitian part is its real part, beside a 2 x 2 block that is halved
