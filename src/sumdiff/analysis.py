@@ -33,8 +33,8 @@ from .choi import (
     partition_diag_pairs,
     trace_preservation_residual,
 )
-from .linalg import (EigenSystem, _partial_transpose_positions, dagger, eig_hermitian, eigvals_hermitian, fold,
-                     is_hermitian, is_psd, kron, max_abs)
+from .linalg import (EigenSystem, _partial_transpose_positions, _position_map, dagger, eig_hermitian,
+                     eigvals_hermitian, fold, is_hermitian, is_psd, kron, max_abs)
 
 __all__ = [
     "ChannelReport",
@@ -151,15 +151,17 @@ def pdc_apply(rho, co: Ad2Coefficients) -> np.ndarray:
 
 @functools.cache
 def _ppt_map(dim_a: int, dim_b: int, part: str | None) -> tuple:
-    """``is_psd``'s (positions, values) of the partial transpose of a matrix
-    on A (x) B, or of the partial transpose of its sub-channel ``part``."""
+    """``is_psd``'s map (``_position_map``) of the partial transpose of a
+    matrix on A (x) B, or of the partial transpose of its sub-channel ``part``."""
     pos = _partial_transpose_positions(dim_a, dim_b)
     values = np.zeros(pos.shape, dtype=complex)
     if part is not None:  # entry pos[i, j] of the sub-channel's Choi matrix
         kept, fixed = (x.ravel()[pos] for x in _SUB_CHANNELS[part])
         pos, values = np.where(kept, pos, -1), np.where(kept, 0.0, fixed)
-    pos.flags.writeable = values.flags.writeable = False  # every call with these arguments gets them
-    return pos, values
+    at = _position_map(pos, values)
+    for shared in at[:3] + at[4:]:  # every call with these arguments gets them
+        shared.flags.writeable = False
+    return at
 
 
 def is_ppt(m, dim_a: int, dim_b: int, tol: float = 1e-10, part: str | None = None) -> bool | np.ndarray:
@@ -212,13 +214,15 @@ def eb_report(b, tol: float = 1e-10) -> ChannelReport:
     A positive partial transpose of the (state-normalized) Choi matrix is the
     entanglement-breaking signature this report is named for; the point
     channel (constant output) is its extreme case and is returned as that
-    output state when detected within 1e-8 (max-entry).
+    output state when detected within 1e-8 (max-entry).  The smallest Choi
+    eigenvalue is ``eigvals_hermitian(b)[-1]``, at the solver's default
+    tolerance, so it takes no solve just after ``eig_hermitian(b)``.
     """
     b = np.asarray(b, dtype=complex)
     d = int(round(b.shape[0] ** 0.5))
     if b.shape != (d * d, d * d):
         raise ValueError("expected a d^2 x d^2 Choi matrix")
-    smallest = float(eigvals_hermitian(b, tol=1e-12)[-1])
+    smallest = float(eigvals_hermitian(b)[-1])
     completeness = trace_preservation_residual(b)
     return ChannelReport(
         is_cp=bool(smallest >= -tol),

@@ -243,7 +243,11 @@ def partition_diag_pairs(b, labels: Mapping[tuple[int, int], str] | None = None)
     are treated as structural zeros.  Elements are ordered diagonal first,
     then pairs by ascending (r, c), labelled ``labels[(r, c)]`` or "(r,c)".
     """
-    b = np.asarray(b, dtype=complex)
+    return HermitianPartition._of_hermitian(*_diag_pairs(np.asarray(b, dtype=complex), labels)[:2])
+
+
+def _diag_pairs(b: np.ndarray, labels) -> tuple:
+    """The stack and labels of ``partition_diag_pairs(b, labels)``, and max|b|."""
     top = max_abs(b)
     if not is_hermitian(b, 1e-12 * max(1.0, top)):
         raise ValueError("partition_diag_pairs expects a Hermitian matrix")
@@ -260,8 +264,8 @@ def partition_diag_pairs(b, labels: Mapping[tuple[int, int], str] | None = None)
     stack[at, rows * n + cols] = z
     stack[at, cols * n + rows] = z.conj()
     labels = labels or {}
-    return HermitianPartition._of_hermitian(stack.reshape(-1, n, n), ("diag",) * k + tuple(
-        labels.get((r, c), f"({r},{c})") for r, c in zip(rows.tolist(), cols.tolist())))
+    return stack.reshape(-1, n, n), ("diag",) * k + tuple(
+        labels.get((r, c), f"({r},{c})") for r, c in zip(rows.tolist(), cols.tolist())), top
 
 
 def partition_from_masks(b, masks: Sequence, labels: Sequence[str] = ()) -> HermitianPartition:
@@ -292,6 +296,11 @@ def partition_from_masks(b, masks: Sequence, labels: Sequence[str] = ()) -> Herm
     return HermitianPartition(tuple(elements), tuple(labels))
 
 
+# split-real-imag's parts of each composite coherence, and where it sits
+_AD2_SPLIT = {"U+iV": ("U", "iV"), "iS-R": ("iS", "-R")}
+_AD2_POSITION = {label: (r, c) for label, r, c in _AD2_LAYOUT}
+
+
 def ad2_partition(co: Ad2Coefficients, strategy: str = "diag-pairs", b=None) -> HermitianPartition:
     """Partition the two-qubit damping Choi matrix by the named strategy.
 
@@ -307,28 +316,35 @@ def ad2_partition(co: Ad2Coefficients, strategy: str = "diag-pairs", b=None) -> 
     b = choi_2ad(co) if b is None else b
     if strategy == "full-spectral":
         return partition_full(b)
-    part = partition_diag_pairs(b, labels=AD2_PAIR_LABELS)
+    pairs, pair_labels, top = _diag_pairs(np.asarray(b, dtype=complex), AD2_PAIR_LABELS)
     if strategy == "diag-pairs":
-        return part
+        return HermitianPartition._of_hermitian(pairs, pair_labels)
 
     # Splitting U + iV (and iS - R) needs the coefficients themselves: the
     # parts are not the real/imaginary entry components since U and V share
     # a common phase.  A part is at most as large as its pair, so every part
-    # above threshold belongs to a pair element.
-    split = {"U+iV": ("U", "iV"), "iS-R": ("iS", "-R")}
-    values, position = _ad2_values(co), {label: (r, c) for label, r, c in _AD2_LAYOUT}
-    thresh = PARTITION_REL_THRESHOLD * max_abs(b)
-    elements, labels = [], []
-    for el, label in zip(part.elements, part.labels):
-        if label not in split:
-            elements.append(el)
+    # above threshold belongs to a pair element.  Each part takes a copy of
+    # its pair's row, with its value written over the pair's two entries.
+    values = _ad2_values(co)
+    rows, labels, parts = [], [], []
+    for i, label in enumerate(pair_labels):
+        if label not in _AD2_SPLIT:
+            rows.append(i)
             labels.append(label)
             continue
-        for name in split[label]:
-            if abs(values[name]) > thresh:
-                elements.append(_pair_element(b, *position[label], values[name]))
+        for name in _AD2_SPLIT[label]:
+            if abs(values[name]) > PARTITION_REL_THRESHOLD * top:
+                parts.append((len(rows), _AD2_POSITION[label], values[name]))
+                rows.append(i)
                 labels.append(name)
-    return partition_from_elements(elements, labels, reference=b)
+    stack = pairs.take(rows, axis=0)
+    for j, (r, c), z in parts:  # at most four: scalar writes beat a fancy-indexed scatter
+        stack[j, r, c] = z
+        stack[j, c, r] = np.conj(z)
+    resid = float(np.abs(np.add.reduce(stack) - b).max())
+    if resid > 1e-12 * max(1.0, top):
+        raise ValueError(f"elements do not sum to the reference (residual {resid:.3e})")
+    return HermitianPartition._of_hermitian(stack, tuple(labels))
 
 
 # ---------------------------------------------------------------------------

@@ -264,15 +264,16 @@ def _option(args, config: dict, name: str, default=_MISSING):
     option's JSON type, which no boolean is (int() would read true as 1),
     nor a fraction for an int option (int() would truncate 2.7 to 2); a
     whole float is read as an int, an int as a float.  It must pass the
-    option's rules and choices.  Raises UsageError, naming the option, if
-    it does not, is null in the config, or is required and absent."""
+    option's rules and choices.  Raises UsageError, naming the option (and
+    $SUMDIFF_TOLERANCE for a value read from it), if it does not, is null in
+    the config, or is required and absent."""
     option, flag = OPTIONS[name], f"--{name.replace('_', '-')}"
-    value = getattr(args, name)
+    value, source = getattr(args, name), ""
     if value is None and (value := config.get(name, config.get(flag[2:], _MISSING))) is None:
         raise UsageError(f"config value of {flag} is null")
     if value is _MISSING and name == "tolerance" and TOLERANCE_ENV in os.environ:
         try:
-            value = float(os.environ[TOLERANCE_ENV])
+            value, source = float(os.environ[TOLERANCE_ENV]), f"${TOLERANCE_ENV}: "
         except ValueError:
             raise UsageError(f"bad value {os.environ[TOLERANCE_ENV]!r} for ${TOLERANCE_ENV}") from None
     if value is _MISSING:
@@ -288,7 +289,7 @@ def _option(args, config: dict, name: str, default=_MISSING):
         raise UsageError(f"bad value {value!r} for {flag}")
     for test, text in option.rules:
         if not test(value):
-            raise UsageError(f"{flag} {text}, got {value!r}")
+            raise UsageError(f"{source}{flag} {text}, got {value!r}")
     if option.choices is not None and value not in option.choices:
         raise UsageError(f"{flag} must be one of {', '.join(option.choices)}, got {value!r}")
     return value

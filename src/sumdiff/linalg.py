@@ -248,6 +248,16 @@ def _rotate_pairs(p: np.ndarray, q: np.ndarray, b: np.ndarray, hold) -> tuple:
     return cc * p + ss * q + twice, ss * p + cc * q - twice, np.zeros_like(b), rot
 
 
+# (key, eigenvalues) of the last single matrix eig_hermitian solved: an
+# extraction's solve of a Choi matrix, which eb_report asks for again.  The
+# solve is a pure function of the key, so a hit is what a solve would give.
+_last_solve = None
+
+
+def _solve_key(h: np.ndarray, tol: float, max_sweeps: int) -> tuple:
+    return h.shape, h.tobytes(), tol, max_sweeps
+
+
 def eig_hermitian(h, tol: float = 1e-13, max_sweeps: int = 100) -> EigenSystem:
     """Diagonalize a Hermitian matrix, or a stack of them, by Jacobi rotations.
 
@@ -271,14 +281,28 @@ def eig_hermitian(h, tol: float = 1e-13, max_sweeps: int = 100) -> EigenSystem:
     Raises JacobiConvergenceError if ``max_sweeps`` full sweeps do not reach
     the target, or if a matrix's reconstruction misses it by more than
     10 tol max(1, max|h|).
+
+    The solve of a single matrix is kept in one slot, for
+    ``eigvals_hermitian`` (see there).
     """
-    return EigenSystem(*_jacobi(h, tol, max_sweeps, with_vectors=True))
+    global _last_solve
+    h = np.asarray(h, dtype=complex)
+    values, vectors = _jacobi(h, tol, max_sweeps, with_vectors=True)
+    if h.ndim == 2:
+        _last_solve = _solve_key(h, tol, max_sweeps), values.copy()
+    return EigenSystem(values, vectors)
 
 
 def eigvals_hermitian(h, tol: float = 1e-13, max_sweeps: int = 100) -> np.ndarray:
     """The eigenvalues of ``eig_hermitian(h, tol, max_sweeps)``, descending,
     with the same checks, for callers that need no eigenvectors: leaving them
-    unfixed and out of place saves about a sixth of a single 16 x 16 solve."""
+    unfixed and out of place saves about a sixth of a single 16 x 16 solve.
+    A single matrix that ``eig_hermitian`` solved last, with the same shape,
+    bytes, ``tol`` and ``max_sweeps``, takes no solve: it gets a copy of the
+    eigenvalues that solve found.  A stack is always solved."""
+    h, last = np.asarray(h, dtype=complex), _last_solve  # one read: a thread may replace the slot
+    if h.ndim == 2 and last is not None and last[0] == _solve_key(h, tol, max_sweeps):
+        return last[1].copy()
     return _jacobi(h, tol, max_sweeps, with_vectors=False)[0]
 
 
@@ -300,18 +324,18 @@ def _gather(h, tol: float, at=None) -> tuple:
     if at is None:
         pattern = h.any(axis=0)
     else:
-        pos, values = at
-        pattern = np.where(pos >= 0, flat.any(axis=0)[pos], values != 0)
+        pos, mapped, nonzero, fixed_any, values = at if len(at) == 5 else _position_map(*at)
+        pattern = np.where(mapped, flat.any(axis=0)[pos], nonzero).reshape(h.shape[1:])
     pattern |= pattern.T  # so that the matrices are 0 wherever the pattern is
     components, every, mirror = _components(len(pattern), pattern.tobytes())
     if at is None:
         every = np.take(flat, every, axis=1)  # the blocks' entries, gathered once, row-major
     else:
-        source = pos.ravel()[every]
-        fixed = source < 0  # these columns read h's last entry until given their values
-        values = values.ravel()[every[fixed]]
+        index, source = every, pos[every]
         every = np.take(flat, source, axis=1)
-        every[:, fixed] = values
+        if fixed_any:
+            fixed = source < 0  # these columns read h's last entry until given their values
+            every[:, fixed] = values[index[fixed]]
     if not np.isfinite(every).all():
         raise ValueError("matrix has non-finite entries")
     # every entry against the conjugate of its mirror entry, all blocks at
@@ -348,6 +372,14 @@ def _gather(h, tol: float, at=None) -> tuple:
     return single, h, groups
 
 
+def _position_map(positions, values) -> tuple:
+    """An ``is_psd`` map (positions, values) as ``_gather`` reads it: the
+    flattened positions, where they are >= 0, where the flattened values
+    are nonzero, whether any position is -1, and the flattened values."""
+    pos, values = np.asarray(positions).ravel(), np.asarray(values, dtype=complex).ravel()
+    return pos, pos >= 0, values != 0, bool((pos < 0).any()), values
+
+
 def is_psd(h, tol: float, at=None) -> bool | np.ndarray:
     """True if Hermitian ``h`` has no eigenvalue below -tol (a bool array for
     a stack), decided without computing one.  ``h`` is gathered and checked
@@ -364,7 +396,9 @@ def is_psd(h, tol: float, at=None) -> bool | np.ndarray:
     tested is X instead: X[i, j] is entry positions[i, j] of h's flattened
     matrix where that is >= 0, and values[i, j] where it is -1.  X is not
     built; its pattern, blocks, checks, errors and flags are those of the
-    built X, read from h through the map.
+    built X, read from h through the map.  A map used on many calls can be
+    passed as ``_position_map(positions, values)``, which derives once what
+    each call would derive from the pair.
     """
     single, h, groups = _gather(h, 1e-12, at)
     flags = np.ones(len(h), dtype=bool)

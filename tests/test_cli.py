@@ -22,6 +22,7 @@ from sumdiff.channels import Ad2Params, ad2_coefficients, check_completeness
 from sumdiff.choi import (PARTITIONS, ad2_partition, ad2_signed_kraus, choi_2ad, extract_signed_kraus,
                           reconstruct_choi)
 import sumdiff.cli as cli_module
+import sumdiff.linalg as linalg
 from sumdiff.cli import _kraus_from_json, main
 from sumdiff.linalg import eig_hermitian, max_abs
 
@@ -301,6 +302,19 @@ def test_invalid_parameters_exit_one():
                  "--omega12", "1", "--omega0", "1", "--t", "0.5"]) == 1
 
 
+@pytest.mark.parametrize("partition", PARTITIONS)
+@pytest.mark.parametrize("args", [GAD_ARGS, AD2_ARGS], ids=["gad", "ad2"])
+def test_extract_solves_once(tmp_path, monkeypatch, args, partition):
+    # eb_report's smallest Choi eigenvalue is the full-spectral extraction's
+    # solve, and the other partitions extract in closed form; the last solve
+    # kept is of another matrix, as an earlier call may have left this one's
+    eig_hermitian(np.zeros((1, 1)))
+    runs, solve = [], linalg._jacobi
+    monkeypatch.setattr(linalg, "_jacobi", lambda *a, **k: (runs.append(a[0]), solve(*a, **k))[1])
+    code, _ = run_extract(tmp_path, "x.json", extra=["--partition", partition], args=args)
+    assert code == 0 and len(runs) == 1
+
+
 def test_tolerance_precedence(tmp_path, monkeypatch):
     # environment tightens the default; the flag wins over the environment
     monkeypatch.setenv("SUMDIFF_TOLERANCE", "1e-30")
@@ -318,11 +332,16 @@ def test_tolerance_precedence(tmp_path, monkeypatch):
     assert code == 0
 
 
-def test_bad_tolerance_values(monkeypatch):
+def test_bad_tolerance_values(monkeypatch, capsys):
     monkeypatch.setenv("SUMDIFF_TOLERANCE", "abc")
     assert main(["extract", *GAD_ARGS]) == 1
-    monkeypatch.setenv("SUMDIFF_TOLERANCE", "-1e-10")
-    assert main(["extract", *GAD_ARGS]) == 1
+    assert "error: bad value 'abc' for $SUMDIFF_TOLERANCE" in capsys.readouterr().err
+    # no --tolerance was passed, so the message names the variable too
+    for value, rule in (("-1e-10", "positive"), ("-1", "positive"), ("0", "positive"), ("nan", "finite")):
+        monkeypatch.setenv("SUMDIFF_TOLERANCE", value)
+        assert main(["extract", *GAD_ARGS]) == 1
+        err = capsys.readouterr().err
+        assert f"error: $SUMDIFF_TOLERANCE: --tolerance must be {rule}, got {float(value)!r}" in err
 
 
 def test_config_supplies_parameters(tmp_path):

@@ -638,3 +638,56 @@ def test_is_psd_keeps_the_hermitian_check():
         is_psd(h, 1e-10)
     with pytest.raises(ValueError):
         is_psd(np.zeros((2, 3)), 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the last single solve, kept for eigvals_hermitian
+
+
+def _counted_solves(monkeypatch) -> list:
+    """A list that records the ``with_vectors`` of every ``_jacobi`` run."""
+    runs, solve = [], linalg._jacobi
+    monkeypatch.setattr(linalg, "_jacobi", lambda h, tol, sweeps, with_vectors: (
+        runs.append(with_vectors), solve(h, tol, sweeps, with_vectors))[1])
+    return runs
+
+
+def test_eigvals_after_eig_of_the_same_matrix_takes_no_solve(monkeypatch):
+    h = _ad2_choi_stack()[3]
+    fresh = eigvals_hermitian(h)
+    runs = _counted_solves(monkeypatch)
+    system = eig_hermitian(h)
+    system.values[:] = 7.0  # the slot keeps its own copy
+    got = eigvals_hermitian(h.copy())
+    assert runs == [True]
+    assert got.tobytes() == fresh.tobytes()
+    got[:] = 5.0  # and hands out a copy
+    assert eigvals_hermitian(h).tobytes() == fresh.tobytes()
+    assert runs == [True]
+
+
+def test_the_last_solve_answers_for_no_other_input(monkeypatch):
+    # each call below must solve, or fail as a fresh solve does
+    h = _ad2_choi_stack()[3]
+    runs = _counted_solves(monkeypatch)
+    eig_hermitian(h)
+    for call in (lambda: eigvals_hermitian(h, tol=1e-12), lambda: eigvals_hermitian(h, max_sweeps=50),
+                 lambda: eigvals_hermitian(h[None]), lambda: eigvals_hermitian(np.stack([h, h]))):
+        runs.clear()
+        eig_hermitian(h)
+        call()
+        assert runs == [True, False]
+    eig_hermitian(h)
+    with pytest.raises(ValueError, match="square"):  # the same bytes under another shape
+        eigvals_hermitian(h.reshape(8, 32))
+    runs.clear()
+    eig_hermitian(h[None])  # a stack leaves the slot as it was: h's solve
+    eig_hermitian(_ad2_choi_stack()[:2])
+    eigvals_hermitian(h)
+    assert runs == [True, True]
+    changed = h.copy()
+    eig_hermitian(changed)
+    changed[0, 0] += 0.5  # in place, after its solve
+    runs.clear()
+    assert max_abs(eigvals_hermitian(changed) - np.linalg.eigvalsh(changed)[::-1]) <= 1e-14
+    assert runs == [False]

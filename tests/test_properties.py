@@ -17,7 +17,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from sumdiff.analysis import is_ppt, mdc_choi_from_choi, pdc_choi_from_choi
+from sumdiff.analysis import eb_report, is_ppt, mdc_choi_from_choi, pdc_choi_from_choi
 from sumdiff.channels import (
     Ad2Coefficients,
     Ad2Params,
@@ -40,6 +40,7 @@ from sumdiff.choi import (
     choi_from_channel,
     extract_signed_kraus,
     partition_diag_pairs,
+    partition_from_elements,
     partition_full,
     reconstruct_choi,
 )
@@ -289,6 +290,72 @@ def test_extraction_holds_for_hermitian_preserving_maps(case, seed):
     assert len(spectral.positive) == np.count_nonzero(eigs > cutoff)
     if rank is not None:  # a channel: a standard Kraus set of the Choi rank
         assert not spectral.negative and spectral.count == rank
+    fresh, cold, warm = _smallest_choi_eigenvalues(b)
+    assert cold == fresh and warm == fresh
+
+
+def _smallest_choi_eigenvalues(b) -> tuple:
+    """The bytes of ``eigvals_hermitian(b)[-1]`` solved afresh, and of
+    ``eb_report(b)``'s smallest Choi eigenvalue after another matrix's solve
+    and just after ``eig_hermitian(b)``."""
+    eig_hermitian(np.zeros((1, 1)))  # the last single solve is of another matrix
+    fresh = eigvals_hermitian(b)[-1]
+    cold = eb_report(b).min_choi_eigenvalue
+    eig_hermitian(b)
+    warm = eb_report(b).min_choi_eigenvalue
+    return tuple(np.float64(v).tobytes() for v in (fresh, cold, warm))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(params=ad2_params(), p=st.floats(0.0, 1.0), lam=st.floats(0.0, 1.0))
+def test_eb_report_reads_the_default_solve_whether_or_not_it_was_kept(params, p, lam):
+    for b in (choi_2ad(ad2_coefficients(params)), gad_choi(p, lam)):
+        fresh, cold, warm = _smallest_choi_eigenvalues(b)
+        assert cold == fresh and warm == fresh
+
+
+def _split_as_dense_elements(co: Ad2Coefficients, b: np.ndarray):
+    """Oracle: split-real-imag's partition built one dense matrix per part,
+    each composite pair of the diag-pairs partition replaced by its parts
+    above the threshold, and summed against b."""
+    parts = {"U+iV": (("U", co.U), ("iV", 1j * co.V)), "iS-R": (("iS", 1j * co.S), ("-R", -co.R))}
+    position = {label: rc for rc, label in AD2_PAIR_LABELS.items()}
+    pairs = partition_diag_pairs(b, labels=AD2_PAIR_LABELS)
+    elements, labels = [], []
+    for el, label in zip(pairs.elements, pairs.labels):
+        if label not in parts:
+            elements.append(el)
+            labels.append(label)
+            continue
+        r, c = position[label]
+        for name, z in parts[label]:
+            if abs(z) > PARTITION_REL_THRESHOLD * max_abs(b):
+                el = np.zeros_like(b)
+                el[r, c], el[c, r] = z, np.conj(z)
+                elements.append(el)
+                labels.append(name)
+    return partition_from_elements(elements, labels, reference=b)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(params=ad2_params(), stratum=st.sampled_from(["any", "omega12 = 0", "t = 0", "+gamma", "-gamma"]),
+       gap=st.floats(2.0, 8.0))
+@example(params=Ad2Params(1.0, 0.3, 2.0, 10.0, 0.7), stratum="omega12 = 0", gap=2.0)
+def test_split_partition_is_the_dense_element_build(params, stratum, gap):
+    # the strata of the benchmark's draws: omega12 = 0 drops the parts iV
+    # and iS, t = 0 leaves no composite pair, and gamma12 near -gamma makes
+    # U and V small
+    edge = {"omega12 = 0": {"omega12": 0.0}, "t = 0": {"t": 0.0},
+            "+gamma": {"gamma12": params.gamma * (1.0 - 10.0**-gap)},
+            "-gamma": {"gamma12": -params.gamma * (1.0 - 10.0**-gap)}}
+    params = dataclasses.replace(params, **edge.get(stratum, {}))
+    co = ad2_coefficients(params)
+    b = choi_2ad(co)
+    got, want = ad2_partition(co, "split-real-imag", b=b), _split_as_dense_elements(co, b)
+    assert got.labels == want.labels
+    assert got.stack.tobytes() == want.stack.tobytes()
+    if params.omega12 == 0.0:  # S and V vanish
+        assert {"iV", "iS"}.isdisjoint(got.labels)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,13 @@ output byte for byte leaves no difference.
 The grid:
 
 * ``extract`` of gad (p 0.5 and 0.35, lam 0, 0.36 and 1) and ad2 (t 0, 0.7,
-  3, 40 and 800 at the benchmark point, and the edge points gamma12 -0.9999,
-  gamma12 0.99999999 and gamma12 = omega12 = 0), each under every partition
-  at cutoffs 0, 1e-12 and 1e-6: the export with its timestamp blanked, the
-  exit code and stderr;
+  3, 40 and 800 at the benchmark point, the edge points gamma12 -0.9999,
+  gamma12 0.99999999 and gamma12 = omega12 = 0, and 24 points drawn from a
+  fixed seed over the strata of the benchmark's draws: gamma12 within a
+  relative 1e-8 to 1e-2 of gamma or of -gamma, omega12 = 0, t = 0, times
+  where the populations fall below the cutoff, and free points), each under
+  every partition at cutoffs 0, 1e-12 and 1e-6: the export with its
+  timestamp blanked, the exit code and stderr;
 * ``verify`` of each export against both references: exit code, stdout and
   stderr;
 * ``sweep`` at the benchmark point (200 and 2,000 steps up to t = 32) and
@@ -31,8 +34,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
+import random
 import re
 import sys
 import warnings
@@ -58,7 +63,32 @@ def extract_points() -> dict:
     ad2["ad2-gamma12-0.9999-neg"] = dict(AD2_POINT, gamma12=-0.9999, t=0.7)
     ad2["ad2-gamma12-0.99999999"] = dict(AD2_POINT, gamma12=0.99999999, t=0.7)
     ad2["ad2-gamma12-omega12-0"] = dict(AD2_POINT, gamma12=0.0, omega12=0.0, t=0.7)
+    ad2.update(drawn_ad2_points())
     points.update((name, ["--channel", "ad2", *_flags(params)]) for name, params in ad2.items())
+    return points
+
+
+DRAWN_STRATA = ("near+gamma", "near-gamma", "omega12-0", "t-0", "deep-t", "free")
+
+
+def drawn_ad2_points(seed: int = 19, rounds: int = 4) -> dict:
+    """Name -> parameters of ad2 points drawn from ``seed``, ``rounds`` per
+    stratum of ``DRAWN_STRATA``; a free point as the benchmark draws one
+    (gamma 0.2 to 2, |gamma12| / gamma below 0.95, omega12 in [-3, 3], omega0
+    in [0, 12], gamma t in [0, 3]) with its stratum's parameter set over."""
+    rng = random.Random(seed)
+    points = {}
+    for i in range(rounds * len(DRAWN_STRATA)):
+        stratum = DRAWN_STRATA[i % len(DRAWN_STRATA)]
+        gamma = math.exp(rng.uniform(math.log(0.2), math.log(2.0)))
+        params = {"gamma": gamma, "gamma12": gamma * rng.uniform(-0.95, 0.95), "omega12": rng.uniform(-3.0, 3.0),
+                  "omega0": rng.uniform(0.0, 12.0), "t": rng.uniform(0.0, 3.0) / gamma}
+        gap = 10.0 ** rng.uniform(-8.0, -2.0)
+        params.update({"near+gamma": {"gamma12": gamma * (1.0 - gap)},
+                       "near-gamma": {"gamma12": -gamma * (1.0 - gap)},
+                       "omega12-0": {"omega12": 0.0}, "t-0": {"t": 0.0},
+                       "deep-t": {"t": rng.uniform(15.0, 40.0) / gamma}}.get(stratum, {}))
+        points[f"ad2-drawn-{i:02d}-{stratum}"] = params
     return points
 
 
