@@ -123,14 +123,14 @@ def pdc_choi_from_choi(b) -> np.ndarray:
     return _sub_channel_choi(b, "pdc")
 
 
-def pdc_kraus(co: Ad2Coefficients, cutoff: float = 1e-12) -> SignedKrausSet:
-    """Signed operators of the phase-damping sub-channel.
+def pdc_kraus(co: Ad2Coefficients) -> SignedKrausSet:
+    """Signed operators of the phase-damping sub-channel, cutoff 1e-12.
 
     Extraction of its Choi matrix yields the four basis projectors (from the
     diagonal) plus a +/- pair per coherence position.
     """
     part = partition_diag_pairs(pdc_choi(co), labels=AD2_PAIR_LABELS)
-    return extract_signed_kraus(part, cutoff=cutoff)
+    return extract_signed_kraus(part)
 
 
 def pdc_apply(rho, co: Ad2Coefficients) -> np.ndarray:
@@ -320,22 +320,23 @@ def holevo_point_form(dim: int = 4, target: int = 3) -> HolevoForm:
     return HolevoForm((sink,) * dim, tuple(effects))
 
 
-def holevo_kraus(form: HolevoForm, cutoff: float = 1e-12) -> SignedKrausSet:
+def holevo_kraus(form: HolevoForm) -> SignedKrausSet:
     """Kraus operators induced by a measure-and-prepare form.
 
     Eigendecomposing outputs (weights q_a, vectors r_a) and effects
-    (weights f_b, vectors phi_b) gives operators sqrt(q_a f_b) |r_a><phi_b|;
-    their completeness follows from the POVM property.  All positive.
+    (weights f_b, vectors phi_b) gives operators sqrt(q_a f_b) |r_a><phi_b|
+    for every q_a and f_b above 1e-12; their completeness follows from the
+    POVM property.  All positive.
     """
     ops, labels = [], []
     for i, (sigma, f) in enumerate(zip(form.outputs, form.effects)):
         out_sys = eig_hermitian(sigma, tol=1e-12)
         eff_sys = eig_hermitian(f, tol=1e-12)
         for a, q in enumerate(out_sys.values):
-            if q <= cutoff:
+            if q <= 1e-12:
                 continue
             for bb, w in enumerate(eff_sys.values):
-                if w <= cutoff:
+                if w <= 1e-12:
                     continue
                 op = np.sqrt(q * w) * np.outer(out_sys.vectors[:, a], eff_sys.vectors[:, bb].conj())
                 ops.append(op)
@@ -409,7 +410,7 @@ def pdc_effective_state(co: Ad2Coefficients) -> np.ndarray:
     restricted to {e, g} (x) {e, g}, with the two tensor factors swapped;
     reading it as a two-qubit state (excited -> 0, ground -> 1 on each side)
     is exact.  A coherence of magnitude at most 1e-12 reads as 0, as it does
-    when the state is built from ``pdc_kraus`` operators (default cutoff).
+    when the state is built from ``pdc_kraus`` operators.
     """
     return pdc_effective_state_from_choi(choi_2ad(co))
 

@@ -482,15 +482,19 @@ def ad2_coefficients(params: Ad2Params, t=None) -> Ad2Coefficients:
         -d * f_p / gp_k - expm1(neg_2gt) / g2_k
     )
 
-    def osc(freq: float, rate: float):
-        return cast(np.exp(-1j * freq * t) * exp(-rate * t))
+    # each oscillating coefficient takes rate t as (rate 2^-k) (t 2^k), so that
+    # no rate overflows, as 3 gamma can; t 2^k is exact unless it overflows or
+    # goes subnormal, where exp(-rate t) is 0.0 or 1.0 either way
+    def osc(freq: float, rate_k: float):
+        return cast(np.exp(-1j * freq * t) * exp(-rate_k * t_k))
 
-    j = osc(om0 - om12, (3.0 * gamma + g12) / 2.0)
-    l = osc(2.0 * om0, gamma)
-    m = osc(om0 + om12, (3.0 * gamma - g12) / 2.0)
-    pp = osc(2.0 * om12, gamma)
-    q = osc(om0 - om12, gm / 2.0)
-    tt = osc(om0 + om12, gp / 2.0)
+    t_k, g_k, g12_k = np.ldexp(t, k), math.ldexp(gamma, -k), math.ldexp(g12, -k)
+    j = osc(om0 - om12, (3.0 * g_k + g12_k) / 2.0)
+    l = osc(2.0 * om0, g_k)
+    m = osc(om0 + om12, (3.0 * g_k - g12_k) / 2.0)
+    pp = osc(2.0 * om12, g_k)
+    q = osc(om0 - om12, gm_k / 2.0)
+    tt = osc(om0 + om12, gp_k / 2.0)
 
     # R, S, U and V carry (gamma, 2 omega12) / (gamma^2 + 4 omega12^2).  The
     # rates are scaled by 2^-n, n the exponent of max(gamma, 2|omega12|), so

@@ -22,9 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-# reconstruct_choi_stack is defined in channels, which builds each set's Choi
-# matrix with it; it stays importable from here
-from .channels import Ad2Coefficients, SignedKrausSet, reconstruct_choi_stack  # noqa: F401
+from .channels import Ad2Coefficients, SignedKrausSet
 from .linalg import (
     dagger,
     eig_hermitian,
@@ -198,10 +196,6 @@ class HermitianPartition:
         object.__setattr__(self, "labels", labs)
         object.__setattr__(self, "stack", stack)
 
-    @property
-    def dim(self) -> int:
-        return self.elements[0].shape[0]
-
     def sum_matrix(self) -> np.ndarray:
         return self.stack.sum(axis=0)
 
@@ -224,14 +218,6 @@ def partition_from_elements(elements: Sequence, labels: Sequence[str] = (), refe
 def partition_full(b, label: str = "full") -> HermitianPartition:
     """Trivial partition: the whole matrix as a single element."""
     return HermitianPartition((np.asarray(b, dtype=complex),), (label,))
-
-
-def _pair_element(b: np.ndarray, r: int, c: int, z: complex) -> np.ndarray:
-    """The Hermitian matrix z |r><c| + conj(z) |c><r|, shaped like b."""
-    el = np.zeros_like(b)
-    el[r, c] = z
-    el[c, r] = np.conj(z)
-    return el
 
 
 def partition_diag_pairs(b, labels: Mapping[tuple[int, int], str] | None = None) -> HermitianPartition:
@@ -351,22 +337,22 @@ def ad2_partition(co: Ad2Coefficients, strategy: str = "diag-pairs", b=None) -> 
 # extraction
 
 
-def _closed_form(n: int, vals, diag, z, rows, cols, cutoff: float, floor=0.0) -> tuple:
+def _closed_form(n: int, vals, diag, z, rows, cols, cutoff: float) -> tuple:
     """Signed operators, without a solve, of the diagonal values ``vals``
     (m, a) at basis indices ``diag`` (a,), eigenvector |i> each, and of the
     pairs z |r><c| + conj(z) |c><r| for ``z`` (m, b) at (``rows``, ``cols``)
     (b,), r < c: eigenvalues +-|z|, vectors (|r> +- (conj(z)/|z|) |c>)/sqrt(2),
     |z| from np.hypot, bitwise Python's complex abs, which np.abs is not.  A
-    value is kept if its magnitude exceeds ``cutoff``, a pair only if |z|
-    also exceeds ``floor``.  Returns fold(sqrt(|value|) * vector), (m, a + 2b,
-    d, d) for n = d^2, and the signs (m, a + 2b) in {1, -1, 0}, a dropped
-    slot zero: the diagonal slots, then a + and a - slot per pair.
+    value is kept if its magnitude exceeds ``cutoff``.  Returns
+    fold(sqrt(|value|) * vector), (m, a + 2b, d, d) for n = d^2, and the
+    signs (m, a + 2b) in {1, -1, 0}, a dropped slot zero: the diagonal
+    slots, then a + and a - slot per pair.
     """
     m, a = vals.shape
     absz = np.hypot(z.real, z.imag)
-    keep = ~((absz <= cutoff) | (absz <= floor))
+    keep = ~(absz <= cutoff)
     keep_diag = ~(np.abs(vals) <= cutoff)
-    phase, root2 = np.divide(z.conj(), absz, out=np.zeros_like(z), where=keep), math.sqrt(2.0)
+    phase, root2 = np.divide(z.conj(), absz, out=np.zeros_like(z), where=keep & (absz > 0.0)), math.sqrt(2.0)
     slots = np.arange(a + 2 * len(rows))
     vecs = np.zeros((m, len(slots), n), dtype=complex)
     vecs[:, slots[:a], diag] = 1.0
@@ -459,13 +445,13 @@ def reconstruct_choi(ks: SignedKrausSet) -> np.ndarray:
     return ks._choi
 
 
-def standard_kraus_from_choi(b, cutoff: float = 1e-12) -> SignedKrausSet:
-    """Operators from the full Choi eigensystem (no partitioning).
+def standard_kraus_from_choi(b) -> SignedKrausSet:
+    """Operators from the full Choi eigensystem (no partitioning), cutoff 1e-12.
 
     For a completely positive channel the negative list comes back empty;
-    negative eigenvalues below -cutoff land there otherwise.
+    negative eigenvalues below -1e-12 land there otherwise.
     """
-    return extract_signed_kraus(partition_full(b, label="S"), cutoff=cutoff)
+    return extract_signed_kraus(partition_full(b, label="S"))
 
 
 def ad2_diag_pairs_operators(chois, cutoff: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
@@ -485,8 +471,9 @@ def ad2_diag_pairs_operators(chois, cutoff: float = 1e-12) -> tuple[np.ndarray, 
         raise ValueError("expected a stack of 16 x 16 Choi matrices")
     diag = np.array(AD2_DIAG_EXPORT_ORDER)
     rows, cols = np.array(list(AD2_PAIR_LABELS)).T
-    floor = PARTITION_REL_THRESHOLD * np.abs(b).max(axis=(1, 2), initial=0.0)
-    ops, signs = _closed_form(16, b[:, diag, diag].real, diag, b[:, rows, cols], rows, cols, cutoff, floor[:, None])
+    z = b[:, rows, cols]
+    z[np.hypot(z.real, z.imag) <= PARTITION_REL_THRESHOLD * np.abs(b).max(axis=(1, 2), initial=0.0)[:, None]] = 0.0
+    ops, signs = _closed_form(16, b[:, diag, diag].real, diag, z, rows, cols, cutoff)
     if not (signs > 0).any(axis=1).all():
         raise ValueError("extraction produced no positive operators")
     return ops, signs
@@ -514,29 +501,31 @@ def charpoly_checks(co: Ad2Coefficients) -> dict:
     The diagonal element must carry the nine population coefficients plus
     seven zeros, within 1e-10; each pair element contributes exactly
     ±|coefficient|, within 1e-12.  Spectra are computed with the iterative
-    eigensolver so this doubles as an end-to-end check of it.  Returns
-    per-block expected/computed spectra, per-block error, and an overall
-    flag.
+    eigensolver, in one solve of the stack of all nine elements, so this
+    doubles as an end-to-end check of it.  Returns per-block
+    expected/computed spectra, per-block error, and an overall flag.
     """
     b, values = choi_2ad(co), _ad2_values(co)
     report: dict = {"blocks": {}, "max_error": 0.0, "ok": True}
 
-    diag_el = np.diag(np.diagonal(b))
-    computed = eigvals_hermitian(diag_el)
-    expected = np.sort(np.concatenate([[values[label] for label in AD2_DIAG_LABELS.values()], np.zeros(7)]))[::-1]
-    err = float(np.max(np.abs(np.sort(computed) - np.sort(expected))))
-    report["blocks"]["diag"] = {
-        "expected": expected.tolist(), "computed": computed.tolist(), "error": err,
-        "ok": err <= 1e-10,
-    }
+    # the diagonal element, then z |r><c| + conj(z) |c><r| per pair position
+    rows, cols = np.array(list(AD2_PAIR_LABELS)).T
+    z, at = b[rows, cols], np.arange(1, 1 + len(rows))
+    stack = np.zeros((1 + len(rows), 16, 16), dtype=complex)
+    stack[0] = np.diag(np.diagonal(b))
+    stack[at, rows, cols], stack[at, cols, rows] = z, z.conj()
+    spectra = eigvals_hermitian(stack)
 
-    for (r, c), label in AD2_PAIR_LABELS.items():
-        z = values[label]
-        computed = eigvals_hermitian(_pair_element(b, r, c, z))
-        expected = np.concatenate([[abs(z)], np.zeros(14), [-abs(z)]])
+    expected = np.sort(np.concatenate([[values[label] for label in AD2_DIAG_LABELS.values()], np.zeros(7)]))[::-1]
+    err = float(np.max(np.abs(np.sort(spectra[0]) - np.sort(expected))))
+    report["blocks"]["diag"] = {"expected": expected.tolist(), "computed": spectra[0].tolist(), "error": err,
+                                "ok": err <= 1e-10}
+
+    for label, size, computed in zip(AD2_PAIR_LABELS.values(), np.hypot(z.real, z.imag).tolist(), spectra[1:]):
+        expected = np.concatenate([[size], np.zeros(14), [-size]])
         err = float(np.max(np.abs(np.sort(computed) - np.sort(expected))))
         report["blocks"][label] = {
-            "expected_nonzero": [abs(z), -abs(z)],
+            "expected_nonzero": [size, -size],
             "computed_nonzero": [float(computed[0]), float(computed[-1])],
             "error": err, "ok": err <= 1e-12,
         }

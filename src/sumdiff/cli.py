@@ -265,10 +265,11 @@ def _option(args, config: dict, name: str, default=_MISSING):
     nor a fraction for an int option (int() would truncate 2.7 to 2); a
     whole float is read as an int, an int as a float.  It must pass the
     option's rules and choices.  Raises UsageError, naming the option (and
-    $SUMDIFF_TOLERANCE for a value read from it), if it does not, is null in
-    the config, or is required and absent."""
+    the config file or $SUMDIFF_TOLERANCE for a value read from it), if it
+    does not, is null in the config, or is required and absent."""
     option, flag = OPTIONS[name], f"--{name.replace('_', '-')}"
-    value, source = getattr(args, name), ""
+    value = getattr(args, name)
+    source = "" if value is not None else f"{args.config}: "
     if value is None and (value := config.get(name, config.get(flag[2:], _MISSING))) is None:
         raise UsageError(f"config value of {flag} is null")
     if value is _MISSING and name == "tolerance" and TOLERANCE_ENV in os.environ:
@@ -286,12 +287,12 @@ def _option(args, config: dict, name: str, default=_MISSING):
     except OverflowError:  # an integer past float stays an int, and fails below
         pass
     if type(value) is not option.type:
-        raise UsageError(f"bad value {value!r} for {flag}")
+        raise UsageError(f"{source}bad value {value!r} for {flag}")
     for test, text in option.rules:
         if not test(value):
             raise UsageError(f"{source}{flag} {text}, got {value!r}")
     if option.choices is not None and value not in option.choices:
-        raise UsageError(f"{flag} must be one of {', '.join(option.choices)}, got {value!r}")
+        raise UsageError(f"{source}{flag} must be one of {', '.join(option.choices)}, got {value!r}")
     return value
 
 

@@ -339,26 +339,19 @@ def _gather(h, tol: float, at=None) -> tuple:
     if not np.isfinite(every).all():
         raise ValueError("matrix has non-finite entries")
     # every entry against the conjugate of its mirror entry, all blocks at
-    # once; a 1 x 1 block is off its Hermitian part by twice its imaginary
-    # part, so a stack of 1 x 1 blocks takes no mirror copy.  The Hermitian
-    # parts are written over the mirror entries, in place: on a stack, new
-    # arrays of this size made the allocator hand pages back and fault them
-    # in again on every call.  A 1 x 1 block's part is its real part, as the
-    # halved sum of a real entry past half the largest float would overflow;
-    # its column is zeroed first, so nothing overflows there
+    # once.  The Hermitian parts are written over the mirror entries, in
+    # place: on a stack, new arrays of this size made the allocator hand pages
+    # back and fault them in again on every call.  A 1 x 1 block's part is its
+    # real part, as the halved sum of a real entry past half the largest float
+    # would overflow; its column is zeroed first, so nothing overflows there
     ones = components[0][1].size if components and components[0][0] == 1 else 0
-    if ones == len(mirror):
-        halved, skew = None, 2.0 * np.abs(every.imag).max(initial=0.0)
-    else:
-        halved = np.take(every, mirror, axis=1)
-        np.conjugate(halved, out=halved)
-        skew = np.abs(every - halved).max(initial=0.0)
-    if skew > tol:
+    halved = np.take(every, mirror, axis=1)
+    np.conjugate(halved, out=halved)
+    if np.abs(every - halved).max(initial=0.0) > tol:
         raise ValueError("matrix is not Hermitian within tol")
-    if halved is not None:
-        halved[:, :ones] = 0.0
-        halved += every
-        halved /= 2.0
+    halved[:, :ones] = 0.0
+    halved += every
+    halved /= 2.0
     groups, start = [], 0
     for k, members, place in components:
         end = start + place[1].size
@@ -428,14 +421,15 @@ def _jacobi(h, tol: float, max_sweeps: int, with_vectors: bool) -> tuple:
     single, h, groups = _gather(h, tol)
     m, n = h.shape[:2]
     values = np.empty((m, n))
-    singles = None  # (row start, column) of the 1 x 1 components
+    solved = []  # (k, (row start, column) of each entry, h's blocks, values, vectors)
     blocks = []  # (k, members, (row start, column), h's blocks, state) of the larger ones
     for k, members, place, blk, a in groups:
         if k == 1:
-            # its own eigenvalue; the reconstruction misses h by the
+            # its own eigenvalue, and the identity its vector, as for a block
+            # that no sweep rotated; the reconstruction misses h by the
             # imaginary part, which the Hermitian check bounds by tol / 2
             values[:, members[:, 0]] = a
-            singles = place
+            solved.append((k, place, blk.reshape(-1, 1, 1), a.reshape(-1, 1), None))
             continue
         # a 2 x 2 block is held as its diagonal and its upper entry, a larger
         # one whole; each with its vectors, None for the identity
@@ -476,7 +470,6 @@ def _jacobi(h, tol: float, max_sweeps: int, with_vectors: bool) -> tuple:
             elif state[3] is None:
                 state[:] = _rotate_pairs(*state[:3], None if hold is None else hold[:, 0])
 
-    solved = []  # (k, (row start, column) of each entry, h's blocks, values, vectors)
     for k, members, place, blk, state in blocks:
         vals = np.array(state[:2]).T if k == 2 else state[0].diagonal(axis1=1, axis2=2).real
         values[:, members] = vals.reshape(m, -1, k)
@@ -512,9 +505,6 @@ def _jacobi(h, tol: float, max_sweeps: int, with_vectors: bool) -> tuple:
     # each becomes real nonnegative (a unit vector has one of magnitude
     # >= 1/sqrt(k)); then put each vector in the column of its rank
     vectors = np.zeros((m, n * n), dtype=complex)
-    if singles is not None:
-        start, col = singles
-        vectors[rows, start + rank[:, col]] = 1.0
     for k, (start, col), blk, vals, vecs in solved:
         if vecs is None:
             vecs = np.broadcast_to(np.eye(k), blk.shape)

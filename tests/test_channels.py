@@ -456,7 +456,7 @@ def test_ad2_coefficients_over_times_name_the_time_that_fails():
     params = Ad2Params(1.0, 0.3, 2.0, 1e300, 5.0)
     with pytest.raises(ValueError, match=re.escape(f"not finite at {params.at(1e10)}")):
         ad2_coefficients(params, [0.0, 1e10, 1e20, 1.0])
-    params = Ad2Params(1e308, 0.0, 0.0, 0.0, 5.0)  # 2 gamma = inf, and inf * 0 is NaN at t = 0 only
+    params = Ad2Params(1.5e308, 1e308, 0.0, 0.0, 5.0)  # gamma + gamma12 = inf, which fails at every time
     with np.errstate(all="ignore"):
-        with pytest.raises(ValueError, match=re.escape(f"not finite at {params.at(0.0)}")):
+        with pytest.raises(ValueError, match=re.escape(f"not finite at {params.at(1.0)}")):
             ad2_coefficients(params, [1.0, 0.0, 2.0])

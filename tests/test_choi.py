@@ -17,12 +17,14 @@ from sumdiff.channels import (
     gad_kraus,
     gad_split_choi,
     random_density_matrix,
+    reconstruct_choi_stack,
 )
 from sumdiff.choi import (
     AD2_DIAG_EXPORT_ORDER,
     AD2_DIAG_LABELS,
     AD2_PAIR_LABELS,
     HermitianPartition,
+    PARTITION_REL_THRESHOLD,
     ad2_diag_pairs_operators,
     ad2_partition,
     ad2_signed_kraus,
@@ -35,11 +37,11 @@ from sumdiff.choi import (
     partition_from_masks,
     partition_full,
     reconstruct_choi,
-    reconstruct_choi_stack,
     standard_kraus_from_choi,
     trace_preservation_residual,
 )
-from sumdiff.linalg import dagger, eig_rank2_pair, fold, max_abs, unfold
+import sumdiff.choi as choi_module
+from sumdiff.linalg import dagger, eig_rank2_pair, eigvals_hermitian, fold, max_abs, unfold
 
 
 def random_params(rng):
@@ -518,6 +520,46 @@ def test_charpoly_checks_at_time_zero():
     diag = report["blocks"]["diag"]["computed"]
     assert np.allclose(sorted(diag), [0.0] * 12 + [1.0] * 4, atol=1e-12)
     assert report["ok"]
+
+
+def test_charpoly_checks_solve_every_block_in_one_stack(monkeypatch):
+    calls = []
+
+    def counted(h, *args, **kwargs):
+        calls.append(np.shape(h))
+        return eigvals_hermitian(h, *args, **kwargs)
+
+    monkeypatch.setattr(choi_module, "eigvals_hermitian", counted)
+    rng = np.random.default_rng(20)
+    points = [PROBE.at(0.0), PROBE.at(30.0), Ad2Params(1.0, 1.0 - 1e-9, 2.0, 10.0, 0.7),
+              Ad2Params(1.0, -(1.0 - 1e-9), 2.0, 10.0, 0.7)]
+    points += [random_params(rng) for _ in range(8)]
+    for params in points:
+        calls.clear()
+        report = charpoly_checks(ad2_coefficients(params))
+        assert calls == [(9, 16, 16)]
+        assert list(report["blocks"]) == ["diag", *AD2_PAIR_LABELS.values()]
+        assert all(block["ok"] for block in report["blocks"].values()), params
+        assert report["ok"]
+
+
+@pytest.mark.parametrize("step", [0, -1, 1], ids=["at", "below", "above"])
+def test_pair_at_the_partition_threshold_is_dropped_by_both_paths(step):
+    # a pair at or below PARTITION_REL_THRESHOLD max|B| gives no operator,
+    # even at cutoff 0: the stacked path writes it as 0, the export path's
+    # partition leaves it out
+    co = ad2_coefficients(PROBE)
+    b = choi_2ad(co)
+    size = PARTITION_REL_THRESHOLD * max_abs(b)
+    size = size if step == 0 else np.nextafter(size, step * np.inf)
+    b[0, 5] = b[5, 0] = size  # J, the first pair position
+    ops, signs = ad2_diag_pairs_operators(b[None], cutoff=0.0)
+    labels = ad2_signed_kraus(co, cutoff=0.0, b=b).positive_labels
+    if step > 0:
+        assert list(signs[0, 9:11]) == [1, -1] and "J+" in labels
+    else:
+        assert list(signs[0, 9:11]) == [0, 0] and not ops[0, 9:11].any()
+        assert "J+" not in labels
 
 
 def test_choi_2ad_of_coefficients_over_times_is_the_stack():

@@ -580,6 +580,46 @@ def test_nan_or_negative_cutoff_exits_one(tmp_path, monkeypatch, capsys, source,
     assert capsys.readouterr().err.count("cutoff must be a nonnegative number") == 3
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, name, value, text", [
+    ("extract", "cutoff", -1.0, "must be a nonnegative number and finite"),
+    ("extract", "tolerance", -1.0, "must be positive"),
+    ("extract", "seed", -1, "must be nonnegative"),
+    ("verify", "count", 0, "must be at least 1"),
+    ("sweep", "steps", 1, "must be at least 2"),
+    ("sweep", "t_min", -1.0, "must be nonnegative"),
+    ("sweep", "t_max", math.inf, "must be finite"),
+])
+def test_a_bad_config_value_is_blamed_on_the_config(tmp_path, capsys, source, command, name, value, text):
+    # a config value was reported as the value of a flag nobody passed
+    flag = f"--{name.replace('_', '-')}"
+    argv = {"extract": ["extract", *GAD_ARGS], "sweep": ["sweep", *SWEEP_ARGS],
+            "verify": ["verify", str(run_extract(tmp_path, "gad.json")[1])]}[command]
+    if flag in argv:
+        del argv[argv.index(flag):argv.index(flag) + 2]
+    if source == "flag":
+        argv, prefix = [*argv, f"{flag}={value!r}"], ""
+    else:
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({name: value}))  # json writes inf as Infinity
+        argv, prefix = [*argv, "--config", str(config)], f"{config}: "
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {prefix}{flag} {text}, got {value!r}\n"
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"partition": "nope"}, "--partition must be one of diag-pairs, split-real-imag, full-spectral, got 'nope'"),
+    ({"p": "0.5"}, "bad value '0.5' for --p"),
+])
+def test_a_config_value_of_a_bad_type_or_choice_is_blamed_on_the_config(tmp_path, capsys, values, message):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps(values))
+    params = ["--lam", "0.36"] if "p" in values else ["--p", "0.5", "--lam", "0.36"]
+    assert main(["extract", "--channel", "gad", *params, "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: {config}: {message}\n"
+
+
 @pytest.mark.parametrize("field, value", [
     ("tolerance", True), ("tolerance", "1e-10"), ("tolerance", None), ("tolerance", [1e-10]), ("tolerance", 10**400),
     ("p", True), ("p", "0.5"), ("lam", None), ("lam", {"x": 1}), ("lam", 10**400),
@@ -1174,12 +1214,27 @@ def test_verify_rejects_an_operator_of_another_dimension_naming_it(tmp_path, cap
 def test_sweep_overflowing_rate_exits_one_without_numpy_warnings():
     # the array path of ad2_coefficients printed three RuntimeWarnings first
     proc = subprocess.run(
-        [sys.executable, "-m", "sumdiff.cli", "sweep", "--channel", "ad2", "--gamma=1e308", "--gamma12=0",
+        [sys.executable, "-m", "sumdiff.cli", "sweep", "--channel", "ad2", "--gamma=1.5e308", "--gamma12=1e308",
          "--omega12=0", "--omega0=0", "--t-min=0", "--t-max=1", "--steps=3"],
         capture_output=True, text=True)
     assert proc.returncode == 1
     assert "RuntimeWarning" not in proc.stderr
-    assert proc.stderr.startswith("error: the coefficients are not finite at Ad2Params(gamma=1e+308")
+    assert proc.stderr.startswith("error: the coefficients are not finite at Ad2Params(gamma=1.5e+308")
+
+
+def test_identity_channel_at_a_huge_rate_is_the_identity(tmp_path):
+    # (3 gamma +- gamma12) / 2 overflowed, and inf * 0 made the coefficients
+    # at t = 0 NaN, so the identity channel was refused above gamma ~ 6e307
+    args = ["--channel", "ad2", "--gamma12", "0", "--omega12", "2", "--omega0", "10"]
+    exports = {}
+    for gamma in ("9e307", "1"):
+        code, out = run_extract(tmp_path, f"{gamma}.json", args=[*args, "--gamma", gamma, "--t", "0"])
+        assert code == 0
+        exports[gamma] = json.loads(out.read_text())
+    for field in ("operators", "report", "residuals"):
+        assert exports["9e307"][field] == exports["1"][field]
+    assert main(["sweep", *args, "--gamma", "1e308", "--t-min", "0", "--t-max", "1", "--steps", "3",
+                 "--out", str(tmp_path / "huge.csv")]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ The grid:
 * ``sweep`` at the benchmark point (200 and 2,000 steps up to t = 32) and
   on the gamma12 = 0.99999999 grid up to t = 800: the CSV, exit code and
   stderr;
-* the exit code, stdout and stderr of a fixed list of bad calls.
+* the exit code, stdout and stderr of a fixed list of bad calls, some with a
+  config file of bad values.
 
 Every call runs in this process, from inside ``OUT_DIR/work``, so that
 messages name the same relative paths whatever ``OUT_DIR`` is.  Warnings a
@@ -108,8 +109,11 @@ def _sweep_argv(spec: dict, out: str) -> list:
 GAD = ["--channel", "gad", "--p=0.5", "--lam=0.36"]
 SWEEP = ["sweep", "--channel", "ad2", *_flags(AD2_POINT), "--t-min=0", "--t-max=1", "--steps=3"]
 
-# calls that must fail; some read files made earlier in the run: gad.json, a
-# valid export, and bad.json, which is not JSON
+# calls that must fail, but for the identity channel at a huge rate (indices
+# 20 and 32), which exits 0 since the oscillating coefficients' rates no
+# longer overflow; kept so that a comparison with an older tree shows them
+# flip.  Some read files made earlier in the run: gad.json, a valid export,
+# bad.json, which is not JSON, and the configs of CONFIGS
 BAD_CALLS = [
     [],
     ["bogus"],
@@ -145,7 +149,15 @@ BAD_CALLS = [
     ["sweep", *GAD, "--t-min=0", "--t-max=1", "--steps=5"],
     ["sweep", "--channel", "ad2", "--gamma=1e308", "--gamma12=0", "--omega12=0", "--omega0=0",
      "--t-min=0", "--t-max=1", "--steps=3"],
+    ["extract", *GAD, "--config", "tolerance.json"],
+    [*SWEEP[:-1], "--config", "steps.json"],
+    ["extract", *GAD, "--config", "partition.json"],
+    ["extract", "--channel", "ad2", "--gamma12=0", "--omega12=2", "--omega0=10", "--t=0.7", "--config", "gamma.json"],
 ]
+
+# config files of bad values that BAD_CALLS reads, by file name
+CONFIGS = {"tolerance.json": {"tolerance": -1}, "steps.json": {"steps": 1}, "partition.json": {"partition": "nope"},
+           "gamma.json": {"gamma": "1"}}
 
 
 def _call(main, argv: list) -> tuple:
@@ -159,14 +171,19 @@ def _call(main, argv: list) -> tuple:
     return code, out.getvalue(), err.getvalue() + notes
 
 
+def _untimed(text: str) -> str:
+    """``text`` with the timestamp of any export in it blanked."""
+    return re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', text)
+
+
 def _record(path: pathlib.Path, argv: list, code, stdout: str, stderr: str) -> None:
-    path.write_text(f"argv: {json.dumps(argv)}\nexit: {code}\n--- stdout\n{stdout}--- stderr\n{stderr}",
+    path.write_text(f"argv: {json.dumps(argv)}\nexit: {code}\n--- stdout\n{_untimed(stdout)}--- stderr\n{stderr}",
                     encoding="utf-8")
 
 
 def _blank_timestamp(export: pathlib.Path) -> str:
     """The export's text with its timestamp blanked, written back in place."""
-    text = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', export.read_text(encoding="utf-8"))
+    text = _untimed(export.read_text(encoding="utf-8"))
     export.write_text(text, encoding="utf-8")
     return text
 
@@ -205,6 +222,8 @@ def run(out_dir: pathlib.Path) -> int:
     _call(main, ["extract", *GAD, "--out", "gad.json"])
     _blank_timestamp(pathlib.Path("gad.json"))
     pathlib.Path("bad.json").write_text("{not json", encoding="utf-8")
+    for name, config in CONFIGS.items():
+        pathlib.Path(name).write_text(json.dumps(config), encoding="utf-8")
     for i, argv in enumerate(BAD_CALLS):
         _record(out_dir / "bad" / f"{i:02d}.txt", argv, *_call(main, argv))
         calls += 1
