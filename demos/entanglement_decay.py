@@ -13,6 +13,7 @@ import numpy as np
 
 from sumdiff.analysis import concurrence, pdc_effective_state, pdc_entanglement_trace
 from sumdiff.channels import Ad2Params, ad2_coefficients
+from sumdiff.choi import choi_2ad
 
 PARAMS = Ad2Params(gamma=1.0, gamma12=0.3, omega12=2.0, omega0=10.0, t=0.0)
 
@@ -21,7 +22,7 @@ def main():
     print(" Gamma*t   concurrence   exp(-Gamma*t)")
     for t in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
         co = ad2_coefficients(PARAMS.at(t=t))
-        c = concurrence(pdc_effective_state(co))
+        c = concurrence(pdc_effective_state(choi_2ad(co)))
         print(f"  {t:6.2f}   {c:.9f}   {math.exp(-t):.9f}")
 
     trace = pdc_entanglement_trace(PARAMS, t_max=50.0, steps=200)

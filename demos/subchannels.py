@@ -36,6 +36,7 @@ PARAMS = Ad2Params(gamma=1.0, gamma12=0.3, omega12=2.0, omega0=10.0, t=0.5)
 
 def main():
     co = ad2_coefficients(PARAMS)
+    b = choi_2ad(co)
     rng = np.random.default_rng(2)
     rho = random_density_matrix(4, rng)
 
@@ -45,10 +46,10 @@ def main():
     print(f"  operators: {len(mks.positive)} (all positive)")
     print(f"  off-diagonal mass of output  = {max_abs(out - np.diag(np.diag(out))):.2e}")
     print(f"  trace of output              = {out.trace().real:.12f}")
-    print(f"  Choi PPT                     = {is_ppt(mdc_choi(co), 4, 4)}")
-    qc_flag, _ = qc_form_test(mdc_choi(co), 4)
+    print(f"  Choi PPT                     = {is_ppt(mdc_choi(b), 4, 4)}")
+    qc_flag, _ = qc_form_test(mdc_choi(b), 4)
     print(f"  quantum-classical Choi form  = {qc_flag}")
-    rep = eb_report(mdc_choi(co))
+    rep = eb_report(mdc_choi(b))
     print(f"  entanglement-breaking signature (Choi PPT) = {rep.ppt_of_choi}")
 
     print("\ndephasing sub-channel:")
@@ -58,7 +59,7 @@ def main():
     unit[0, 1] = 1.0
     dev = max_abs(pdc_apply(unit, co) - ad2_apply(unit, co))
     print(f"  coherence evolution matches the full channel: dev = {dev:.2e}")
-    print(f"  Choi PPT                     = {is_ppt(pdc_choi(co), 4, 4)}"
+    print(f"  Choi PPT                     = {is_ppt(pdc_choi(b), 4, 4)}"
           "   (NPT: still entangled with its reference)")
 
     # in the long-time limit the full channel collapses to a point channel

@@ -46,32 +46,37 @@ __all__ = [
     "holevo_point_form",
     "is_ppt",
     "mdc_choi",
-    "mdc_choi_from_choi",
     "mdc_kraus",
     "pdc_apply",
     "pdc_choi",
-    "pdc_choi_from_choi",
     "pdc_effective_state",
-    "pdc_effective_state_from_choi",
     "pdc_entanglement_trace",
     "pdc_kraus",
     "qc_form_test",
 ]
 
 
+# identity-channel diagonal of the phase-damping Choi matrix: 1 at |jj>|jj>
+_PDC_DIAGONAL = np.isin(np.arange(16), (0, 5, 10, 15)).astype(complex)
+
+# each sub-channel's Choi matrix as (kept, values) over a 16 x 16 Choi
+# matrix b: entry (i, j) is b[i, j] where kept, values[i, j] elsewhere
+_SUB_CHANNELS = {
+    "mdc": (np.eye(16, dtype=bool), np.zeros((16, 16), dtype=complex)),
+    "pdc": (~np.eye(16, dtype=bool), np.diag(_PDC_DIAGONAL)),
+}
+
+
 # ---------------------------------------------------------------------------
 # measurement-dominated sub-channel (diagonal of the Choi matrix)
 
 
-def mdc_choi(co: Ad2Coefficients) -> np.ndarray:
-    """Choi matrix of the measurement-dominated sub-channel: the diagonal alone."""
-    return mdc_choi_from_choi(choi_2ad(co))
-
-
-def mdc_choi_from_choi(b) -> np.ndarray:
-    """``mdc_choi`` of a two-qubit damping Choi matrix, or of each matrix of a
-    stack (m, 16, 16)."""
-    return _sub_channel_choi(b, "mdc")
+def mdc_choi(b) -> np.ndarray:
+    """Choi matrix of the measurement-dominated sub-channel of a two-qubit
+    damping Choi matrix, or of each matrix of a stack (m, 16, 16): the
+    diagonal alone."""
+    kept, values = _SUB_CHANNELS["mdc"]
+    return np.where(kept, np.asarray(b, dtype=complex), values)
 
 
 def mdc_kraus(co: Ad2Coefficients) -> SignedKrausSet:
@@ -89,38 +94,17 @@ def mdc_kraus(co: Ad2Coefficients) -> SignedKrausSet:
 # phase-damping sub-channel (coherence pairs plus a trace-carrying diagonal)
 
 
-def pdc_choi(co: Ad2Coefficients) -> np.ndarray:
-    """Choi matrix of the phase-damping sub-channel.
+def pdc_choi(b) -> np.ndarray:
+    """Choi matrix of the phase-damping sub-channel of a two-qubit damping
+    Choi matrix, or of each matrix of a stack (m, 16, 16).
 
     The coherence pairs of the full Choi matrix sit on top of an
     identity-channel diagonal, so the sub-channel leaves every diagonal
     entry of a state untouched while coherences evolve exactly as under the
     full channel.
     """
-    return pdc_choi_from_choi(choi_2ad(co))
-
-
-# identity-channel diagonal of the phase-damping Choi matrix: 1 at |jj>|jj>
-_PDC_DIAGONAL = np.isin(np.arange(16), (0, 5, 10, 15)).astype(complex)
-
-# each sub-channel's Choi matrix as (kept, values) over a 16 x 16 Choi
-# matrix b: entry (i, j) is b[i, j] where kept, values[i, j] elsewhere
-_SUB_CHANNELS = {
-    "mdc": (np.eye(16, dtype=bool), np.zeros((16, 16), dtype=complex)),
-    "pdc": (~np.eye(16, dtype=bool), np.diag(_PDC_DIAGONAL)),
-}
-
-
-def _sub_channel_choi(b, part: str) -> np.ndarray:
-    """The Choi matrix of sub-channel ``part`` of b, or of each matrix of a stack."""
-    kept, values = _SUB_CHANNELS[part]
+    kept, values = _SUB_CHANNELS["pdc"]
     return np.where(kept, np.asarray(b, dtype=complex), values)
-
-
-def pdc_choi_from_choi(b) -> np.ndarray:
-    """``pdc_choi`` of a two-qubit damping Choi matrix, or of each matrix of a
-    stack (m, 16, 16)."""
-    return _sub_channel_choi(b, "pdc")
 
 
 def pdc_kraus(co: Ad2Coefficients) -> SignedKrausSet:
@@ -129,7 +113,7 @@ def pdc_kraus(co: Ad2Coefficients) -> SignedKrausSet:
     Extraction of its Choi matrix yields the four basis projectors (from the
     diagonal) plus a +/- pair per coherence position.
     """
-    part = partition_diag_pairs(pdc_choi(co), labels=AD2_PAIR_LABELS)
+    part = partition_diag_pairs(pdc_choi(choi_2ad(co)), labels=AD2_PAIR_LABELS)
     return extract_signed_kraus(part)
 
 
@@ -170,8 +154,8 @@ def is_ppt(m, dim_a: int, dim_b: int, tol: float = 1e-10, part: str | None = Non
     For a stack of matrices, returns one flag per matrix as a bool array.
     The partial transpose is read from ``m`` through a cached position map,
     not built.  With ``part`` "mdc" or "pdc", the matrix tested is that of
-    ``mdc_choi_from_choi(m)`` or ``pdc_choi_from_choi(m)``, read from each
-    16 x 16 ``m`` the same way, with the same flags and errors.
+    ``mdc_choi(m)`` or ``pdc_choi(m)``, read from each 16 x 16 ``m`` the
+    same way, with the same flags and errors.
     """
     m = np.asarray(m, dtype=complex)
     n = dim_a * dim_b
@@ -304,20 +288,14 @@ def holevo_apply(form: HolevoForm, rho) -> np.ndarray:
     return out
 
 
-def holevo_point_form(dim: int = 4, target: int = 3) -> HolevoForm:
-    """Constant-output channel in measure-and-prepare form.
+def holevo_point_form() -> HolevoForm:
+    """Constant-output two-qubit channel in measure-and-prepare form.
 
-    Measures in the computational basis and prepares the target basis state
-    regardless of outcome.
+    Measures in the computational basis and prepares the ground state
+    |3><3| regardless of outcome.
     """
-    sink = np.zeros((dim, dim), dtype=complex)
-    sink[target, target] = 1.0
-    effects = []
-    for i in range(dim):
-        proj = np.zeros((dim, dim), dtype=complex)
-        proj[i, i] = 1.0
-        effects.append(proj)
-    return HolevoForm((sink,) * dim, tuple(effects))
+    units = np.eye(4, dtype=complex)
+    return HolevoForm((np.diag(units[3]),) * 4, tuple(map(np.diag, units)))
 
 
 def holevo_kraus(form: HolevoForm) -> SignedKrausSet:
@@ -400,9 +378,10 @@ _EFFECTIVE_STATE_INDEX = np.array([0, 12, 3, 15])
 _EFFECTIVE_STATE_ENTRIES = np.ix_(_EFFECTIVE_STATE_INDEX, _EFFECTIVE_STATE_INDEX)
 
 
-def pdc_effective_state(co: Ad2Coefficients) -> np.ndarray:
-    """Two-qubit state left after the phase-damping sub-channel acts on half
-    of a maximally correlated pair.
+def pdc_effective_state(b) -> np.ndarray:
+    """Two-qubit state left after the phase-damping sub-channel of a
+    two-qubit damping Choi matrix acts on half of a maximally correlated
+    pair; of each matrix of a stack (m, 16, 16), giving (m, 4, 4).
 
     The input is the even superposition of the doubly excited and ground
     states on system + copy; only the system side passes through the
@@ -412,12 +391,6 @@ def pdc_effective_state(co: Ad2Coefficients) -> np.ndarray:
     is exact.  A coherence of magnitude at most 1e-12 reads as 0, as it does
     when the state is built from ``pdc_kraus`` operators.
     """
-    return pdc_effective_state_from_choi(choi_2ad(co))
-
-
-def pdc_effective_state_from_choi(b) -> np.ndarray:
-    """``pdc_effective_state`` of a two-qubit damping Choi matrix, or of each
-    matrix of a stack (m, 16, 16), giving (m, 4, 4)."""
     s = np.asarray(b, dtype=complex)[(...,) + _EFFECTIVE_STATE_ENTRIES]  # a copy of 16 entries each
     s[..., range(4), range(4)] = _PDC_DIAGONAL[_EFFECTIVE_STATE_INDEX]  # the sub-channel's diagonal
     s[(np.abs(s) <= 1e-12) & ~np.eye(4, dtype=bool)] = 0.0
@@ -436,4 +409,4 @@ def pdc_entanglement_trace(params: Ad2Params, t_max: float, steps: int = 50) -> 
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     ts = np.linspace(0.0, float(t_max), int(steps))
-    return np.column_stack((ts, concurrence(pdc_effective_state(ad2_coefficients(params, ts)))))
+    return np.column_stack((ts, concurrence(pdc_effective_state(choi_2ad(ad2_coefficients(params, ts))))))

@@ -352,7 +352,7 @@ def _closed_form(n: int, vals, diag, z, rows, cols, cutoff: float) -> tuple:
     absz = np.hypot(z.real, z.imag)
     keep = ~(absz <= cutoff)
     keep_diag = ~(np.abs(vals) <= cutoff)
-    phase, root2 = np.divide(z.conj(), absz, out=np.zeros_like(z), where=keep & (absz > 0.0)), math.sqrt(2.0)
+    phase, root2 = np.divide(z.conj(), absz, out=np.zeros_like(z), where=keep), math.sqrt(2.0)
     slots = np.arange(a + 2 * len(rows))
     vecs = np.zeros((m, len(slots), n), dtype=complex)
     vecs[:, slots[:a], diag] = 1.0
@@ -370,12 +370,14 @@ def _closed_form(n: int, vals, diag, z, rows, cols, cutoff: float) -> tuple:
 
 
 @functools.lru_cache(maxsize=64)
-def _element_kinds(p: int, n: int, pattern: bytes) -> tuple:
+def _element_kinds(p: int, n: int, pattern: bytes, labels: tuple, relabel: tuple) -> tuple:
     """For a stacked pattern (p, n, n) of entries above threshold: the
     elements with no off-diagonal entry, those that are one mirrored pair off
     an empty diagonal, with its (rows, cols), r < c, and the others; then
-    (element, label suffix) of each slot ``extract_signed_kraus`` makes, in
-    the order it makes them, and the stable order of the slots by element."""
+    each slot's label as a positive operator (``relabel`` applied) and as a
+    negative one, in the order ``extract_signed_kraus`` makes the slots; and
+    the stable order of the slots by element, for the positive operators
+    with the relabeled ones first, by their rank in ``relabel``."""
     big = np.frombuffer(pattern, dtype=bool).reshape(p, n * n).copy()
     on_diag = big[:, ::n + 1].any(axis=1)
     big[:, ::n + 1] = False
@@ -384,12 +386,22 @@ def _element_kinds(p: int, n: int, pattern: bytes) -> tuple:
     pair = (count == 2) & (np.bincount(e, big[e, cols * n + rows], minlength=p) == 2) & ~on_diag
     upper = pair[e] & (rows < cols)
     diag, general, pair = (count == 0).nonzero()[0], ((count > 0) & ~pair).nonzero()[0], pair.nonzero()[0]
-    slots = tuple([(e, f"[{i}]") for e in diag.tolist() for i in range(n)] + [(e, s) for e in pair.tolist() for s in "+-"]
-                  + [(e, f"[{k}]") for e in general.tolist() for k in range(n)])
-    kinds = diag, pair, rows[upper], cols[upper], np.argsort([e for e, _ in slots], kind="stable")
+    slots = ([(e, f"[{i}]") for e in diag.tolist() for i in range(n)] + [(e, s) for e in pair.tolist() for s in "+-"]
+             + [(e, f"[{k}]") for e in general.tolist() for k in range(n)])
+    names = [f"{labels[e]}{suffix}" for e, suffix in slots]
+    rank, renamed = {name: i for i, (name, _) in enumerate(relabel)}, dict(relabel)
+    order = np.argsort([e for e, _ in slots], kind="stable")
+    first = order[np.argsort([rank.get(names[k], len(rank)) for k in order], kind="stable")]
+    kinds = (diag, pair, rows[upper], cols[upper], np.array([renamed.get(name, name) for name in names], dtype=object),
+             np.array(names, dtype=object), first, order)
     for shared in kinds:  # every call with this pattern gets these arrays
         shared.flags.writeable = False
-    return *kinds[:4], tuple(general.tolist()), slots, kinds[4]
+    return *kinds[:4], tuple(general.tolist()), *kinds[4:]
+
+
+def _check_cutoff(cutoff: float) -> None:
+    if not 0 <= cutoff < math.inf:  # a NaN or negative cutoff keeps zero-weight operators
+        raise ValueError(f"cutoff must be a nonnegative number and finite, got {cutoff!r}")
 
 
 def extract_signed_kraus(partition: HermitianPartition, cutoff: float = 1e-12,
@@ -404,15 +416,18 @@ def extract_signed_kraus(partition: HermitianPartition, cutoff: float = 1e-12,
     (``label+``, ``label-``) take one ``_closed_form`` together, every other
     element ``eig_hermitian`` alone (``label[k]``, by descending eigenvalue).
     Operator order follows the partition, so equal inputs give byte-equal
-    outputs; except that a positive operator whose label is a key of
-    ``relabel`` takes its value as label and comes first, in the order of
-    ``relabel``.
+    outputs; except that every positive operator whose label is a key of
+    ``relabel`` takes its value as label and comes first, by the key's place
+    in ``relabel``, then in partition order (elements may share a label).
+    ``cutoff`` must be finite and nonnegative.
     """
-    stack, labels = partition.stack, partition.labels
+    _check_cutoff(cutoff)
+    stack = partition.stack
     p, n, _ = stack.shape
     mag = np.abs(stack)
     big = mag > (PARTITION_REL_THRESHOLD * np.maximum(1.0, mag.max(axis=(1, 2))))[:, None, None]
-    diag, pair, rows, cols, general, slots, order = _element_kinds(p, n, big.tobytes())
+    diag, pair, rows, cols, general, pos_labels, neg_labels, first, order = _element_kinds(
+        p, n, big.tobytes(), partition.labels, tuple((relabel or {}).items()))
     ops, signs = [], []
     if diag.size or pair.size:
         vals = stack[diag].diagonal(axis1=1, axis2=2).real.reshape(1, -1)
@@ -425,17 +440,12 @@ def extract_signed_kraus(partition: HermitianPartition, cutoff: float = 1e-12,
         weighted = np.where(keep, np.sqrt(np.abs(sys.values)), 0.0) * sys.vectors  # column k is vector k
         ops.append(weighted.T.reshape(n, math.isqrt(n), -1).swapaxes(1, 2))
         signs.append(np.where(keep, np.where(sys.values > 0, 1, -1), 0))
-    ops, signs = np.concatenate(ops)[order], np.concatenate(signs)[order]
-    pos, neg = (signs > 0).nonzero()[0], (signs < 0).nonzero()[0]
+    signs = np.concatenate(signs)
+    pos, neg = first[signs[first] > 0], order[signs[order] < 0]
     if not pos.size:
         raise ValueError("extraction produced no positive operators")
-    names = [f"{labels[e]}{suffix}" for e, suffix in slots]
-    plab = [names[k] for k in order[pos]]
-    if relabel:
-        keep = [plab.index(name) for name in relabel if name in plab]
-        keep += [i for i, name in enumerate(plab) if name not in relabel]
-        pos, plab = pos[keep], [relabel.get(plab[i], plab[i]) for i in keep]
-    return SignedKrausSet.of_stack(ops[np.concatenate([pos, neg])], len(pos), plab, [names[k] for k in order[neg]])
+    return SignedKrausSet.of_stack(np.concatenate(ops)[np.concatenate([pos, neg])], len(pos),
+                                   pos_labels[pos], neg_labels[neg])
 
 
 def reconstruct_choi(ks: SignedKrausSet) -> np.ndarray:
@@ -465,7 +475,9 @@ def ad2_diag_pairs_operators(chois, cutoff: float = 1e-12) -> tuple[np.ndarray, 
     as ``ad2_signed_kraus`` drops it: |value| <= cutoff, or for a pair |z| <=
     PARTITION_REL_THRESHOLD * max|B|.  The kept operators are bitwise the
     ones ``ad2_signed_kraus`` exports; only the upper triangle is read.
+    ``cutoff`` must be finite and nonnegative.
     """
+    _check_cutoff(cutoff)
     b = np.asarray(chois, dtype=complex)
     if b.ndim != 3 or b.shape[1:] != (16, 16):
         raise ValueError("expected a stack of 16 x 16 Choi matrices")

@@ -35,7 +35,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .analysis import concurrence, eb_report, is_ppt, pdc_effective_state_from_choi
+from .analysis import concurrence, eb_report, is_ppt, pdc_effective_state
 from .channels import (
     Ad2Coefficients,
     Ad2Params,
@@ -464,17 +464,6 @@ def _kraus_from_json(data: dict) -> SignedKrausSet:
         raise ExportError(f"export file has malformed operators: {exc!r}") from exc
 
 
-def _report_json(report) -> dict:
-    return {
-        "is_cp": bool(report.is_cp),
-        "min_choi_eigenvalue": float(report.min_choi_eigenvalue),
-        "is_trace_preserving": bool(report.is_trace_preserving),
-        "completeness_residual": float(report.completeness_residual),
-        "ppt_of_choi": bool(report.ppt_of_choi),
-        "point_channel": report.point_channel,
-    }
-
-
 def _write_text(path: str | None, text: str) -> None:
     """Write ``text`` to stdout, or as UTF-8 to the file at ``path``.
 
@@ -539,7 +528,7 @@ def cmd_extract(args) -> int:
             "completeness": float(completeness),
             "reconstruction": float(reconstruction),
         },
-        "report": _report_json(eb_report(b, tol=tolerance)),
+        "report": dict(vars(eb_report(b, tol=tolerance))),  # bool and float fields, and the point channel's array
     }
     _write_text(out_path, _dumps(payload) + "\n")
 
@@ -663,13 +652,12 @@ def cmd_sweep(args) -> int:
                   for lo in range(0, len(ts), SWEEP_CHECK_ROWS)]
         completeness, reconstruction, counts = map(np.concatenate, zip(*checks))
         worst = max(worst, completeness.max(), reconstruction.max())
-        # |z| of a complex coefficient through np.hypot, which matches
-        # Python's abs bitwise where np.abs does not
-        mags = [np.hypot(x.real, x.imag) if np.iscomplexobj(x) else np.abs(x)
-                for x in (getattr(co, name) for name in _COEFF_ORDER)]
+        # |z| through np.hypot, which matches Python's abs of a complex
+        # bitwise where np.abs does not, and is exactly |x| of a real x
+        mags = [np.hypot(x.real, x.imag) for x in (getattr(co, name) for name in _COEFF_ORDER)]
         floats = np.column_stack([ts, *mags, completeness, reconstruction,
                                   eigvals_hermitian(chois, tol=1e-12)[:, -1],
-                                  concurrence(pdc_effective_state_from_choi(chois))]).tolist()
+                                  concurrence(pdc_effective_state(chois))]).tolist()
         rows = zip(floats, counts.tolist(),
                    is_ppt(chois, 4, 4, tol=tolerance, part="mdc").tolist(),
                    is_ppt(chois, 4, 4, tol=tolerance, part="pdc").tolist())

@@ -45,8 +45,7 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 def max_abs(a) -> float:
     """Largest entry magnitude (max-entry norm)."""
-    a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max(initial=0.0))
 
 
 def is_hermitian(a, tol: float = 1e-12) -> bool:

@@ -227,7 +227,7 @@ def test_criterion_09_subchannel_split():
         out = apply_signed_kraus(rho, mks)
         worst_offdiag = max(worst_offdiag, max_abs(out - np.diag(np.diag(out))))
         worst_tp = max(worst_tp, abs(out.trace().real - 1.0))
-        mdc_all_ppt = mdc_all_ppt and is_ppt(mdc_choi(co), 4, 4)
+        mdc_all_ppt = mdc_all_ppt and is_ppt(mdc_choi(choi_2ad(co)), 4, 4)
 
         diag_in = np.diag(rng.dirichlet(np.ones(4))).astype(complex)
         diag_exact = diag_exact and max_abs(pdc_apply(diag_in, co) - diag_in) == 0.0
@@ -240,7 +240,7 @@ def test_criterion_09_subchannel_split():
 
     co = ad2_coefficients(Ad2Params(gamma=1.0, gamma12=0.3, omega12=2.0,
                                     omega0=10.0, t=0.5))
-    pdc_npt = not is_ppt(pdc_choi(co), 4, 4)
+    pdc_npt = not is_ppt(pdc_choi(choi_2ad(co)), 4, 4)
     ok = (worst_offdiag <= 1e-14 and worst_tp <= 1e-12 and diag_exact
           and worst_entry <= 1e-12 and mdc_all_ppt and pdc_npt)
     record(9, ok, f"mdc offdiag {worst_offdiag:.2e}, pdc entrywise {worst_entry:.2e}, "
@@ -257,7 +257,7 @@ def test_criterion_10_concurrence_and_decay():
     # coherence magnitude 1/2 by choosing t = ln 2 / Gamma
     co = ad2_coefficients(Ad2Params(gamma=1.0, gamma12=0.3, omega12=2.0,
                                     omega0=10.0, t=math.log(2.0)))
-    half_dev = abs(concurrence(pdc_effective_state(co)) - 0.5)
+    half_dev = abs(concurrence(pdc_effective_state(choi_2ad(co))) - 0.5)
 
     trace = pdc_entanglement_trace(
         Ad2Params(gamma=1.0, gamma12=0.3, omega12=2.0, omega0=10.0, t=0.0),
@@ -278,8 +278,8 @@ def test_criterion_11_recorded_discrepancies_are_stable():
 
     co = ad2_coefficients(Ad2Params(gamma=1.0, gamma12=0.3, omega12=2.0,
                                     omega0=10.0, t=0.7))
-    flag_a, blocks_a = qc_form_test(mdc_choi(co), 4)
-    flag_b, blocks_b = qc_form_test(mdc_choi(co), 4)
+    flag_a, blocks_a = qc_form_test(mdc_choi(choi_2ad(co)), 4)
+    flag_b, blocks_b = qc_form_test(mdc_choi(choi_2ad(co)), 4)
     qc_stable = flag_a == flag_b and all(
         np.array_equal(x, y) for x, y in zip(blocks_a, blocks_b))
     ok = report_stable and ratio_recorded and qc_stable and flag_a is True

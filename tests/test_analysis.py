@@ -16,11 +16,9 @@ from sumdiff.analysis import (
     holevo_point_form,
     is_ppt,
     mdc_choi,
-    mdc_choi_from_choi,
     mdc_kraus,
     pdc_apply,
     pdc_choi,
-    pdc_choi_from_choi,
     pdc_effective_state,
     pdc_entanglement_trace,
     pdc_kraus,
@@ -119,8 +117,8 @@ def test_mdc_kraus_labels_and_choi():
     assert ks.positive_labels == ("H", "G", "F", "E", "D", "C", "A", "1", "B")
     assert ks.negative == ()
     from sumdiff.choi import reconstruct_choi
-    assert max_abs(reconstruct_choi(ks) - mdc_choi(co)) < 1e-14
-    assert max_abs(mdc_choi(co) - np.diag(np.diag(choi_2ad(co)))) == 0.0
+    assert max_abs(reconstruct_choi(ks) - mdc_choi(choi_2ad(co))) < 1e-14
+    assert max_abs(mdc_choi(choi_2ad(co)) - np.diag(np.diag(choi_2ad(co)))) == 0.0
 
 
 def test_mdc_asymptotic_survivors():
@@ -207,19 +205,19 @@ def test_is_ppt_rejects_bad_dims():
 
 def test_pdc_choi_npt_at_moderate_time():
     co = ad2_coefficients(Ad2Params(gamma=1.0, gamma12=0.3, omega12=2.0, omega0=10.0, t=0.5))
-    assert not is_ppt(pdc_choi(co), 4, 4)
+    assert not is_ppt(pdc_choi(choi_2ad(co)), 4, 4)
 
 
 def test_mdc_choi_ppt_for_all_valid_parameters():
     rng = np.random.default_rng(54)
     for _ in range(30):
         co = ad2_coefficients(random_params(rng))
-        assert is_ppt(mdc_choi(co), 4, 4)
+        assert is_ppt(mdc_choi(choi_2ad(co)), 4, 4)
 
 
 def test_eb_report_mdc():
     co = ad2_coefficients(PROBE)
-    rep = eb_report(mdc_choi(co))
+    rep = eb_report(mdc_choi(choi_2ad(co)))
     assert rep.ppt_of_choi
     assert rep.is_cp
     assert rep.is_trace_preserving
@@ -321,8 +319,8 @@ def test_qc_form_identity_choi_fails():
 
 def test_qc_form_mdc_recorded_and_stable():
     co = ad2_coefficients(PROBE)
-    first, blocks_a = qc_form_test(mdc_choi(co), 4)
-    second, blocks_b = qc_form_test(mdc_choi(co), 4)
+    first, blocks_a = qc_form_test(mdc_choi(choi_2ad(co)), 4)
+    second, blocks_b = qc_form_test(mdc_choi(choi_2ad(co)), 4)
     assert first is True
     assert second is True
     for a, b in zip(blocks_a, blocks_b):
@@ -443,7 +441,7 @@ def test_effective_state_concurrence_tracks_surviving_coherence():
     rng = np.random.default_rng(63)
     for _ in range(10):
         co = ad2_coefficients(random_params(rng))
-        eff = pdc_effective_state(co)
+        eff = pdc_effective_state(choi_2ad(co))
         assert abs(concurrence(eff) - abs(co.L)) < 1e-10
 
 
@@ -476,7 +474,7 @@ def test_entanglement_trace_positive_and_decaying():
 ])
 def test_entanglement_trace_is_the_per_time_loop_bitwise(params, t_max, steps):
     ts = np.linspace(0.0, t_max, steps)
-    states = np.stack([pdc_effective_state(ad2_coefficients(params.at(float(t)))) for t in ts])
+    states = np.stack([pdc_effective_state(choi_2ad(ad2_coefficients(params.at(float(t))))) for t in ts])
     want = np.column_stack((ts, concurrence(states)))
     assert pdc_entanglement_trace(params, t_max=t_max, steps=steps).tobytes() == want.tobytes()
 
@@ -507,14 +505,17 @@ def test_effective_state_matches_kraus_route():
     params += [PROBE.at(0.0), PROBE.at(28.0), PROBE.at(40.0)]  # |L| above and below the cutoff
     for p in params:
         co = ad2_coefficients(p)
-        assert max_abs(pdc_effective_state(co) - kraus_route_effective_state(co)) <= 1e-15
+        assert max_abs(pdc_effective_state(choi_2ad(co)) - kraus_route_effective_state(co)) <= 1e-15
 
 
 def test_stacked_diagnostics_match_single_calls():
     rng = np.random.default_rng(65)
     cos = [ad2_coefficients(random_params(rng)) for _ in range(7)] + [ad2_coefficients(PROBE.at(0.0))]
-    states = np.stack([pdc_effective_state(co) for co in cos])
-    chois = np.stack([pdc_choi(co) for co in cos])
+    fulls = np.stack([choi_2ad(co) for co in cos])
+    for sub in (mdc_choi, pdc_choi, pdc_effective_state):  # each row of a stack bitwise
+        assert sub(fulls).tobytes() == np.stack([sub(b) for b in fulls]).tobytes()
+    states = np.stack([pdc_effective_state(b) for b in fulls])
+    chois = np.stack([pdc_choi(b) for b in fulls])
     conc = concurrence(states)
     ppt = is_ppt(chois, 4, 4)
     assert conc.shape == ppt.shape == (len(cos),)
@@ -548,7 +549,7 @@ def test_ppt_flags_take_no_rotation(monkeypatch):
     monkeypatch.setattr(linalg, "_rotate", _no_rotation)
     monkeypatch.setattr(linalg, "_rotate_pairs", _no_rotation)
     chois = np.concatenate([_sweep_grid_chois(np.random.default_rng(seed)) for seed in (70, 71)])
-    for x in (chois, mdc_choi_from_choi(chois), pdc_choi_from_choi(chois)):
+    for x in (chois, mdc_choi(chois), pdc_choi(chois)):
         flags = is_ppt(x, 4, 4)
         assert flags.shape == (len(x),) and is_ppt(x[0], 4, 4) == flags[0]
 
@@ -560,7 +561,7 @@ def test_ppt_flags_agree_with_the_eigenvalue_rule():
     seen = set()
     for _ in range(24):
         chois = _sweep_grid_chois(rng)
-        for x in (chois, mdc_choi_from_choi(chois), pdc_choi_from_choi(chois)):
+        for x in (chois, mdc_choi(chois), pdc_choi(chois)):
             smallest = eigvals_hermitian(partial_transpose(x, 4, 4), tol=1e-12)[:, -1]
             for tol in (1e-10, 1e-6):
                 clear = np.abs(smallest + tol) > 1e-12
@@ -575,7 +576,7 @@ def test_ppt_flags_at_a_subnormal_tolerance_warn_nothing():
     # warning; only a block that is not PSD meets one, so the flags stood
     ts = np.linspace(0.0, 3.0, 31)
     chois = choi_2ad(ad2_coefficients(PROBE, ts))
-    for part, sub in ((None, lambda b: b), ("pdc", pdc_choi_from_choi)):
+    for part, sub in ((None, lambda b: b), ("pdc", pdc_choi)):
         smallest = np.linalg.eigvalsh(partial_transpose(sub(chois), 4, 4))[:, 0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -589,8 +590,9 @@ def _no_copy(*args, **kwargs):
 
 def test_ppt_flags_read_the_choi_stack_without_a_copy(monkeypatch):
     chois = _sweep_grid_chois(np.random.default_rng(73))
-    want = {part: is_ppt(sub(chois), 4, 4) for part, sub in (("mdc", mdc_choi_from_choi), ("pdc", pdc_choi_from_choi))}
-    monkeypatch.setattr(analysis, "_sub_channel_choi", _no_copy)
+    want = {part: is_ppt(sub(chois), 4, 4) for part, sub in (("mdc", mdc_choi), ("pdc", pdc_choi))}
+    monkeypatch.setattr(analysis, "mdc_choi", _no_copy)
+    monkeypatch.setattr(analysis, "pdc_choi", _no_copy)
     monkeypatch.setattr(linalg, "partial_transpose", _no_copy)
     for part, flags in want.items():
         assert np.array_equal(is_ppt(chois, 4, 4, part=part), flags)

@@ -454,6 +454,26 @@ def test_ad2_signed_kraus_label_order():
         assert np.argmax(np.abs(v)) == idx
 
 
+def test_relabel_moves_every_operator_of_a_shared_label():
+    # two elements labelled "d": both d[0] operators take the new label and
+    # come first, and none is dropped
+    part = partition_from_elements([np.diag([0.5, 0, 0, 0]), np.diag([0.5, 0, 0, 1])], labels=("d", "d"))
+    ks = extract_signed_kraus(part, relabel={"d[0]": "X"})
+    assert ks.positive_labels == ("X", "X", "d[3]")
+    assert ks.negative == ()
+    assert check_completeness(ks) <= 1e-15
+
+
+@pytest.mark.parametrize("cutoff", [math.nan, -1.0, math.inf])
+def test_both_extraction_paths_refuse_a_cutoff_outside_zero_to_infinity(cutoff):
+    # a NaN or negative cutoff kept zero-weight operators, each path by its own rule
+    co = ad2_coefficients(PROBE)
+    with pytest.raises(ValueError, match="cutoff must be a nonnegative number and finite"):
+        ad2_signed_kraus(co, cutoff=cutoff)
+    with pytest.raises(ValueError, match="cutoff must be a nonnegative number and finite"):
+        ad2_diag_pairs_operators(choi_2ad(co)[None], cutoff=cutoff)
+
+
 def test_ad2_signed_kraus_cutoff_drops_decayed_blocks():
     co = ad2_coefficients(Ad2Params(gamma=1.0, gamma12=0.0, omega12=2.0, omega0=10.0, t=50.0))
     ks = ad2_signed_kraus(co, cutoff=1e-8)

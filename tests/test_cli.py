@@ -680,9 +680,9 @@ def test_sweep_block_diagnostics_match_row_by_row(tmp_path):
             b = choi_2ad(co)
             smallest = eig_hermitian(b, tol=1e-12).values[-1]
             assert abs(float(row["min_choi_eigenvalue"]) - smallest) <= 1e-14
-            assert row["mdc_choi_ppt"] == str(is_ppt(mdc_choi(co), 4, 4))
-            assert row["pdc_choi_ppt"] == str(is_ppt(pdc_choi(co), 4, 4))
-            assert abs(float(row["pdc_concurrence"]) - concurrence(pdc_effective_state(co))) <= 1e-14
+            assert row["mdc_choi_ppt"] == str(is_ppt(mdc_choi(b), 4, 4))
+            assert row["pdc_choi_ppt"] == str(is_ppt(pdc_choi(b), 4, 4))
+            assert abs(float(row["pdc_concurrence"]) - concurrence(pdc_effective_state(b))) <= 1e-14
             oracle = extract_signed_kraus(ad2_partition(co, "diag-pairs"))
             assert row["operator_count"] == str(oracle.count)
             assert abs(float(row["completeness"]) - check_completeness(oracle)) <= 1e-14

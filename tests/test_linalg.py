@@ -342,8 +342,8 @@ def test_eig_stack_values_match_reference_solver():
     cos = [ad2_coefficients(Ad2Params(1.0, 0.3, 2.0, 10.0, t)) for t in np.linspace(0.0, 30.0, 13)]
     rng = np.random.default_rng(22)
     stacks = [
-        np.stack([partial_transpose(mdc_choi(co), 4, 4) for co in cos]),
-        np.stack([partial_transpose(pdc_choi(co), 4, 4) for co in cos]),
+        np.stack([partial_transpose(mdc_choi(choi_2ad(co)), 4, 4) for co in cos]),
+        np.stack([partial_transpose(pdc_choi(choi_2ad(co)), 4, 4) for co in cos]),
         _ad2_choi_stack(),
         np.stack([random_hermitian(rng, 16) for _ in range(5)]),
     ]
@@ -448,7 +448,7 @@ def test_eig_pairs_and_singles_take_one_sweep():
 def test_eig_diagonal_stack_needs_no_sweep():
     # the MDC partial transpose is diagonal: every component is 1 x 1
     cos = ad2_coefficients(Ad2Params(1.0, 0.3, 2.0, 10.0, 0.0), np.linspace(0.0, 30.0, 13))
-    stack = partial_transpose(mdc_choi(cos), 4, 4)
+    stack = partial_transpose(mdc_choi(choi_2ad(cos)), 4, 4)
     sys = eig_hermitian(stack, max_sweeps=0)
     assert np.array_equal(np.sort(sys.values, axis=1), np.sort(np.diagonal(stack, axis1=1, axis2=2).real, axis=1))
     assert np.array_equal(np.abs(sys.vectors).sum(axis=1), np.ones((13, 16)))

@@ -17,7 +17,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from sumdiff.analysis import eb_report, is_ppt, mdc_choi_from_choi, pdc_choi_from_choi
+from sumdiff.analysis import eb_report, is_ppt, mdc_choi, pdc_choi
 from sumdiff.channels import (
     Ad2Coefficients,
     Ad2Params,
@@ -837,7 +837,7 @@ def test_mapped_ppt_test_matches_the_built_partial_transpose(case):
         built = _outcome(lambda: is_psd(partial_transpose(x, dim_a, dim_b), tol))
         assert _outcome(lambda: is_ppt(x, dim_a, dim_b, tol=tol)) == built
         if dim_a * dim_b == 16:
-            for part, sub in (("mdc", mdc_choi_from_choi), ("pdc", pdc_choi_from_choi)):
+            for part, sub in (("mdc", mdc_choi), ("pdc", pdc_choi)):
                 built = _outcome(lambda: is_psd(partial_transpose(sub(x), 4, 4), tol))
                 assert _outcome(lambda: is_ppt(x, 4, 4, tol=tol, part=part)) == built
                 assert _outcome(lambda: is_ppt(sub(x), 4, 4, tol=tol)) == built

@@ -1,11 +1,14 @@
 """Write the outputs of a fixed grid of CLI calls, for a byte-equality check.
 
-    python tools/parity.py OUT_DIR [SRC]
+    python tools/parity.py [--manifest FILE] OUT_DIR [SRC]
 
 SRC is the ``src`` folder whose ``sumdiff`` runs; it defaults to the one
 beside this script's folder.  Run it on two trees' ``src`` folders, into two
 empty folders, and compare them with ``diff -r``: a change that keeps every
-output byte for byte leaves no difference.
+output byte for byte leaves no difference.  With ``--manifest``, it also
+writes to FILE the SHA-256 of every file under OUT_DIR, by path, and the
+Python and numpy versions that made them; ``tests/test_parity.py``
+compares a fresh run with such a manifest, ``tests/parity_manifest.json``.
 
 The grid:
 
@@ -33,15 +36,19 @@ call raises are written after its stderr.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import math
 import os
 import pathlib
+import platform
 import random
 import re
 import sys
 import warnings
+
+import numpy
 
 DEFAULT_SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -231,8 +238,19 @@ def run(out_dir: pathlib.Path) -> int:
     return 0
 
 
+def manifest(out_dir: pathlib.Path) -> dict:
+    """The Python and numpy versions, and the SHA-256 of every file under
+    ``out_dir`` by its relative path, sorted."""
+    files = sorted(path for path in out_dir.rglob("*") if path.is_file())
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "files": {path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                      for path in files}}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    target = pathlib.Path(argv[1]).resolve() if argv[:1] == ["--manifest"] and len(argv) > 1 else None
+    argv = argv[2:] if argv[:1] == ["--manifest"] else argv
     if len(argv) not in (1, 2):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 1
@@ -242,7 +260,10 @@ def main(argv=None) -> int:
         print(f"error: no sumdiff package in {src}", file=sys.stderr)
         return 1
     sys.path.insert(0, str(src))
-    return run(out_dir)
+    code = run(out_dir)
+    if target is not None:
+        target.write_text(json.dumps(manifest(out_dir), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return code
 
 
 if __name__ == "__main__":
