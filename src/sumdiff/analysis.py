@@ -200,7 +200,7 @@ def eb_report(b, tol: float = 1e-10) -> ChannelReport:
     channel (constant output) is its extreme case and is returned as that
     output state when detected within 1e-8 (max-entry).  The smallest Choi
     eigenvalue is ``eigvals_hermitian(b)[-1]``, at the solver's default
-    tolerance, so it takes no solve just after ``eig_hermitian(b)``.
+    tolerance, so a kept solve of b, as ``eig_hermitian(b)`` leaves, answers it.
     """
     b = np.asarray(b, dtype=complex)
     d = int(round(b.shape[0] ** 0.5))

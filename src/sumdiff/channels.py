@@ -206,9 +206,15 @@ def random_density_matrix(dim: int, rng: np.random.Generator, count: int | None 
     the imaginary part of its G from the generator.  Each state is scaled by
     1 / Re Tr(G G^dag) as floats: the trace is real but for rounding dust,
     which a complex division would carry into the state's last bits.
+    ``dim`` must be at least 1, and ``count`` None or at least 0.
     """
+    if not dim >= 1:
+        raise ValueError(f"dim must be at least 1, got {dim!r}")
+    if not (count is None or count >= 0):
+        raise ValueError(f"count must be None or at least 0, got {count!r}")
     parts = rng.standard_normal((1 if count is None else count, 2, dim, dim))
-    g = parts[:, 0] + 1j * parts[:, 1]
+    g = np.empty((len(parts), dim, dim), dtype=complex)
+    g.real, g.imag = parts[:, 0], parts[:, 1]  # bitwise parts[:, 0] + 1j * parts[:, 1], without its multiply
     rho = g @ dagger(g)
     flat = rho.view(float).reshape(len(rho), 2 * dim * dim)  # a view of the real and imaginary parts
     flat *= 1.0 / np.trace(rho, axis1=-2, axis2=-1).real[:, None]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,14 +248,39 @@ def _rotate_pairs(p: np.ndarray, q: np.ndarray, b: np.ndarray, hold) -> tuple:
     return cc * p + ss * q + twice, ss * p + cc * q - twice, np.zeros_like(b), rot
 
 
-# (key, eigenvalues) of the last single matrix eig_hermitian solved: an
-# extraction's solve of a Choi matrix, which eb_report asks for again.  The
-# solve is a pure function of the key, so a hit is what a solve would give.
-_last_solve = None
+# Single-matrix solves, least recently used first: (shape, bytes, tol,
+# max_sweeps) -> (bytes of the matrix and arrays, read-only (values,) or
+# (values, vectors)).  A solve is a pure function of its key, and its values
+# do not depend on the vectors, so a hit is bitwise what a solve gives.
+_SOLVE_CACHE_BYTES = 1 << 20  # the most the sizes sum to
+_solves, _solves_lock, _solves_size = {}, threading.Lock(), 0
 
 
-def _solve_key(h: np.ndarray, tol: float, max_sweeps: int) -> tuple:
-    return h.shape, h.tobytes(), tol, max_sweeps
+def _solve(h, tol: float, max_sweeps: int, with_vectors: bool) -> tuple:
+    """``_jacobi``'s values, and vectors if asked for; for a single matrix, copies
+    of its kept solve, solved and kept first unless kept with them.  A stack is only solved."""
+    global _solves_size
+    if not 0 < tol < math.inf:  # a NaN tol never converges, an infinite one stops at once
+        raise ValueError(f"tol must be a positive number and finite, got {tol!r}")
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 2:
+        return _jacobi(h, tol, max_sweeps, with_vectors)
+    key = h.shape, h.tobytes(), tol, max_sweeps
+    with _solves_lock:
+        size, kept = _solves.get(key, (0, ()))
+    if len(kept) <= with_vectors:  # not kept, or kept without the vectors asked for
+        kept = _jacobi(h, tol, max_sweeps, with_vectors)[:1 + with_vectors]
+        for a in kept:
+            a.flags.writeable = False
+        size = len(key[1]) + sum(a.nbytes for a in kept)
+    with _solves_lock:  # (re)insert as the most recent, then drop the oldest over the cap
+        _solves_size -= _solves.pop(key, (0,))[0]
+        if size <= _SOLVE_CACHE_BYTES:
+            _solves[key] = size, kept
+            _solves_size += size
+        while _solves_size > _SOLVE_CACHE_BYTES:
+            _solves_size -= _solves.pop(next(iter(_solves)))[0]
+    return tuple(a.copy() for a in kept[:1 + with_vectors])
 
 
 def eig_hermitian(h, tol: float = 1e-13, max_sweeps: int = 100) -> EigenSystem:
@@ -276,33 +302,24 @@ def eig_hermitian(h, tol: float = 1e-13, max_sweeps: int = 100) -> EigenSystem:
     equal those it gets alone (``np.array_equal``), though not always
     bitwise: an identity rotation can turn a +0.0 entry into -0.0.  A mate
     that joins two components changes the blocks, and the result agrees to
-    rounding.  Each matrix must be finite and Hermitian within ``tol``.
-    Raises JacobiConvergenceError if ``max_sweeps`` full sweeps do not reach
-    the target, or if a matrix's reconstruction misses it by more than
-    10 tol max(1, max|h|).
+    rounding.  Each matrix must be finite and Hermitian within ``tol``, and
+    ``tol`` positive and finite.  Raises JacobiConvergenceError if
+    ``max_sweeps`` full sweeps do not reach the target, or if a matrix's
+    reconstruction misses it by more than 10 tol max(1, max|h|).
 
-    The solve of a single matrix is kept in one slot, for
-    ``eigvals_hermitian`` (see there).
+    A single matrix's solve is kept by its shape, bytes, ``tol`` and
+    ``max_sweeps`` (see ``_solve``): a repeat, here or in
+    ``eigvals_hermitian``, takes no solve and gets a copy.
     """
-    global _last_solve
-    h = np.asarray(h, dtype=complex)
-    values, vectors = _jacobi(h, tol, max_sweeps, with_vectors=True)
-    if h.ndim == 2:
-        _last_solve = _solve_key(h, tol, max_sweeps), values.copy()
-    return EigenSystem(values, vectors)
+    return EigenSystem(*_solve(h, tol, max_sweeps, True))
 
 
 def eigvals_hermitian(h, tol: float = 1e-13, max_sweeps: int = 100) -> np.ndarray:
     """The eigenvalues of ``eig_hermitian(h, tol, max_sweeps)``, descending,
-    with the same checks, for callers that need no eigenvectors: leaving them
-    unfixed and out of place saves about a sixth of a single 16 x 16 solve.
-    A single matrix that ``eig_hermitian`` solved last, with the same shape,
-    bytes, ``tol`` and ``max_sweeps``, takes no solve: it gets a copy of the
-    eigenvalues that solve found.  A stack is always solved."""
-    h, last = np.asarray(h, dtype=complex), _last_solve  # one read: a thread may replace the slot
-    if h.ndim == 2 and last is not None and last[0] == _solve_key(h, tol, max_sweeps):
-        return last[1].copy()
-    return _jacobi(h, tol, max_sweeps, with_vectors=False)[0]
+    with the same checks and the same cache, for callers that need no
+    eigenvectors: leaving them unfixed and out of place saves about a sixth
+    of a single 16 x 16 solve.  A kept solve with vectors answers too."""
+    return _solve(h, tol, max_sweeps, False)[0]
 
 
 def _gather(h, tol: float, at=None) -> tuple:
@@ -390,8 +407,11 @@ def is_psd(h, tol: float, at=None) -> bool | np.ndarray:
     built; its pattern, blocks, checks, errors and flags are those of the
     built X, read from h through the map.  A map used on many calls can be
     passed as ``_position_map(positions, values)``, which derives once what
-    each call would derive from the pair.
+    each call would derive from the pair.  ``tol`` must be nonnegative and
+    finite.
     """
+    if not 0 <= tol < math.inf:  # a NaN tol fails every block, an infinite one passes it
+        raise ValueError(f"tol must be a nonnegative number and finite, got {tol!r}")
     single, h, groups = _gather(h, 1e-12, at)
     flags = np.ones(len(h), dtype=bool)
     # pivot j of a block is its diagonal entry j once the steps before it are

@@ -43,6 +43,8 @@ from sumdiff.choi import (
 )
 from sumdiff.linalg import eig_hermitian, max_abs
 
+from master_equation import liouvillian, master_equation_choi
+
 
 def record(num: int, ok: bool, detail: str) -> None:
     line = f"criterion {num:2d}: {'PASS' if ok else 'FAIL'} ({detail})"
@@ -285,3 +287,19 @@ def test_criterion_11_recorded_discrepancies_are_stable():
     ok = report_stable and ratio_recorded and qc_stable and flag_a is True
     record(11, ok, f"split ratio {first['negative_reconstruction_ratio']}, "
                    f"qc flag {flag_a}, both runs identical {report_stable and qc_stable}")
+
+
+def test_criterion_12_ad2_closed_form_is_its_master_equation():
+    # the closed-form Choi matrix against exp(L t) of the collective master
+    # equation, over drawn points and at |gamma12| next to gamma; the bound is
+    # 1e-14 ||L t||_1, what the Taylor series of exp(L t) loses
+    rng = np.random.default_rng(12)
+    points = [random_params(rng) for _ in range(40)]
+    points += [Ad2Params(1.0, sign * (1.0 - 1e-8), 2.0, 10.0, t) for sign in (1.0, -1.0) for t in (0.0, 0.7, 30.0)]
+    worst = 0.0
+    for params in points:
+        rates = (params.gamma, params.gamma12, params.omega12, params.omega0)
+        error = max_abs(choi_2ad(ad2_coefficients(params)) - master_equation_choi(*rates, params.t))
+        scale = max(1.0, np.abs(liouvillian(*rates) * params.t).sum(axis=0).max())
+        worst = max(worst, error / scale)
+    record(12, worst <= 1e-14, f"{len(points)} points, max error / max(1, ||L t||_1) {worst:.2e}")

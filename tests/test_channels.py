@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -100,12 +101,13 @@ def test_random_density_matrix_stack_is_successive_single_draws(dim, count):
 
 
 
-@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("count", [None, 1, 250])
 def test_random_density_matrix_normalises_as_the_per_matrix_division(dim, count):
     # the states are scaled by 1 / Re Tr through a (count, 2 * dim * dim)
     # float view; it must give the bits of scaling the (count, dim, 2 * dim)
-    # float view of the stack
+    # float view of the stack.  G is written part by part, and must give the
+    # bits of the complex sum below
     for seed in range(20):
         rng = np.random.default_rng(seed)
         parts = rng.standard_normal((1 if count is None else count, 2, dim, dim))
@@ -116,6 +118,20 @@ def test_random_density_matrix_normalises_as_the_per_matrix_division(dim, count)
         want = rho[0] if count is None else rho
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def test_random_density_matrix_refuses_bad_sizes():
+    # dim 0 warned of a division by zero; count -1 failed in numpy, naming no argument
+    rng = np.random.default_rng(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dim in (0, -1):
+            with pytest.raises(ValueError, match="^dim must be at least 1"):
+                random_density_matrix(dim, rng)
+        with pytest.raises(ValueError, match="^count must be None or at least 0"):
+            random_density_matrix(2, rng, count=-1)
+        assert random_density_matrix(2, rng, count=0).shape == (0, 2, 2)
+
 
 def test_check_density_matrix_rejects_bad_inputs():
     with pytest.raises(ValueError):

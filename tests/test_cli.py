@@ -304,11 +304,10 @@ def test_invalid_parameters_exit_one():
 
 @pytest.mark.parametrize("partition", PARTITIONS)
 @pytest.mark.parametrize("args", [GAD_ARGS, AD2_ARGS], ids=["gad", "ad2"])
-def test_extract_solves_once(tmp_path, monkeypatch, args, partition):
+def test_extract_solves_once(tmp_path, monkeypatch, cold_solves, args, partition):
     # eb_report's smallest Choi eigenvalue is the full-spectral extraction's
-    # solve, and the other partitions extract in closed form; the last solve
-    # kept is of another matrix, as an earlier call may have left this one's
-    eig_hermitian(np.zeros((1, 1)))
+    # solve, and the other partitions extract in closed form; the solve
+    # cache starts empty, as an earlier call may have left this matrix's solve
     runs, solve = [], linalg._jacobi
     monkeypatch.setattr(linalg, "_jacobi", lambda *a, **k: (runs.append(a[0]), solve(*a, **k))[1])
     code, _ = run_extract(tmp_path, "x.json", extra=["--partition", partition], args=args)

@@ -1,10 +1,14 @@
 """Tests for the dense complex kernel: vectorization, eigensolves, partial ops."""
 
+import concurrent.futures
+import sys
+import time
+
 import numpy as np
 import pytest
 
 from sumdiff.analysis import mdc_choi, pdc_choi
-from sumdiff.channels import Ad2Params, ad2_coefficients
+from sumdiff.channels import Ad2Params, ad2_coefficients, gad_choi
 from sumdiff.choi import choi_2ad
 import sumdiff.linalg as linalg
 from sumdiff.linalg import (
@@ -641,7 +645,7 @@ def test_is_psd_keeps_the_hermitian_check():
 
 
 # ---------------------------------------------------------------------------
-# the last single solve, kept for eigvals_hermitian
+# the solve cache that eig_hermitian and eigvals_hermitian share
 
 
 def _counted_solves(monkeypatch) -> list:
@@ -652,42 +656,204 @@ def _counted_solves(monkeypatch) -> list:
     return runs
 
 
-def test_eigvals_after_eig_of_the_same_matrix_takes_no_solve(monkeypatch):
+def _kept_sizes_add_up() -> bool:
+    """The cache's running size is the sum of its entries' sizes, within the cap."""
+    sizes = [size for size, _ in linalg._solves.values()]
+    return linalg._solves_size == sum(sizes) <= linalg._SOLVE_CACHE_BYTES
+
+
+CACHE_CASES = {
+    "ad2": lambda: _ad2_choi_stack()[3],
+    "gad": lambda: gad_choi(0.3, 0.6),
+    "dense5": lambda: random_hermitian(np.random.default_rng(22), 5),
+}
+
+
+@pytest.mark.parametrize("eig_first", [True, False], ids=["eig-first", "eigvals-first"])
+@pytest.mark.parametrize("case", CACHE_CASES)
+def test_a_kept_solve_is_bitwise_a_fresh_solve(cold_solves, case, eig_first):
+    h = CACHE_CASES[case]()
+    values, vectors = linalg._jacobi(h, 1e-13, 100, True)
+    assert linalg._jacobi(h, 1e-13, 100, False)[0].tobytes() == values.tobytes()
+    calls = ["eig", "eigvals"] if eig_first else ["eigvals", "eig"]
+    for call in calls * 2:  # the first round fills the cache, the second reads it
+        if call == "eig":
+            system = eig_hermitian(h)
+            assert (system.values.tobytes(), system.vectors.tobytes()) == (values.tobytes(), vectors.tobytes())
+        else:
+            assert eigvals_hermitian(h).tobytes() == values.tobytes()
+
+
+def test_a_repeat_takes_no_solve_and_vectors_after_values_take_one(cold_solves, monkeypatch):
     h = _ad2_choi_stack()[3]
-    fresh = eigvals_hermitian(h)
     runs = _counted_solves(monkeypatch)
-    system = eig_hermitian(h)
-    system.values[:] = 7.0  # the slot keeps its own copy
-    got = eigvals_hermitian(h.copy())
-    assert runs == [True]
-    assert got.tobytes() == fresh.tobytes()
-    got[:] = 5.0  # and hands out a copy
-    assert eigvals_hermitian(h).tobytes() == fresh.tobytes()
-    assert runs == [True]
+    eigvals_hermitian(h)
+    eigvals_hermitian(h.copy())  # the key is the bytes, not the object
+    assert runs == [False]
+    eig_hermitian(h)  # kept without vectors: solved again, and replaced
+    eig_hermitian(h)
+    eigvals_hermitian(h)
+    assert runs == [False, True]
+    assert len(linalg._solves) == 1 and _kept_sizes_add_up()
 
 
-def test_the_last_solve_answers_for_no_other_input(monkeypatch):
+def test_a_kept_solve_answers_for_no_other_key(cold_solves, monkeypatch):
     # each call below must solve, or fail as a fresh solve does
     h = _ad2_choi_stack()[3]
     runs = _counted_solves(monkeypatch)
     eig_hermitian(h)
-    for call in (lambda: eigvals_hermitian(h, tol=1e-12), lambda: eigvals_hermitian(h, max_sweeps=50),
-                 lambda: eigvals_hermitian(h[None]), lambda: eigvals_hermitian(np.stack([h, h]))):
-        runs.clear()
-        eig_hermitian(h)
-        call()
-        assert runs == [True, False]
-    eig_hermitian(h)
+    for solve in (eigvals_hermitian, eig_hermitian):
+        for options in ({"tol": 1e-12}, {"max_sweeps": 50}):
+            runs.clear()
+            solve(h, **options)
+            assert runs == [solve is eig_hermitian]
     with pytest.raises(ValueError, match="square"):  # the same bytes under another shape
         eigvals_hermitian(h.reshape(8, 32))
     runs.clear()
-    eig_hermitian(h[None])  # a stack leaves the slot as it was: h's solve
-    eig_hermitian(_ad2_choi_stack()[:2])
-    eigvals_hermitian(h)
-    assert runs == [True, True]
+    for _ in range(2):  # a stack neither reads nor writes the cache
+        eig_hermitian(h[None])
+        eigvals_hermitian(np.stack([h, h]))
+    assert runs == [True, False] * 2
+    assert len(linalg._solves) == 3  # h at the defaults, at tol 1e-12 and at max_sweeps 50
     changed = h.copy()
     eig_hermitian(changed)
     changed[0, 0] += 0.5  # in place, after its solve
     runs.clear()
     assert max_abs(eigvals_hermitian(changed) - np.linalg.eigvalsh(changed)[::-1]) <= 1e-14
     assert runs == [False]
+
+
+def test_plus_and_minus_zero_times_are_solved_apart(cold_solves, monkeypatch):
+    # equal in value, not in bytes: each is its own key
+    params = Ad2Params(1.0, 0.3, 2.0, 10.0, 0.0)
+    plus, minus = (choi_2ad(ad2_coefficients(params.at(t))) for t in (0.0, -0.0))
+    assert np.array_equal(plus, minus) and plus.tobytes() != minus.tobytes()
+    fresh = [tuple(a.tobytes() for a in linalg._jacobi(b, 1e-13, 100, True)) for b in (plus, minus)]
+    runs = _counted_solves(monkeypatch)
+    for b, want in zip((plus, minus) * 2, fresh * 2):
+        system = eig_hermitian(b)
+        assert (system.values.tobytes(), system.vectors.tobytes()) == want
+    assert runs == [True, True]
+
+
+def test_a_failed_solve_is_never_kept(cold_solves, monkeypatch):
+    tilted = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    dense = random_hermitian(np.random.default_rng(3), 5)
+    runs = _counted_solves(monkeypatch)
+    for _ in range(2):
+        for solve in (eig_hermitian, eigvals_hermitian):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                solve(tilted)
+            with pytest.raises(JacobiConvergenceError):
+                solve(dense, max_sweeps=0)
+    assert runs == [True, True, False, False] * 2
+    assert linalg._solves == {}
+
+
+def test_a_solve_over_the_byte_cap_is_never_kept(cold_solves, monkeypatch):
+    small, big = _ad2_choi_stack()[3], np.diag(np.arange(300.0))  # big's key alone is 1.44 MB
+    eig_hermitian(small)
+    runs = _counted_solves(monkeypatch)
+    for _ in range(2):
+        eig_hermitian(big)
+        eigvals_hermitian(big)
+    eigvals_hermitian(small)  # kept still: the big solve evicted nothing
+    assert runs == [True, False, True, False]
+    assert len(linalg._solves) == 1 and _kept_sizes_add_up()
+
+
+def test_the_least_recently_used_solve_goes_first(cold_solves, monkeypatch):
+    # 16 x 16 diagonal matrices, each entry 4,096 + 128 + 4,096 bytes with
+    # vectors: 126 fit under the cap
+    first, *rest = (np.diag(np.arange(16.0) + k) for k in range(200))
+    eig_hermitian(first)
+    for h in rest:
+        eig_hermitian(h)
+        eigvals_hermitian(first)  # first stays the most recent
+        assert _kept_sizes_add_up()
+    assert len(linalg._solves) == 126
+    runs = _counted_solves(monkeypatch)
+    eig_hermitian(first)
+    eig_hermitian(rest[-125])
+    eig_hermitian(rest[-126])  # the oldest left: 200 - 126 solves ago
+    assert runs == [True]
+
+
+def test_writing_into_a_returned_solve_leaves_the_kept_one(cold_solves):
+    h = _ad2_choi_stack()[3]
+    values, vectors = linalg._jacobi(h, 1e-13, 100, True)
+    for _ in range(2):  # a fresh solve's arrays, then a hit's
+        system, only = eig_hermitian(h), eigvals_hermitian(h)
+        system.values[:], system.vectors[:], only[:] = 7.0, 7.0, 5.0
+    system = eig_hermitian(h)
+    assert (system.values.tobytes(), system.vectors.tobytes()) == (values.tobytes(), vectors.tobytes())
+    assert eigvals_hermitian(h).tobytes() == values.tobytes()
+    assert all(not a.flags.writeable for _, kept in linalg._solves.values() for a in kept)
+
+
+class _YieldingDict(dict):
+    """A dict that lets another thread run inside each get and pop, where
+    only the cache's lock keeps the running size in step."""
+
+    def get(self, *args):
+        time.sleep(0)
+        return super().get(*args)
+
+    def pop(self, *args):
+        time.sleep(0)
+        return super().pop(*args)
+
+
+def test_threads_sharing_the_cache_get_the_serial_bytes(cold_solves, monkeypatch):
+    # four threads on two cores, switching often, over a cap that holds about
+    # three of the eight solves, so that inserts and evictions interleave
+    rng = np.random.default_rng(8)
+    matrices = [random_hermitian(rng, 6) for _ in range(4)] + list(_ad2_choi_stack()[:4])
+    serial = [(s.values.tobytes(), s.vectors.tobytes()) for s in map(eig_hermitian, matrices)]
+    monkeypatch.setattr(linalg, "_solves", _YieldingDict())
+    monkeypatch.setattr(linalg, "_solves_size", 0)
+    monkeypatch.setattr(linalg, "_SOLVE_CACHE_BYTES", 20_000)
+
+    def solve_all(start: int) -> list:
+        got = []
+        for k in range(6 * len(matrices)):
+            i = (start + k) % len(matrices)
+            if k % 3:
+                system = eig_hermitian(matrices[i])
+                got.append(((system.values.tobytes(), system.vectors.tobytes()), serial[i]))
+            else:
+                got.append((eigvals_hermitian(matrices[i]).tobytes(), serial[i][0]))
+        return got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(solve_all, (0, 2, 4, 6), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(got == want for result in results for got, want in result)
+    assert _kept_sizes_add_up()
+
+
+# ---------------------------------------------------------------------------
+# a solver tolerance outside its range is refused before any work
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-13])
+@pytest.mark.parametrize("solve", [eig_hermitian, eigvals_hermitian])
+def test_a_solve_refuses_a_tol_outside_zero_to_infinity(monkeypatch, solve, tol):
+    # with a NaN tol the solver ran every sweep and then blamed convergence
+    runs = _counted_solves(monkeypatch)
+    with pytest.raises(ValueError, match="^tol must be a positive number and finite"):
+        solve(np.eye(3), tol=tol)
+    assert runs == [] and all(0 < key[2] < np.inf for key in linalg._solves)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-10])
+def test_is_psd_refuses_a_tol_outside_zero_to_infinity(tol):
+    # a NaN tol failed -I and an infinite one passed it; the tol is checked
+    # before the matrix is
+    for h in (-np.eye(2), np.zeros((2, 3))):
+        with pytest.raises(ValueError, match="^tol must be a nonnegative number and finite"):
+            is_psd(h, tol)

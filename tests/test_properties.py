@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import os
+import sys
 import warnings
 
 import numpy as np
@@ -43,11 +44,15 @@ from sumdiff.choi import (
     partition_from_elements,
     partition_full,
     reconstruct_choi,
+    trace_preservation_residual,
 )
 from sumdiff.cli import (CHANNELS, COMMANDS, MAX_SWEEP_STEPS, MAX_VERIFY_COUNT, OPTIONS, _dumps, _kraus_from_json,
                          _kraus_json, main)
+import sumdiff.linalg as linalg
 from sumdiff.linalg import (JacobiConvergenceError, dagger, eig_hermitian, eigvals_hermitian, is_psd, max_abs,
                             partial_transpose)
+
+from master_equation import liouvillian, master_equation_choi
 
 
 def _export_order(ks: SignedKrausSet) -> SignedKrausSet:
@@ -127,6 +132,74 @@ def test_ad2_stacked_operators_match_export_path(params, ts, cutoff):
         assert [op.tobytes() for op in row_ops[row_signs > 0]] == [op.tobytes() for op in ks.positive]
         negative = sorted(op.tobytes() for op in row_ops[row_signs < 0])
         assert negative == sorted(op.tobytes() for op in ks.negative)
+
+
+# ---------------------------------------------------------------------------
+# the ad2 closed form against its master equation, and its time scale
+
+
+@st.composite
+def master_equation_points(draw):
+    """Rates and a few times, gamma t up to 30, a third of them with |gamma12|
+    within 1e-8 to 1e-1 (relative) of gamma."""
+    gamma = draw(st.floats(0.1, 10.0))
+    if draw(st.integers(0, 2)):
+        gamma12 = gamma * draw(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    else:
+        gamma12 = gamma * (1.0 - 10.0 ** draw(st.floats(-8.0, -1.0))) * draw(st.sampled_from([-1.0, 1.0]))
+    times = [x / gamma for x in draw(st.lists(st.floats(0.0, 30.0), min_size=1, max_size=3))]
+    return Ad2Params(gamma, gamma12, draw(st.floats(-10.0, 10.0)), draw(st.floats(-50.0, 50.0)), 0.0), times
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=master_equation_points())
+@example(case=(Ad2Params(1.0, np.nextafter(1.0, 0.0), 2.0, 10.0, 0.0), [0.0, 0.7, 30.0]))
+@example(case=(Ad2Params(1.0, -np.nextafter(1.0, 0.0), 2.0, 10.0, 0.0), [0.7]))
+def test_ad2_closed_form_is_its_master_equation(case):
+    # the scalar and the array path of ad2_coefficients against exp(L t); the
+    # Taylor series loses about u ||L t||_1, u the unit roundoff
+    params, times = case
+    generator = liouvillian(params.gamma, params.gamma12, params.omega12, params.omega0)
+    stacked = choi_2ad(ad2_coefficients(params, np.array(times)))
+    for t, row in zip(times, stacked):
+        want = master_equation_choi(params.gamma, params.gamma12, params.omega12, params.omega0, t)
+        bound = 1e-14 * max(1.0, np.abs(generator * t).sum(axis=0).max())
+        assert max_abs(choi_2ad(ad2_coefficients(params.at(t))) - want) <= bound
+        assert max_abs(row - want) <= bound
+
+
+def _normal_or_zero(x: float) -> bool:
+    return x == 0.0 or sys.float_info.min <= abs(x) < math.inf
+
+
+def _choi_or_refusal(values: list):
+    """``choi_2ad`` at Ad2Params(*values), or the ValueError's message."""
+    try:
+        return choi_2ad(ad2_coefficients(Ad2Params(*values)))
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(log_gamma=st.floats(-300.0, 300.0), ratios=st.tuples(
+    st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True), st.floats(-20.0, 20.0), st.floats(-50.0, 50.0)),
+    gamma_t=st.floats(0.0, 30.0))
+def test_ad2_channel_takes_rates_only_through_their_products_with_t(log_gamma, ratios, gamma_t):
+    # rates times 2^k and t times 2^-k, each scaled exactly, over the float range
+    gamma = 10.0 ** log_gamma
+    values = [gamma] + [gamma * r for r in ratios] + [gamma_t / gamma]
+    assume(all(map(_normal_or_zero, values)))
+    base = _choi_or_refusal(values)
+    for k in (-40, 40):
+        scaled = [x * 2.0**k for x in values[:4]] + [values[4] * 2.0**-k]
+        if not all(map(_normal_or_zero, scaled)):
+            continue
+        other = _choi_or_refusal(scaled)
+        if isinstance(base, str) or isinstance(other, str):
+            assert isinstance(base, str) and isinstance(other, str)
+            continue
+        assert max_abs(other - base) <= 1e-14 * max(1.0, max_abs(base))
+        assert max(trace_preservation_residual(base), trace_preservation_residual(other)) <= 1e-12
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -290,28 +363,51 @@ def test_extraction_holds_for_hermitian_preserving_maps(case, seed):
     assert len(spectral.positive) == np.count_nonzero(eigs > cutoff)
     if rank is not None:  # a channel: a standard Kraus set of the Choi rank
         assert not spectral.negative and spectral.count == rank
-    fresh, cold, warm = _smallest_choi_eigenvalues(b)
-    assert cold == fresh and warm == fresh
+    assert len(set(_smallest_choi_eigenvalues(b))) == 1
+
+
+def _clear_solves() -> None:
+    """Empty the solve cache that eig_hermitian and eigvals_hermitian share."""
+    with linalg._solves_lock:
+        linalg._solves.clear()
+        linalg._solves_size = 0
 
 
 def _smallest_choi_eigenvalues(b) -> tuple:
-    """The bytes of ``eigvals_hermitian(b)[-1]`` solved afresh, and of
-    ``eb_report(b)``'s smallest Choi eigenvalue after another matrix's solve
-    and just after ``eig_hermitian(b)``."""
-    eig_hermitian(np.zeros((1, 1)))  # the last single solve is of another matrix
-    fresh = eigvals_hermitian(b)[-1]
+    """The bytes of b's smallest eigenvalue solved afresh, and of
+    ``eb_report(b)``'s smallest Choi eigenvalue with no solve kept, with its
+    own eigenvalues kept, and just after ``eig_hermitian(b)``."""
+    fresh = linalg._jacobi(b, 1e-13, 100, False)[0][-1]
+    _clear_solves()
     cold = eb_report(b).min_choi_eigenvalue
+    kept = eb_report(b).min_choi_eigenvalue
+    _clear_solves()
     eig_hermitian(b)
     warm = eb_report(b).min_choi_eigenvalue
-    return tuple(np.float64(v).tobytes() for v in (fresh, cold, warm))
+    return tuple(np.float64(v).tobytes() for v in (fresh, cold, kept, warm))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(params=ad2_params(), p=st.floats(0.0, 1.0), lam=st.floats(0.0, 1.0))
 def test_eb_report_reads_the_default_solve_whether_or_not_it_was_kept(params, p, lam):
     for b in (choi_2ad(ad2_coefficients(params)), gad_choi(p, lam)):
-        fresh, cold, warm = _smallest_choi_eigenvalues(b)
-        assert cold == fresh and warm == fresh
+        assert len(set(_smallest_choi_eigenvalues(b))) == 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(params=ad2_params(), p=st.floats(0.0, 1.0), lam=st.floats(0.0, 1.0),
+       calls=st.lists(st.sampled_from(["eig", "eigvals"]), min_size=1, max_size=4))
+def test_a_kept_solve_is_bitwise_a_fresh_solve_at_channel_points(params, p, lam, calls):
+    # any order of calls, from an empty cache and from one that holds the matrix
+    for b in (choi_2ad(ad2_coefficients(params)), gad_choi(p, lam)):
+        values, vectors = (a.tobytes() for a in linalg._jacobi(b, 1e-13, 100, True))
+        _clear_solves()
+        for call in calls * 2:
+            if call == "eig":
+                system = eig_hermitian(b)
+                assert (system.values.tobytes(), system.vectors.tobytes()) == (values, vectors)
+            else:
+                assert eigvals_hermitian(b).tobytes() == values
 
 
 def _split_as_dense_elements(co: Ad2Coefficients, b: np.ndarray):
