@@ -404,9 +404,9 @@ def pdc_entanglement_trace(params: Ad2Params, t_max: float, steps: int = 50) -> 
     Returns an array of (t, concurrence) rows.  The coefficients are
     evaluated at all times at once, each bitwise its scalar value.
     """
+    if not 0 <= t_max < np.inf:  # before np.linspace, which warns on inf
+        raise ValueError(f"t_max must be nonnegative and finite, got {t_max}")
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    if t_max < 0:
-        raise ValueError("t_max must be nonnegative")
     ts = np.linspace(0.0, float(t_max), int(steps))
     return np.column_stack((ts, concurrence(pdc_effective_state(choi_2ad(ad2_coefficients(params, ts))))))

@@ -73,8 +73,8 @@ class SignedKrausSet:
         """The set of the operators ``ops`` (count, d, d), of which the first
         ``positive_count`` are positive and the rest negative; labels default
         to ``+i`` and ``-i``.  ValueError if there is no positive operator,
-        if the operators are not square of one dimension, or if a label
-        count does not match its operator count."""
+        if the operators are not square of one dimension or not finite, or if
+        a label count does not match its operator count."""
         ks = object.__new__(cls)
         ks._keep(ops, positive_count, positive_labels, negative_labels)
         return ks
@@ -85,6 +85,8 @@ class SignedKrausSet:
         ops = np.array(ops, dtype=complex)  # ValueError for operators of two shapes
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
             raise ValueError("all operators must be square with a common dimension")
+        if not np.isfinite(ops).all():
+            raise ValueError(f"operator entries must be finite, got {ops[~np.isfinite(ops)][0]}")
         nneg = len(ops) - npos
         plab = tuple(positive_labels) or tuple(f"+{i}" for i in range(npos))
         nlab = tuple(negative_labels) or tuple(f"-{i}" for i in range(nneg))
@@ -204,8 +206,8 @@ def random_density_matrix(dim: int, rng: np.random.Generator, count: int | None 
     With ``count`` given, returns a stack (count, dim, dim) drawn as ``count``
     successive single calls would draw it: each state takes the real and then
     the imaginary part of its G from the generator.  Each state is scaled by
-    1 / Re Tr(G G^dag) as floats: the trace is real but for rounding dust,
-    which a complex division would carry into the state's last bits.
+    1 / Re Tr(G G^dag), summed as np.trace sums it, as floats: the trace is
+    real but for dust, which a complex division would carry into its bits.
     ``dim`` must be at least 1, and ``count`` None or at least 0.
     """
     if not dim >= 1:
@@ -217,8 +219,29 @@ def random_density_matrix(dim: int, rng: np.random.Generator, count: int | None 
     g.real, g.imag = parts[:, 0], parts[:, 1]  # bitwise parts[:, 0] + 1j * parts[:, 1], without its multiply
     rho = g @ dagger(g)
     flat = rho.view(float).reshape(len(rho), 2 * dim * dim)  # a view of the real and imaginary parts
-    flat *= 1.0 / np.trace(rho, axis1=-2, axis2=-1).real[:, None]
+    flat *= 1.0 / (0.0 + _pairwise_sum(rho.diagonal(axis1=-2, axis2=-1).real))[:, None]
     return rho[0] if count is None else rho
+
+
+def _pairwise_sum(x) -> np.ndarray:
+    """Sum over the last axis in the order of numpy's complex add-reduce
+    (pairwise; Higham 1993), one add per step across the leading axes, so
+    ``0.0 + _pairwise_sum(rho.diagonal(...).real)`` is bitwise np.trace's real
+    part: below 4 entries in sequence; to 64, four lanes of stride 4 added as
+    (l0 + l1) + (l2 + l3), then the rest in sequence; above, halved blocks."""
+    m = x.shape[-1]
+    if m > 64:
+        half = (m - m % 8) // 2
+        return _pairwise_sum(x[..., :half]) + _pairwise_sum(x[..., half:])
+    total, start = x[..., 0], 1
+    if m >= 4:
+        lanes = x[..., :4]
+        for i in range(4, m - m % 4, 4):
+            lanes = lanes + x[..., i:i + 4]
+        total, start = (lanes[..., 0] + lanes[..., 1]) + (lanes[..., 2] + lanes[..., 3]), m - m % 4
+    for i in range(start, m):
+        total = total + x[..., i]
+    return total
 
 
 def check_density_matrix(rho) -> None:

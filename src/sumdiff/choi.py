@@ -69,16 +69,18 @@ def choi_from_channel(action: Callable[[np.ndarray], np.ndarray], dim: int) -> n
     ``action`` is evaluated on each matrix unit |j><k|; block (j, k) of the
     result is E(|j><k|).  Linearity is spot-checked first on a seeded random
     pair of inputs, within 1e-10 relative, so a silently nonlinear callable
-    fails loudly.
+    fails loudly; a non-finite output there is refused first.
     """
     rng = np.random.default_rng(2718)
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     y = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     al = complex(rng.standard_normal(), rng.standard_normal())
     be = complex(rng.standard_normal(), rng.standard_normal())
-    lhs = action(al * x + be * y)
+    lhs = np.asarray(action(al * x + be * y), dtype=complex)
+    if not np.isfinite(lhs).all():
+        raise ValueError(f"action returned a non-finite value, {lhs[~np.isfinite(lhs)][0]}")
     rhs = al * action(x) + be * action(y)
-    if max_abs(lhs - rhs) > 1e-10 * max(1.0, max_abs(rhs)):
+    if not max_abs(lhs - rhs) <= 1e-10 * max(1.0, max_abs(rhs)):  # so that a NaN fails too
         raise ValueError("action is not linear within tolerance")
 
     b = np.zeros((dim * dim, dim * dim), dtype=complex)

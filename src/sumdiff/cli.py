@@ -72,10 +72,10 @@ TOLERANCE_ENV = "SUMDIFF_TOLERANCE"
 # diag-pairs operators in chunks of SWEEP_CHECK_ROWS rows of a block, as those
 # take about 23 KB a row.  Against 100-row blocks whose PPT flags built two
 # copies of the stack each, this wrote 33 % more rows a second on the
-# benchmark's sweep, with 0.6 MB more peak RSS (the README has the
-# measurements)
+# benchmark's sweep, with 0.6 MB more peak RSS; 32-row chunks, not 50, take
+# about 400 fewer minor page faults a 200-step call (the README has numbers)
 SWEEP_BLOCK_ROWS = 256
-SWEEP_CHECK_ROWS = 50
+SWEEP_CHECK_ROWS = 32
 # verify draws, applies and compares its random states in blocks of this many,
 # so memory stays bounded whatever --count is; the states are drawn in
 # sequence, so they do not depend on the block size

@@ -484,6 +484,15 @@ def test_entanglement_trace_rejects_bad_steps():
         pdc_entanglement_trace(PROBE, t_max=1.0, steps=1)
 
 
+@pytest.mark.parametrize("t_max", [math.inf, math.nan, -1.0, -math.inf])
+def test_entanglement_trace_refuses_a_bad_t_max_before_any_warning(t_max):
+    # inf made np.linspace warn "invalid value" first, and nan failed naming "times"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^t_max must be nonnegative and finite"):
+            pdc_entanglement_trace(PROBE, t_max=t_max, steps=5)
+
+
 def kraus_route_effective_state(co):
     """Reference: push half of (|e e'> + |g g'>)/sqrt(2) through pdc_kraus
     operator by operator as K (x) 1, then read off {e, g} (x) {e, g}."""

@@ -77,6 +77,14 @@ def test_choi_from_channel_rejects_nonlinear_action():
         choi_from_channel(lambda rho: rho @ rho, 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_choi_from_channel_refuses_a_non_finite_action(bad):
+    # the linearity check compared with >, which NaN passes, and the Choi
+    # matrix came back all NaN
+    with pytest.raises(ValueError, match="^action returned a non-finite value"):
+        choi_from_channel(lambda rho: rho * bad, 2)
+
+
 def test_choi_of_gad_action_matches_closed_form():
     p, lam = 0.5, 0.36
     ks = gad_kraus(p, lam)
