@@ -12,6 +12,7 @@ entanglement decay trace of the phase-damping part.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,8 @@ from .choi import (
     partition_diag_pairs,
     trace_preservation_residual,
 )
-from .linalg import (EigenSystem, _partial_transpose_positions, _position_map, dagger, eig_hermitian,
-                     eigvals_hermitian, fold, is_hermitian, is_psd, kron, max_abs)
+from .linalg import (EigenSystem, _matrix, _number, _partial_transpose_positions, _position_map, dagger,
+                     eig_hermitian, eigvals_hermitian, fold, is_hermitian, is_psd, kron, max_abs)
 
 __all__ = [
     "ChannelReport",
@@ -76,7 +77,7 @@ def mdc_choi(b) -> np.ndarray:
     damping Choi matrix, or of each matrix of a stack (m, 16, 16): the
     diagonal alone."""
     kept, values = _SUB_CHANNELS["mdc"]
-    return np.where(kept, np.asarray(b, dtype=complex), values)
+    return np.where(kept, _matrix("b", b, 16, (2, 3), finite=False), values)
 
 
 def mdc_kraus(co: Ad2Coefficients) -> SignedKrausSet:
@@ -104,7 +105,7 @@ def pdc_choi(b) -> np.ndarray:
     full channel.
     """
     kept, values = _SUB_CHANNELS["pdc"]
-    return np.where(kept, np.asarray(b, dtype=complex), values)
+    return np.where(kept, _matrix("b", b, 16, (2, 3), finite=False), values)
 
 
 def pdc_kraus(co: Ad2Coefficients) -> SignedKrausSet:
@@ -124,7 +125,7 @@ def pdc_apply(rho, co: Ad2Coefficients) -> np.ndarray:
     off-diagonal part evolves exactly as under the full channel (the
     population map never feeds coherences, so splitting the input is safe).
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _matrix("rho", rho, 4)
     diag = np.diag(np.diag(rho))
     return diag + ad2_apply(rho - diag, co)
 
@@ -157,10 +158,10 @@ def is_ppt(m, dim_a: int, dim_b: int, tol: float = 1e-10, part: str | None = Non
     ``mdc_choi(m)`` or ``pdc_choi(m)``, read from each 16 x 16 ``m`` the
     same way, with the same flags and errors.
     """
-    m = np.asarray(m, dtype=complex)
+    if not (_number(dim_a, True) >= 1 and _number(dim_b, True) >= 1):
+        raise ValueError(f"dim_a and dim_b must be integers of at least 1, got {dim_a!r} and {dim_b!r}")
     n = dim_a * dim_b
-    if m.shape[-2:] != (n, n) or m.ndim not in (2, 3):
-        raise ValueError(f"expected a {n} x {n} matrix or a stack of them")
+    m = _matrix("m", m, n, (2, 3), finite=False)  # is_psd checks the entries it reads
     if part is not None and (part not in _SUB_CHANNELS or n != 16):
         raise ValueError(f"part must be None, or 'mdc' or 'pdc' of a 16 x 16 Choi matrix, got {part!r}")
     return is_psd(m, tol, at=_ppt_map(dim_a, dim_b, part))
@@ -202,10 +203,11 @@ def eb_report(b, tol: float = 1e-10) -> ChannelReport:
     eigenvalue is ``eigvals_hermitian(b)[-1]``, at the solver's default
     tolerance, so a kept solve of b, as ``eig_hermitian(b)`` leaves, answers it.
     """
-    b = np.asarray(b, dtype=complex)
-    d = int(round(b.shape[0] ** 0.5))
-    if b.shape != (d * d, d * d):
-        raise ValueError("expected a d^2 x d^2 Choi matrix")
+    b = _matrix("b", b, finite=False)
+    d = math.isqrt(len(b))
+    if d * d != len(b):
+        raise ValueError(f"b must be a d^2 x d^2 Choi matrix, got shape {b.shape}")
+    ppt = is_ppt(b, d, d, tol=tol)  # first: it checks tol
     smallest = float(eigvals_hermitian(b)[-1])
     completeness = trace_preservation_residual(b)
     return ChannelReport(
@@ -213,7 +215,7 @@ def eb_report(b, tol: float = 1e-10) -> ChannelReport:
         min_choi_eigenvalue=smallest,
         is_trace_preserving=bool(completeness <= tol),
         completeness_residual=float(completeness),
-        ppt_of_choi=is_ppt(b, d, d, tol=tol),
+        ppt_of_choi=ppt,
         point_channel=_point_output(b, d, 1e-8),
     )
 
@@ -226,20 +228,14 @@ def qc_form_test(b, d: int, tol: float = 1e-10):
     for m = m'; then B = sum_m G_m (x) |m><m| up to factor ordering, i.e. the
     second factor is classical.  Returns (flag, diagonal blocks).
     """
-    b = np.asarray(b, dtype=complex)
-    if b.shape != (d * d, d * d):
-        raise ValueError("expected a d^2 x d^2 matrix")
-    blocks = b.reshape(d, d, d, d)  # [j, m, k, mp]
-    ok = True
-    for m in range(d):
-        for mp in range(d):
-            if m != mp and max_abs(blocks[:, m, :, mp]) > tol:
-                ok = False
+    if not _number(d, True) >= 1:
+        raise ValueError(f"d must be an integer of at least 1, got {d!r}")
+    blocks = _matrix("b", b, d * d).reshape(d, d, d, d)  # [j, m, k, mp]
     diag_blocks = [blocks[:, m, :, m] for m in range(d)]
-    if ok:
-        g = np.stack(diag_blocks)
-        ok = is_psd((g + dagger(g)) / 2.0, tol).all()
-    return bool(ok), diag_blocks
+    g = np.stack(diag_blocks)
+    psd = is_psd((g + dagger(g)) / 2.0, tol).all()  # first: it checks tol
+    off = np.abs(blocks).max(axis=(0, 2)) > tol  # [m, mp]
+    return bool(psd and not off[~np.eye(d, dtype=bool)].any()), diag_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +254,8 @@ class HolevoForm:
     effects: tuple
 
     def __post_init__(self):
-        outs = tuple(np.asarray(o, dtype=complex) for o in self.outputs)
-        effs = tuple(np.asarray(f, dtype=complex) for f in self.effects)
+        outs = tuple(_matrix("outputs", o) for o in self.outputs)
+        effs = tuple(_matrix("effects", f) for f in self.effects)
         if len(outs) != len(effs) or not outs:
             raise ValueError("need matching nonempty outputs and effects")
         d = effs[0].shape[0]
@@ -281,7 +277,7 @@ class HolevoForm:
 
 def holevo_apply(form: HolevoForm, rho) -> np.ndarray:
     """Evaluate the measure-and-prepare action."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _matrix("rho", rho, len(form.effects[0]))
     out = np.zeros_like(form.outputs[0])
     for sigma, f in zip(form.outputs, form.effects):
         out = out + sigma * np.trace(f @ rho)
@@ -357,11 +353,9 @@ def concurrence(rho) -> float | np.ndarray:
     in the result.  A stack of states of shape (m, 4, 4) gives an array of
     m concurrences.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
-        raise ValueError("concurrence is defined here for two-qubit states")
+    rho = _matrix("rho", rho, 4, (2, 3))  # a two-qubit state, or a stack of them
     if not max_abs(rho - dagger(rho)) <= 1e-10:
-        raise ValueError("state must be Hermitian")
+        raise ValueError("rho must be Hermitian")
     sys = eig_hermitian(rho, tol=1e-13)
     root = EigenSystem(np.sqrt(_clip_spectrum(sys.values)), sys.vectors).reconstruct()
     middle = root @ _spin_flip(rho) @ root
@@ -391,7 +385,8 @@ def pdc_effective_state(b) -> np.ndarray:
     is exact.  A coherence of magnitude at most 1e-12 reads as 0, as it does
     when the state is built from ``pdc_kraus`` operators.
     """
-    s = np.asarray(b, dtype=complex)[(...,) + _EFFECTIVE_STATE_ENTRIES]  # a copy of 16 entries each
+    # a copy of 16 entries each; a non-finite one is moved as any other, and concurrence refuses it
+    s = _matrix("b", b, 16, (2, 3), finite=False)[(...,) + _EFFECTIVE_STATE_ENTRIES]
     s[..., range(4), range(4)] = _PDC_DIAGONAL[_EFFECTIVE_STATE_INDEX]  # the sub-channel's diagonal
     s[(np.abs(s) <= 1e-12) & ~np.eye(4, dtype=bool)] = 0.0
     return 0.5 * s
@@ -404,9 +399,9 @@ def pdc_entanglement_trace(params: Ad2Params, t_max: float, steps: int = 50) -> 
     Returns an array of (t, concurrence) rows.  The coefficients are
     evaluated at all times at once, each bitwise its scalar value.
     """
-    if not 0 <= t_max < np.inf:  # before np.linspace, which warns on inf
+    if not 0 <= _number(t_max) < np.inf:  # before np.linspace, which warns on inf
         raise ValueError(f"t_max must be nonnegative and finite, got {t_max}")
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
-    ts = np.linspace(0.0, float(t_max), int(steps))
+    if not _number(steps, True) >= 2:
+        raise ValueError(f"steps must be an integer of at least 2, got {steps!r}")
+    ts = np.linspace(0.0, float(t_max), steps)
     return np.column_stack((ts, concurrence(pdc_effective_state(choi_2ad(ad2_coefficients(params, ts))))))

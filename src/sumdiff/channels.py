@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, eigvals_hermitian, is_hermitian, is_psd, max_abs
+from .linalg import _matrix, _number, dagger, eigvals_hermitian, is_hermitian, is_psd, max_abs
 
 __all__ = [
     "Ad2Coefficients",
@@ -39,6 +39,8 @@ __all__ = [
     "random_density_matrix",
     "reconstruct_choi_stack",
 ]
+
+_STACKS = range(2, 65)  # the dimensions of a state, or of a stack of states of any depth numpy allows
 
 
 # ---------------------------------------------------------------------------
@@ -80,18 +82,17 @@ class SignedKrausSet:
         return ks
 
     def _keep(self, ops, npos: int, positive_labels, negative_labels) -> None:
-        if not npos:
-            raise ValueError("at least one positive operator is required")
-        ops = np.array(ops, dtype=complex)  # ValueError for operators of two shapes
-        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
-            raise ValueError("all operators must be square with a common dimension")
+        ops = np.array(_matrix("operators", ops, ndims=(3,), finite=False))  # a copy, of square matrices of one shape
+        if not 1 <= _number(npos, True) <= len(ops):
+            raise ValueError(f"positive_count, the number of positive operators, must be at least 1 and at most "
+                             f"{len(ops)}, got {npos!r}")
         if not np.isfinite(ops).all():
             raise ValueError(f"operator entries must be finite, got {ops[~np.isfinite(ops)][0]}")
         nneg = len(ops) - npos
         plab = tuple(positive_labels) or tuple(f"+{i}" for i in range(npos))
         nlab = tuple(negative_labels) or tuple(f"-{i}" for i in range(nneg))
         if len(plab) != npos or len(nlab) != nneg:
-            raise ValueError("label count must match operator count")
+            raise ValueError("positive_labels and negative_labels must match the operator counts")
         signs = np.repeat([1, -1], (npos, nneg))[None]
         ops.flags.writeable = signs.flags.writeable = False  # before any view is taken, which would stay writeable
         object.__setattr__(self, "positive", tuple(ops[:npos]))
@@ -148,10 +149,8 @@ def apply_signed_kraus(rho, ks: SignedKrausSet) -> np.ndarray:
     its own 1 x d^2 row product there, so its result does not depend on the
     size of the stack it comes in.
     """
-    rho = np.asarray(rho, dtype=complex)
     d = ks.dim
-    if rho.ndim < 2 or rho.shape[-2:] != (d, d):
-        raise ValueError(f"state dimension {rho.shape} does not match operators ({d})")
+    rho = _matrix("rho", rho, d, _STACKS, finite=False)
     vecs = rho.swapaxes(-1, -2).reshape(-1, 1, d * d)  # unfold(rho_n) as a row
     out = vecs @ ks.superoperator().T
     return out.reshape(rho.shape).swapaxes(-1, -2)
@@ -210,9 +209,9 @@ def random_density_matrix(dim: int, rng: np.random.Generator, count: int | None 
     real but for dust, which a complex division would carry into its bits.
     ``dim`` must be at least 1, and ``count`` None or at least 0.
     """
-    if not dim >= 1:
+    if not _number(dim, True) >= 1:
         raise ValueError(f"dim must be at least 1, got {dim!r}")
-    if not (count is None or count >= 0):
+    if not (count is None or _number(count, True) >= 0):
         raise ValueError(f"count must be None or at least 0, got {count!r}")
     parts = rng.standard_normal((1 if count is None else count, 2, dim, dim))
     g = np.empty((len(parts), dim, dim), dtype=complex)
@@ -246,7 +245,7 @@ def _pairwise_sum(x) -> np.ndarray:
 
 def check_density_matrix(rho) -> None:
     """Raise ValueError unless rho is Hermitian, unit trace, and PSD within 1e-10."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _matrix("rho", rho)
     if not is_hermitian(rho, 1e-10):
         raise ValueError("state is not Hermitian")
     if abs(rho.trace() - 1.0) > 1e-10:
@@ -260,10 +259,9 @@ def check_density_matrix(rho) -> None:
 
 
 def _check_unit_interval(name: str, x: float) -> float:
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
+    if not 0.0 <= _number(x) <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {x}")
-    return x
+    return float(x)
 
 
 def gad_kraus(p: float, lam: float) -> SignedKrausSet:
@@ -397,7 +395,7 @@ class Ad2Params:
     def __post_init__(self):
         for name in ("gamma", "gamma12", "omega12", "omega0", "t"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if not math.isfinite(_number(value)):
                 raise ValueError(f"{name} must be finite, got {value}")
         if not self.gamma > 0.0:
             raise ValueError("gamma must be positive")
@@ -471,7 +469,7 @@ def ad2_coefficients(params: Ad2Params, t=None) -> Ad2Coefficients:
     else:
         t = np.asarray(t, dtype=float)
         if t.ndim != 1 or not np.all((t >= 0.0) & (t < math.inf)):
-            raise ValueError("times must be a 1-D array of nonnegative finite values")
+            raise ValueError("t must be a 1-D array of nonnegative finite times")
         t_max = float(t.max(initial=0.0))
         exp, expm1, sin, cos, cast, finite = _ARRAY_MATH
     gp = gamma + g12
@@ -582,9 +580,7 @@ def ad2_apply(rho, co: Ad2Coefficients) -> np.ndarray:
     through its own product with the 16 x 16 matrix of these terms, so its
     result does not depend on the stack it comes in.
     """
-    r = np.asarray(rho, dtype=complex)
-    if r.ndim < 2 or r.shape[-2:] != (4, 4):
-        raise ValueError("expected a 4 x 4 state")
+    r = _matrix("rho", rho, 4, _STACKS, finite=False)
     coeffs = np.array([co.A, co.B, co.C, co.D, co.E, 1.0, co.F, co.G, co.H, co.J, co.M, co.L, co.P,
                        co.T, co.U + 1j * co.V, co.Q, 1j * co.S - co.R], dtype=complex)
     action = np.zeros((16, 16), dtype=complex)

@@ -24,10 +24,11 @@ import numpy as np
 
 from .channels import Ad2Coefficients, SignedKrausSet
 from .linalg import (
+    _matrix,
+    _number,
     dagger,
     eig_hermitian,
     eigvals_hermitian,
-    is_hermitian,
     max_abs,
     partial_trace,
 )
@@ -71,6 +72,8 @@ def choi_from_channel(action: Callable[[np.ndarray], np.ndarray], dim: int) -> n
     pair of inputs, within 1e-10 relative, so a silently nonlinear callable
     fails loudly; a non-finite output there is refused first.
     """
+    if not _number(dim, True) >= 1:
+        raise ValueError(f"dim must be an integer of at least 1, got {dim!r}")
     rng = np.random.default_rng(2718)
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     y = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -95,11 +98,10 @@ def choi_from_channel(action: Callable[[np.ndarray], np.ndarray], dim: int) -> n
 
 def trace_preservation_residual(b: np.ndarray) -> float:
     """Max-entry residual of the partial trace over the output factor against identity."""
-    b = np.asarray(b, dtype=complex)
-    d2 = b.shape[0]
-    d = int(round(d2 ** 0.5))
-    if d * d != d2 or b.shape != (d2, d2):
-        raise ValueError("expected a d^2 x d^2 matrix")
+    b = _matrix("b", b, finite=False)
+    d = math.isqrt(len(b))
+    if d * d != len(b):
+        raise ValueError(f"b must be a d^2 x d^2 matrix, got shape {b.shape}")
     traced = partial_trace(b, d, d)
     traced.flat[::d + 1] -= 1.0
     return max_abs(traced)
@@ -170,14 +172,14 @@ class HermitianPartition:
     stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        stack = np.asarray(self.elements, dtype=complex)  # ValueError for elements of two shapes
-        if len(stack):
-            if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-                raise ValueError("every element must be Hermitian and same-shaped")
-            # is_hermitian(e, 1e-12 * max(1, max_abs(e))) for the whole stack at once
-            asym = np.abs(stack - dagger(stack)).max(axis=(1, 2), initial=0.0)
-            if not (asym <= 1e-12 * np.maximum(1.0, np.abs(stack).max(axis=(1, 2), initial=0.0))).all():
-                raise ValueError("every element must be Hermitian and same-shaped")
+        stack = _matrix("elements", self.elements, ndims=(3,), finite=False)  # square matrices of one shape
+        top = np.abs(stack).max(axis=(1, 2), initial=0.0)
+        if not (top < math.inf).all():  # NaN too
+            raise ValueError("elements must be finite")
+        # is_hermitian(e, 1e-12 * max(1, max_abs(e))) for the whole stack at once
+        asym = np.abs(stack - dagger(stack)).max(axis=(1, 2), initial=0.0)
+        if not (asym <= 1e-12 * np.maximum(1.0, top)).all():
+            raise ValueError("every element must be Hermitian and same-shaped")
         self._keep(stack, self.labels)
 
     @classmethod
@@ -193,7 +195,7 @@ class HermitianPartition:
             raise ValueError("a partition needs at least one element")
         labs = tuple(labels) or tuple(f"E{i}" for i in range(len(stack)))
         if len(labs) != len(stack):
-            raise ValueError("label count must match element count")
+            raise ValueError("labels must match elements in count")
         object.__setattr__(self, "elements", tuple(stack))
         object.__setattr__(self, "labels", labs)
         object.__setattr__(self, "stack", stack)
@@ -211,7 +213,7 @@ def partition_from_elements(elements: Sequence, labels: Sequence[str] = (), refe
     """
     part = HermitianPartition(tuple(elements), tuple(labels))
     if reference is not None:
-        resid = max_abs(part.sum_matrix() - np.asarray(reference, dtype=complex))
+        resid = max_abs(part.sum_matrix() - _matrix("reference", reference, part.stack.shape[1]))
         if resid > 1e-12 * max(1.0, max_abs(reference)):
             raise ValueError(f"elements do not sum to the reference (residual {resid:.3e})")
     return part
@@ -219,7 +221,7 @@ def partition_from_elements(elements: Sequence, labels: Sequence[str] = (), refe
 
 def partition_full(b, label: str = "full") -> HermitianPartition:
     """Trivial partition: the whole matrix as a single element."""
-    return HermitianPartition((np.asarray(b, dtype=complex),), (label,))
+    return HermitianPartition((_matrix("b", b, finite=False),), (label,))  # its one element is checked as such
 
 
 def partition_diag_pairs(b, labels: Mapping[tuple[int, int], str] | None = None) -> HermitianPartition:
@@ -231,13 +233,15 @@ def partition_diag_pairs(b, labels: Mapping[tuple[int, int], str] | None = None)
     are treated as structural zeros.  Elements are ordered diagonal first,
     then pairs by ascending (r, c), labelled ``labels[(r, c)]`` or "(r,c)".
     """
-    return HermitianPartition._of_hermitian(*_diag_pairs(np.asarray(b, dtype=complex), labels)[:2])
+    return HermitianPartition._of_hermitian(*_diag_pairs(_matrix("b", b, finite=False), labels)[:2])
 
 
 def _diag_pairs(b: np.ndarray, labels) -> tuple:
     """The stack and labels of ``partition_diag_pairs(b, labels)``, and max|b|."""
     top = max_abs(b)
-    if not is_hermitian(b, 1e-12 * max(1.0, top)):
+    if not top < math.inf:  # NaN too
+        raise ValueError(f"b must be finite, got an entry of magnitude {top}")
+    if not max_abs(b - dagger(b)) <= 1e-12 * max(1.0, top):
         raise ValueError("partition_diag_pairs expects a Hermitian matrix")
     n = b.shape[0]
     thresh = PARTITION_REL_THRESHOLD * top
@@ -263,7 +267,7 @@ def partition_from_masks(b, masks: Sequence, labels: Sequence[str] = ()) -> Herm
     masks must cover every entry above PARTITION_REL_THRESHOLD times the
     largest exactly once.  Element i is the entrywise product b * mask_i.
     """
-    b = np.asarray(b, dtype=complex)
+    b = _matrix("b", b)
     n = b.shape[0]
     thresh = PARTITION_REL_THRESHOLD * max_abs(b)
     cover = np.zeros((n, n), dtype=int)
@@ -271,7 +275,7 @@ def partition_from_masks(b, masks: Sequence, labels: Sequence[str] = ()) -> Herm
     for mk in masks:
         mk = np.asarray(mk, dtype=bool)
         if mk.shape != b.shape:
-            raise ValueError("mask shape must match the matrix")
+            raise ValueError(f"masks must each have the shape of b, {b.shape}, got {mk.shape}")
         if not np.array_equal(mk, mk.T):
             raise ValueError("masks must be symmetric")
         cover += mk.astype(int)
@@ -301,10 +305,10 @@ def ad2_partition(co: Ad2Coefficients, strategy: str = "diag-pairs", b=None) -> 
     """
     if strategy not in PARTITIONS:
         raise ValueError(f"unknown partition strategy {strategy!r}")
-    b = choi_2ad(co) if b is None else b
+    b = choi_2ad(co) if b is None else _matrix("b", b, 16, finite=False)
     if strategy == "full-spectral":
         return partition_full(b)
-    pairs, pair_labels, top = _diag_pairs(np.asarray(b, dtype=complex), AD2_PAIR_LABELS)
+    pairs, pair_labels, top = _diag_pairs(b, AD2_PAIR_LABELS)
     if strategy == "diag-pairs":
         return HermitianPartition._of_hermitian(pairs, pair_labels)
 
@@ -402,7 +406,7 @@ def _element_kinds(p: int, n: int, pattern: bytes, labels: tuple, relabel: tuple
 
 
 def _check_cutoff(cutoff: float) -> None:
-    if not 0 <= cutoff < math.inf:  # a NaN or negative cutoff keeps zero-weight operators
+    if not 0 <= _number(cutoff) < math.inf:  # a NaN or negative cutoff keeps zero-weight operators
         raise ValueError(f"cutoff must be a nonnegative number and finite, got {cutoff!r}")
 
 
@@ -480,13 +484,14 @@ def ad2_diag_pairs_operators(chois, cutoff: float = 1e-12) -> tuple[np.ndarray, 
     ``cutoff`` must be finite and nonnegative.
     """
     _check_cutoff(cutoff)
-    b = np.asarray(chois, dtype=complex)
-    if b.ndim != 3 or b.shape[1:] != (16, 16):
-        raise ValueError("expected a stack of 16 x 16 Choi matrices")
+    b = _matrix("chois", chois, 16, (3,), finite=False)
+    top = np.abs(b).max(axis=(1, 2), initial=0.0)  # the threshold's pass, which also finds a non-finite entry
+    if not (top < math.inf).all():  # NaN too
+        raise ValueError("chois must be finite")
     diag = np.array(AD2_DIAG_EXPORT_ORDER)
     rows, cols = np.array(list(AD2_PAIR_LABELS)).T
     z = b[:, rows, cols]
-    z[np.hypot(z.real, z.imag) <= PARTITION_REL_THRESHOLD * np.abs(b).max(axis=(1, 2), initial=0.0)[:, None]] = 0.0
+    z[np.hypot(z.real, z.imag) <= PARTITION_REL_THRESHOLD * top[:, None]] = 0.0
     ops, signs = _closed_form(16, b[:, diag, diag].real, diag, z, rows, cols, cutoff)
     if not (signs > 0).any(axis=1).all():
         raise ValueError("extraction produced no positive operators")

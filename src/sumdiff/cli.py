@@ -312,13 +312,8 @@ def _channel_params(args, config: dict) -> dict:
 # JSON encoding of operator sets
 
 
-def _pairs(m) -> list:
-    m = np.ascontiguousarray(m, dtype=complex)
-    return m.view(float).reshape(m.shape + (2,)).tolist()
-
-
 _LITERALS = {None: "null", True: "true", False: "false"}
-_MARK = "\0"  # a skeleton's value; a structure with this key is written by json.dumps itself
+_MARK = "\0"  # a skeleton's value; a payload with it as a key does not fit its template, and raises
 # json writes a NUL in a string as \u0000, so NULs can separate the texts of values
 _encode_values = json.JSONEncoder(separators=("\0", ":")).encode
 _ZERO_TEXTS = np.array(["0.0", "-0.0"], dtype=object)
@@ -338,7 +333,7 @@ def _walk(values, key: list, scalars: list, arrays: list) -> None:
                 raise TypeError
             key.append(tuple(names))
             _walk(map(value.__getitem__, names), key, scalars, arrays)
-        elif kind is list or kind is tuple:
+        elif kind is list:
             key.append(len(value))
             _walk(value, key, scalars, arrays)
         elif kind is np.ndarray:
@@ -374,13 +369,11 @@ def _template(key: tuple):
     """The text json.dumps(indent=2, sort_keys=True) writes between the values
     of the structure ``key``, interned, so that templates share what their
     matrices have in common; the indices of the slots that take a string or
-    number, and the mask of those that take a matrix float.  None if a key
-    of the structure reads as the marker."""
+    number, and the mask of those that take a matrix float.  A key that
+    reads as the marker adds a text, so its payload's values do not fit."""
     floats = []
     parts = json.dumps(_skeleton(iter(key), floats), indent=2, sort_keys=True).split(json.dumps(_MARK))
     floats = np.array(floats, dtype=bool)
-    if len(parts) != len(floats) + 1:
-        return None
     return tuple(map(sys.intern, parts)), np.flatnonzero(~floats), floats
 
 
@@ -388,16 +381,11 @@ def _dumps(payload) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte, with
     each matrix in the payload, an ndarray, written as rows of [re, im] pairs.
     CPython's indenting encoder runs in pure Python, so it lays out each
-    structure only once, as a template whose slots each call fills."""
+    structure only once, as a template whose slots each call fills.  A
+    payload no template expresses raises (see ``_walk`` and ``_template``)."""
     key, scalars, arrays = [], [], []
-    try:
-        _walk((payload,), key, scalars, arrays)
-        template = _template(tuple(key))
-    except TypeError:
-        template = None
-    if template is None:
-        return json.dumps(payload, indent=2, sort_keys=True, default=_pairs)
-    pieces, scalar_slots, float_slots = template
+    _walk((payload,), key, scalars, arrays)
+    pieces, scalar_slots, float_slots = _template(tuple(key))
     # each matrix as np.ascontiguousarray(m, dtype=complex) reads it
     floats = np.concatenate([*arrays, ()], None, dtype=complex, casting="unsafe").view(float)
     nonzero = floats != 0

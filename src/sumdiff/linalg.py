@@ -13,6 +13,7 @@ Two conventions are fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import sys
@@ -39,6 +40,32 @@ __all__ = [
 ]
 
 
+_REALS, _INTEGERS = (float, int, np.floating, np.integer), (int, np.integer)
+
+
+def _number(x, integer: bool = False):
+    """``x`` if it is a real number (an integer, with ``integer``) and not a
+    bool, else NaN, which fails every range test: for the checks of values."""
+    kinds = _INTEGERS if integer else _REALS
+    return x if type(x) in kinds or isinstance(x, kinds) and not isinstance(x, bool) else math.nan
+
+
+def _matrix(name: str, a, n=None, ndims=(2,), finite: bool = True) -> np.ndarray:
+    """``a`` as a complex array with a number of dimensions in ``ndims``, the
+    last two n x n (square, for n None), and finite entries unless ``finite``
+    is False; else ValueError naming ``name``."""
+    try:
+        a = np.asarray(a, dtype=complex)
+    except (TypeError, ValueError):  # a string, or lists of unequal lengths
+        a = np.zeros(0)
+    side = a.shape[-1] if n is None and a.ndim else n
+    if a.ndim not in ndims or a.shape[-2:] != (side, side) or finite and not np.isfinite(a).all():
+        dims = f"{ndims[0]} or more" if len(ndims) > 2 else " or ".join(map(str, ndims))
+        raise ValueError(f"{name} must be an array of {dims} dimensions of {'finite ' * finite}"
+                         f"{f'{n} x {n}' if n else 'square'} matrices, got shape {a.shape}")
+    return a
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose (of each matrix, for a stack)."""
     return np.asarray(a).conj().swapaxes(-1, -2)
@@ -50,9 +77,12 @@ def max_abs(a) -> float:
 
 
 def is_hermitian(a, tol: float = 1e-12) -> bool:
-    """True if ``a`` is square and equals its conjugate transpose within ``tol``."""
+    """True if ``a`` is a finite square matrix equal to its conjugate
+    transpose within ``tol``, which must be nonnegative and finite."""
+    if not 0 <= _number(tol) < math.inf:
+        raise ValueError(f"tol must be a nonnegative number and finite, got {tol!r}")
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.isfinite(a).all():
         return False
     return max_abs(a - dagger(a)) <= tol
 
@@ -64,20 +94,15 @@ def kron(a, b) -> np.ndarray:
 
 def unfold(a) -> np.ndarray:
     """Column-stack a square matrix into a vector: unfold(a)[d*j + k] == a[k, j]."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("unfold expects a square matrix")
-    return a.T.reshape(-1)
+    return _matrix("a", a, finite=False).T.reshape(-1)
 
 
 def fold(v) -> np.ndarray:
     """Inverse of unfold: a length-d^2 vector back into a d x d matrix."""
     v = np.asarray(v, dtype=complex)
-    if v.ndim != 1:
-        raise ValueError("fold expects a vector")
     d = math.isqrt(v.size)
-    if d * d != v.size:
-        raise ValueError("fold expects a vector of perfect-square length")
+    if v.ndim != 1 or d * d != v.size:
+        raise ValueError(f"v must be a vector of perfect-square length, got shape {v.shape}")
     return v.reshape(d, d).T.copy()
 
 
@@ -190,9 +215,8 @@ def _angles(mag: np.ndarray, diff: np.ndarray) -> tuple:
     theta = np.arctan2(2.0 * mag, diff)
     theta *= 0.5
     c, s = np.cos(theta), np.sin(theta)
-    dead = mag < _TINY
-    if np.count_nonzero(dead):  # arctan2 gives pi for a zero pivot over a negative diff
-        c[dead], s[dead] = 1.0, 0.0
+    dead = mag < _TINY  # arctan2 gives pi for a zero pivot over a negative diff
+    c[dead], s[dead] = 1.0, 0.0
     return c, s
 
 
@@ -238,10 +262,8 @@ def _rotate_pairs(p: np.ndarray, q: np.ndarray, b: np.ndarray, hold) -> tuple:
     mag = np.abs(b)
     diff = p - q
     c, s = _angles(mag, diff)
-    even = diff == 0.0
-    if np.count_nonzero(even):
-        even &= mag >= _TINY
-        c[even] = s[even] = _HALF_ROOT
+    even = (diff == 0.0) & (mag >= _TINY)
+    c[even] = s[even] = _HALF_ROOT
     se = s * (b / np.maximum(mag, _TINY))
     cc, ss, twice = c * c, s * s, 2.0 * c * s * mag
     rot = np.array([c, -se, se.conj(), c]).T.reshape(-1, 2, 2)
@@ -260,9 +282,11 @@ def _solve(h, tol: float, max_sweeps: int, with_vectors: bool) -> tuple:
     """``_jacobi``'s values, and vectors if asked for; for a single matrix, copies
     of its kept solve, solved and kept first unless kept with them.  A stack is only solved."""
     global _solves_size
-    if not 0 < tol < math.inf:  # a NaN tol never converges, an infinite one stops at once
+    if not 0 < _number(tol) < math.inf:  # a NaN tol never converges, an infinite one stops at once
         raise ValueError(f"tol must be a positive number and finite, got {tol!r}")
-    h = np.asarray(h, dtype=complex)
+    if not _number(max_sweeps, True) >= 0:
+        raise ValueError(f"max_sweeps must be an integer of at least 0, got {max_sweeps!r}")
+    h = _matrix("h", h, ndims=(2, 3), finite=False)  # _gather checks the entries it solves
     if h.ndim != 2:
         return _jacobi(h, tol, max_sweeps, with_vectors)
     key = h.shape, h.tobytes(), tol, max_sweeps
@@ -331,9 +355,7 @@ def _gather(h, tol: float, at=None) -> tuple:
     ``is_psd``), the pattern, blocks and checks are those of the matrices
     that ``at`` maps out of h, which are not built.  Raises ValueError if an
     entry is not finite or a block is not Hermitian within ``tol``."""
-    h = np.asarray(h, dtype=complex)
-    if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
-        raise ValueError("expected a square matrix or a stack of them")
+    h = _matrix("h", h, ndims=(2, 3), finite=False)
     single = h.ndim == 2
     h = h[None] if single else h
     flat = h.reshape(len(h), h.shape[1] ** 2)
@@ -353,7 +375,7 @@ def _gather(h, tol: float, at=None) -> tuple:
             fixed = source < 0  # these columns read h's last entry until given their values
             every[:, fixed] = values[index[fixed]]
     if not np.isfinite(every).all():
-        raise ValueError("matrix has non-finite entries")
+        raise ValueError("h has non-finite entries")
     # every entry against the conjugate of its mirror entry, all blocks at
     # once.  The Hermitian parts are written over the mirror entries, in
     # place: on a stack, new arrays of this size made the allocator hand pages
@@ -410,7 +432,7 @@ def is_psd(h, tol: float, at=None) -> bool | np.ndarray:
     each call would derive from the pair.  ``tol`` must be nonnegative and
     finite.
     """
-    if not 0 <= tol < math.inf:  # a NaN tol fails every block, an infinite one passes it
+    if not 0 <= _number(tol) < math.inf:  # a NaN tol fails every block, an infinite one passes it
         raise ValueError(f"tol must be a nonnegative number and finite, got {tol!r}")
     single, h, groups = _gather(h, 1e-12, at)
     flags = np.ones(len(h), dtype=bool)
@@ -458,12 +480,11 @@ def _jacobi(h, tol: float, max_sweeps: int, with_vectors: bool) -> tuple:
     done = np.zeros(m, dtype=bool)  # converged matrices stay converged
     for sweep in range(max_sweeps + 1):
         # summed directly over off-diagonal entries; total minus diagonal
-        # would cancel catastrophically once the off-diagonal part is tiny
+        # would cancel catastrophically once the off-diagonal part is tiny.
+        # A rotated 2 x 2 block's entry is an exact zero
         off = np.zeros(m)
         for k, _, _, _, state in blocks:
             if k == 2:
-                if state[3] is not None:
-                    continue  # rotated, so diagonal
                 sq = np.abs(state[2])
                 sq *= sq
                 sq *= 2.0
@@ -547,13 +568,11 @@ def eig_rank2_pair(z: complex, r: int, c: int, dim: int) -> EigenSystem:
     (|r> ± e^{-i phi} |c>)/sqrt(2) where z = |z| e^{i phi}.  Only those two
     pairs are returned.
     """
-    if not (0 <= r < dim and 0 <= c < dim):
-        raise ValueError("indices out of range")
-    if r == c:
-        raise ValueError("indices must be distinct")
+    if not (0 <= _number(r, True) < _number(dim, True) and 0 <= _number(c, True) < dim and r != c):
+        raise ValueError(f"r and c must be distinct integers in [0, dim), got r={r!r}, c={c!r}, dim={dim!r}")
+    if not (isinstance(z, (int, float, complex, np.number)) and z != 0 and cmath.isfinite(z)):
+        raise ValueError(f"z must be a nonzero finite number, got {z!r}")
     z = complex(z)
-    if z == 0:
-        raise ValueError("coefficient must be nonzero")
     phase = np.conj(z) / abs(z)
     root2 = math.sqrt(2.0)
     vp = np.zeros(dim, dtype=complex)
@@ -580,20 +599,18 @@ def partial_transpose(m, dim_a: int, dim_b: int) -> np.ndarray:
 
     Accepts one matrix or a stack of shape (k, n, n).
     """
-    m = np.asarray(m, dtype=complex)
+    if not (_number(dim_a, True) >= 1 and _number(dim_b, True) >= 1):
+        raise ValueError(f"dim_a and dim_b must be integers of at least 1, got {dim_a!r} and {dim_b!r}")
     n = dim_a * dim_b
-    if m.shape[-2:] != (n, n) or m.ndim not in (2, 3):
-        raise ValueError(f"expected a {n} x {n} matrix or a stack of them")
+    m = _matrix("m", m, n, (2, 3), finite=False)
     return m.reshape(m.shape[:-2] + (n * n,))[..., _partial_transpose_positions(dim_a, dim_b)]
 
 
 def partial_trace(m, dim_a: int, dim_b: int, keep: str = "first") -> np.ndarray:
     """Trace out one tensor factor of an operator on A (x) B."""
-    m = np.asarray(m, dtype=complex)
-    n = dim_a * dim_b
-    if m.shape != (n, n):
-        raise ValueError(f"expected a {n} x {n} matrix")
-    m = m.reshape(dim_a, dim_b, dim_a, dim_b)
+    if not (_number(dim_a, True) >= 1 and _number(dim_b, True) >= 1):
+        raise ValueError(f"dim_a and dim_b must be integers of at least 1, got {dim_a!r} and {dim_b!r}")
+    m = _matrix("m", m, dim_a * dim_b, finite=False).reshape(dim_a, dim_b, dim_a, dim_b)
     if keep == "first":
         return np.einsum("ibjb->ij", m)
     if keep == "second":

@@ -493,6 +493,16 @@ def test_entanglement_trace_refuses_a_bad_t_max_before_any_warning(t_max):
             pdc_entanglement_trace(PROBE, t_max=t_max, steps=5)
 
 
+@pytest.mark.parametrize("steps", [math.inf, math.nan, "3", 2.5, True])
+def test_entanglement_trace_takes_only_an_integer_steps(steps):
+    # inf raised OverflowError, nan a ValueError naming no argument, "3" a
+    # TypeError, and 2.5 ran with 2 steps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^steps must be an integer of at least 2"):
+            pdc_entanglement_trace(PROBE, t_max=1.0, steps=steps)
+
+
 def kraus_route_effective_state(co):
     """Reference: push half of (|e e'> + |g g'>)/sqrt(2) through pdc_kraus
     operator by operator as K (x) 1, then read off {e, g} (x) {e, g}."""
@@ -622,9 +632,9 @@ def test_is_ppt_rejects_an_unknown_part(m, dims, part):
 def test_is_ppt_rejects_non_finite_entries(bad):
     b = choi_2ad(ad2_coefficients(PROBE))
     b[0, 15] = bad
-    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+    with pytest.raises(ValueError, match="^h has non-finite entries$"):
         is_ppt(b, 4, 4)
-    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+    with pytest.raises(ValueError, match="^h has non-finite entries$"):
         is_ppt(np.stack([choi_2ad(ad2_coefficients(PROBE)), b]), 4, 4)
 
 

@@ -502,7 +502,7 @@ def test_non_finite_matrix_is_rejected_before_any_work(case, check, monkeypatch)
     h = NON_FINITE[case]()
     with np.errstate(all="raise"):
         for matrix in (h, np.stack([np.eye(len(h)), h])):
-            with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            with pytest.raises(ValueError, match="^h has non-finite entries$"):
                 check(matrix)
 
 

@@ -122,3 +122,33 @@ def test_size_report_counts_lines_and_branch_sites(tmp_path, capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
     assert rows == [["a.py", "3", "2"], ["b.py", "2", "0"], ["total", "5", "2"]]
     assert size_report.main([str(tmp_path / "none")]) == 1
+
+
+def test_size_report_prints_the_deltas_against_a_parent(tmp_path, capsys):
+    new, old = tmp_path / "new", tmp_path / "old"
+    new.mkdir(), old.mkdir()
+    (new / "a.py").write_text("if x:\n    y = 1\n")
+    (new / "c.py").write_text("z = 2\n")
+    (old / "a.py").write_text("if x:\n    y = 1 if z else 2\nw = 3\n")
+    (old / "b.py").write_text("if v:\n    pass\n")
+    size_report = _size_report()
+    assert size_report.main([str(new), str(old)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows == [["a.py", "2", "1", "-1", "-1"], ["b.py", "0", "0", "-2", "-1"], ["c.py", "1", "0", "+1", "0"],
+                    ["total", "3", "1", "-2", "-2"]]
+    assert size_report.main([str(new), str(tmp_path / "none")]) == 1
+
+
+def test_every_traced_name_is_in_its_module():
+    # the benchmark's tracer rebinds these names by module; a cut that deletes
+    # one would break only a traced benchmark run, so it fails here first
+    import ast
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    assigned = [node.value for node in ast.parse(path.read_text(encoding="utf-8")).body
+                if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]]
+    assert len(assigned) == 1
+    traced = ast.literal_eval(assigned[0])
+    assert set(traced) <= {"cli", *(module.__name__.split(".")[-1] for module in MODULES)}
+    missing = [f"{module}.{name}" for module, names in traced.items() for name in names
+               if not callable(getattr(importlib.import_module(f"sumdiff.{module}"), name, None))]
+    assert missing == []

@@ -4,9 +4,13 @@ A branch site is an ``if`` statement or a conditional expression (``ast.If``
 plus ``ast.IfExp``); comprehension filters and ``while`` loops are not
 counted.  Lines are newline characters, as ``wc -l`` counts them.
 
-    python tools/size_report.py [PACKAGE_DIR]
+    python tools/size_report.py [PACKAGE_DIR [PARENT_DIR]]
 
-PACKAGE_DIR defaults to ``src/sumdiff`` beside this script's folder.
+PACKAGE_DIR defaults to ``src/sumdiff`` beside this script's folder.  With
+PARENT_DIR, the same package in another tree (say, a checkout of the parent
+commit), each row also gets the change in lines and in branch sites from
+PARENT_DIR to PACKAGE_DIR; a module in only one of them counts as empty in
+the other.
 """
 
 from __future__ import annotations
@@ -30,18 +34,30 @@ def report(package: pathlib.Path) -> list[tuple[str, int, int]]:
     return [(path.name, *module_size(path)) for path in sorted(package.glob("*.py"))]
 
 
+def _delta(n: int) -> str:
+    return f"{n:+d}" if n else "0"
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    package = pathlib.Path(argv[0]) if argv else DEFAULT_PACKAGE
-    rows = report(package)
-    if not rows:
-        print(f"error: no Python modules in {package}", file=sys.stderr)
-        return 1
-    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
-    width = max(len(name) for name, _, _ in rows)
-    print(f"{'module':<{width}}  {'lines':>6}  {'branches':>8}")
-    for name, lines, branches in rows:
-        print(f"{name:<{width}}  {lines:>6}  {branches:>8}")
+    packages = [pathlib.Path(arg) for arg in argv[:2]] or [DEFAULT_PACKAGE]
+    sizes = []
+    for package in packages:
+        rows = report(package)
+        if not rows:
+            print(f"error: no Python modules in {package}", file=sys.stderr)
+            return 1
+        sizes.append({name: (lines, branches) for name, lines, branches in rows})
+    now, before = sizes[0], sizes[-1]
+    names = sorted(now.keys() | before.keys())
+    rows = [(name, *now.get(name, (0, 0)), *before.get(name, (0, 0))) for name in names]
+    rows.append(("total", *(sum(row[i] for row in rows) for i in range(1, 5))))
+    width = max(len(row[0]) for row in rows)
+    deltas = len(packages) == 2
+    print(f"{'module':<{width}}  {'lines':>6}  {'branches':>8}" + (f"  {'lines+-':>7}  {'branches+-':>10}" * deltas))
+    for name, lines, branches, old_lines, old_branches in rows:
+        extra = f"  {_delta(lines - old_lines):>7}  {_delta(branches - old_branches):>10}" if deltas else ""
+        print(f"{name:<{width}}  {lines:>6}  {branches:>8}{extra}")
     return 0
 
 
