@@ -35,7 +35,7 @@ from .choi import (
     trace_preservation_residual,
 )
 from .linalg import (EigenSystem, _matrix, _number, _partial_transpose_positions, _position_map, dagger,
-                     eig_hermitian, eigvals_hermitian, fold, is_hermitian, is_psd, kron, max_abs)
+                     eig_hermitian, eigvals_hermitian, fold, is_psd, kron, max_abs)
 
 __all__ = [
     "ChannelReport",
@@ -247,29 +247,24 @@ class HolevoForm:
     """Measure-and-prepare channel: rho -> sum_i outputs[i] Tr(effects[i] rho).
 
     Effects must form a POVM (positive, summing to identity); outputs must be
-    states.  Checked at construction within 1e-10.
+    states.  Each is kept as one stack.  Checked at construction within 1e-10.
     """
 
-    outputs: tuple
-    effects: tuple
+    outputs: np.ndarray
+    effects: np.ndarray
 
     def __post_init__(self):
-        outs = tuple(_matrix("outputs", o) for o in self.outputs)
-        effs = tuple(_matrix("effects", f) for f in self.effects)
-        if len(outs) != len(effs) or not outs:
+        if len(self.outputs) != len(self.effects) or not len(self.outputs):
             raise ValueError("need matching nonempty outputs and effects")
-        d = effs[0].shape[0]
-        for o in outs:
-            if not is_hermitian(o, 1e-10) or abs(o.trace() - 1.0) > 1e-10:
-                raise ValueError("outputs must be unit-trace Hermitian")
-        acc = np.zeros((d, d), dtype=complex)
-        for f in effs:
-            if not is_hermitian(f, 1e-10):
-                raise ValueError("effects must be Hermitian")
-            if not is_psd(f, 1e-10):
-                raise ValueError("effects must be positive semidefinite")
-            acc += f
-        if max_abs(acc - np.eye(d)) > 1e-10:
+        outs = _matrix("outputs", self.outputs, ndims=(3,))
+        effs = _matrix("effects", self.effects, ndims=(3,))
+        if max_abs(outs - dagger(outs)) > 1e-10 or max_abs(np.trace(outs, axis1=1, axis2=2) - 1.0) > 1e-10:
+            raise ValueError("outputs must be unit-trace Hermitian")
+        if max_abs(effs - dagger(effs)) > 1e-10:
+            raise ValueError("effects must be Hermitian")
+        if not all(is_psd(f, 1e-10) for f in effs):
+            raise ValueError("effects must be positive semidefinite")
+        if max_abs(effs.sum(axis=0) - np.eye(effs.shape[1])) > 1e-10:
             raise ValueError("effects must sum to the identity")
         object.__setattr__(self, "outputs", outs)
         object.__setattr__(self, "effects", effs)
@@ -277,11 +272,8 @@ class HolevoForm:
 
 def holevo_apply(form: HolevoForm, rho) -> np.ndarray:
     """Evaluate the measure-and-prepare action."""
-    rho = _matrix("rho", rho, len(form.effects[0]))
-    out = np.zeros_like(form.outputs[0])
-    for sigma, f in zip(form.outputs, form.effects):
-        out = out + sigma * np.trace(f @ rho)
-    return out
+    rho = _matrix("rho", rho, form.effects.shape[1])
+    return np.einsum("kab,kij,ji->ab", form.outputs, form.effects, rho)
 
 
 def holevo_point_form() -> HolevoForm:

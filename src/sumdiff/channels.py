@@ -467,7 +467,10 @@ def ad2_coefficients(params: Ad2Params, t=None) -> Ad2Coefficients:
         t = t_max = params.t
         exp, expm1, sin, cos, cast, finite = _SCALAR_MATH
     else:
-        t = np.asarray(t, dtype=float)
+        try:
+            t = np.asarray(t, dtype=float)
+        except (TypeError, ValueError):  # a string, or lists of unequal lengths
+            t = np.zeros(())  # fails the check below
         if t.ndim != 1 or not np.all((t >= 0.0) & (t < math.inf)):
             raise ValueError("t must be a 1-D array of nonnegative finite times")
         t_max = float(t.max(initial=0.0))

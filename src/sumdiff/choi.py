@@ -343,36 +343,40 @@ def ad2_partition(co: Ad2Coefficients, strategy: str = "diag-pairs", b=None) -> 
 # extraction
 
 
+def _signed_operators(values, vectors, cutoff: float) -> tuple:
+    """The one rule from eigenpairs, ``values`` (..., s) and unit ``vectors``
+    (..., s, n) as rows, n = d^2, to signed operators: a pair is kept if
+    |value| exceeds ``cutoff``.  Returns fold(sqrt(|value|) * vector), (..., s,
+    d, d), and the signs (..., s) in {1, -1, 0}, 0 and a zero operator if dropped."""
+    size = np.abs(values)
+    keep = ~(size <= cutoff)
+    # a product, not the vectors weighted in place: ``_closed_form``'s zeroed buffer as
+    # the operators' base doubled sweep's page faults and cost it 4 % (in-process, 200 steps)
+    ops = np.where(keep, np.sqrt(size), 0.0)[..., None] * vectors
+    signs = np.where(keep, np.where(values > 0, 1, -1), 0)
+    return ops.reshape(*ops.shape[:-1], math.isqrt(ops.shape[-1]), -1).swapaxes(-1, -2), signs
+
+
 def _closed_form(n: int, vals, diag, z, rows, cols, cutoff: float) -> tuple:
-    """Signed operators, without a solve, of the diagonal values ``vals``
+    """``_signed_operators``, without a solve, of the diagonal values ``vals``
     (m, a) at basis indices ``diag`` (a,), eigenvector |i> each, and of the
     pairs z |r><c| + conj(z) |c><r| for ``z`` (m, b) at (``rows``, ``cols``)
     (b,), r < c: eigenvalues +-|z|, vectors (|r> +- (conj(z)/|z|) |c>)/sqrt(2),
-    |z| from np.hypot, bitwise Python's complex abs, which np.abs is not.  A
-    value is kept if its magnitude exceeds ``cutoff``.  Returns
-    fold(sqrt(|value|) * vector), (m, a + 2b, d, d) for n = d^2, and the
-    signs (m, a + 2b) in {1, -1, 0}, a dropped slot zero: the diagonal
-    slots, then a + and a - slot per pair.
+    |z| from np.hypot, bitwise Python's complex abs, which np.abs is not.
+    The slots (m, a + 2b) are the diagonal ones, then a + and a - slot per
+    pair; a zero z has phase 0.
     """
     m, a = vals.shape
     absz = np.hypot(z.real, z.imag)
-    keep = ~(absz <= cutoff)
-    keep_diag = ~(np.abs(vals) <= cutoff)
-    phase, root2 = np.divide(z.conj(), absz, out=np.zeros_like(z), where=keep), math.sqrt(2.0)
+    phase, root2 = np.divide(z.conj(), absz, out=np.zeros_like(z), where=absz > 0.0), math.sqrt(2.0)
     slots = np.arange(a + 2 * len(rows))
     vecs = np.zeros((m, len(slots), n), dtype=complex)
     vecs[:, slots[:a], diag] = 1.0
     vecs[:, slots[a:], rows.repeat(2)] = 1.0 / root2
     vecs[:, slots[a::2], cols] = phase / root2
     vecs[:, slots[a + 1::2], cols] = -phase / root2
-    weights = np.concatenate([np.where(keep_diag, np.sqrt(np.abs(vals)), 0.0),
-                              np.where(keep, np.sqrt(absz), 0.0).repeat(2, axis=1)], axis=1)
-    signs = np.concatenate([np.where(keep_diag, np.where(vals > 0, 1, -1), 0),
-                            (keep[:, :, None] * np.array([1, -1])).reshape(m, -1)], axis=1)
-    # a product, not vecs weighted in place: the zeroed buffer as the operators'
-    # base doubled sweep's page faults and cost it 4 % (in-process, 200 steps)
-    ops = weights[:, :, None] * vecs
-    return ops.reshape(m, len(slots), math.isqrt(n), -1).swapaxes(-1, -2), signs
+    return _signed_operators(np.concatenate([vals, np.stack([absz, -absz], axis=2).reshape(m, -1)], axis=1),
+                             vecs, cutoff)
 
 
 @functools.lru_cache(maxsize=64)
@@ -434,24 +438,19 @@ def extract_signed_kraus(partition: HermitianPartition, cutoff: float = 1e-12,
     big = mag > (PARTITION_REL_THRESHOLD * np.maximum(1.0, mag.max(axis=(1, 2))))[:, None, None]
     diag, pair, rows, cols, general, pos_labels, neg_labels, first, order = _element_kinds(
         p, n, big.tobytes(), partition.labels, tuple((relabel or {}).items()))
-    ops, signs = [], []
+    parts = []  # (operators, signs) of the closed-form elements, then of each general one
     if diag.size or pair.size:
         vals = stack[diag].diagonal(axis1=1, axis2=2).real.reshape(1, -1)
         got = _closed_form(n, vals, np.arange(vals.size) % n, stack[pair, rows, cols][None], rows, cols, cutoff)
-        ops.append(got[0][0])
-        signs.append(got[1][0])
+        parts.append([x[0] for x in got])
     for e in general:
         sys = eig_hermitian(stack[e])
-        keep = ~(np.abs(sys.values) <= cutoff)
-        weighted = np.where(keep, np.sqrt(np.abs(sys.values)), 0.0) * sys.vectors  # column k is vector k
-        ops.append(weighted.T.reshape(n, math.isqrt(n), -1).swapaxes(1, 2))
-        signs.append(np.where(keep, np.where(sys.values > 0, 1, -1), 0))
-    signs = np.concatenate(signs)
+        parts.append(_signed_operators(sys.values, sys.vectors.T, cutoff))  # column k is vector k
+    ops, signs = map(np.concatenate, zip(*parts))
     pos, neg = first[signs[first] > 0], order[signs[order] < 0]
     if not pos.size:
         raise ValueError("extraction produced no positive operators")
-    return SignedKrausSet.of_stack(np.concatenate(ops)[np.concatenate([pos, neg])], len(pos),
-                                   pos_labels[pos], neg_labels[neg])
+    return SignedKrausSet.of_stack(ops[np.concatenate([pos, neg])], len(pos), pos_labels[pos], neg_labels[neg])
 
 
 def reconstruct_choi(ks: SignedKrausSet) -> np.ndarray:

@@ -99,7 +99,10 @@ def unfold(a) -> np.ndarray:
 
 def fold(v) -> np.ndarray:
     """Inverse of unfold: a length-d^2 vector back into a d x d matrix."""
-    v = np.asarray(v, dtype=complex)
+    try:
+        v = np.asarray(v, dtype=complex)
+    except (TypeError, ValueError):  # a string, or lists of unequal lengths
+        v = np.zeros((0, 0))  # fails the check below
     d = math.isqrt(v.size)
     if v.ndim != 1 or d * d != v.size:
         raise ValueError(f"v must be a vector of perfect-square length, got shape {v.shape}")
@@ -248,15 +251,17 @@ def _rotate(a: np.ndarray, vecs: np.ndarray, step: tuple, hold) -> tuple:
     return a, vecs
 
 
-def _rotate_pairs(p: np.ndarray, q: np.ndarray, b: np.ndarray, hold) -> tuple:
-    """``_rotate`` for a stack of 2 x 2 matrices [[p, b], [conj(b), q]].
+def _rotate_pairs(a: np.ndarray, hold) -> tuple:
+    """``_rotate`` for a stack of 2 x 2 Hermitian matrices [[p, b], [conj(b), q]].
 
     One rotation diagonalizes each matrix, so it is done in closed form: the
-    new diagonal is c^2 p + s^2 q + 2 c s |b| and s^2 p + c^2 q - 2 c s |b|,
-    and the new b is 0.  Equal diagonal entries take c = s = 1/sqrt(2), the
-    value of ``eig_rank2_pair``, which cos(pi/4) misses by one bit.  Returns
-    the new (p, q, b) and the rotations (m, 2, 2).
+    new diagonal is c^2 p + s^2 q + 2 c s |b| and s^2 p + c^2 q - 2 c s |b|.
+    Equal diagonal entries take c = s = 1/sqrt(2), the value of
+    ``eig_rank2_pair``, which cos(pi/4) misses by one bit.  ``hold`` is as
+    for ``_rotate``.  Returns the diagonals (m, 2), the eigenvalues, and the
+    rotations (m, 2, 2), whose columns are the eigenvectors.
     """
+    p, q, b = a[:, 0, :1].real, a[:, 1, 1:].real, a[:, 0, 1:]
     if hold is not None:
         b = np.where(hold, 0.0, b)
     mag = np.abs(b)
@@ -266,8 +271,8 @@ def _rotate_pairs(p: np.ndarray, q: np.ndarray, b: np.ndarray, hold) -> tuple:
     c[even] = s[even] = _HALF_ROOT
     se = s * (b / np.maximum(mag, _TINY))
     cc, ss, twice = c * c, s * s, 2.0 * c * s * mag
-    rot = np.array([c, -se, se.conj(), c]).T.reshape(-1, 2, 2)
-    return cc * p + ss * q + twice, ss * p + cc * q - twice, np.zeros_like(b), rot
+    return (np.concatenate((cc * p + ss * q + twice, ss * p + cc * q - twice), axis=1),
+            np.concatenate((c, -se, se.conj(), c), axis=1).reshape(-1, 2, 2))
 
 
 # Single-matrix solves, least recently used first: (shape, bytes, tol,
@@ -315,13 +320,15 @@ def eig_hermitian(h, tol: float = 1e-13, max_sweeps: int = 100) -> EigenSystem:
     of the stack's combined nonzero pattern is gathered out of every matrix,
     and the components of equal size k are solved together as one stack of
     k x k blocks; every entry outside the blocks is an exact zero, so the
-    gathering changes no value.  A 1 x 1 block is its own eigenvalue, a
+    gathering changes no value.  A 1 x 1 block is its own eigenvalue, and a
     2 x 2 block is diagonal after one closed-form rotation
-    (``_rotate_pairs``), and a larger one takes rotations in the round-robin
-    ordering of Brent & Luk (1985), a round of disjoint pivots at a time.
-    Sweeps repeat until each matrix's whole off-diagonal Frobenius norm,
-    over all its blocks, drops below ``tol``; a matrix that got there takes
-    identity rotations from then on.  When its stack mates leave the
+    (``_rotate_pairs``), which it takes in the first sweep; only a larger one
+    stays in the sweeps, taking rotations in the round-robin ordering of
+    Brent & Luk (1985), a round of disjoint pivots at a time.  Sweeps repeat
+    until each matrix's whole off-diagonal Frobenius norm, over all its
+    blocks, drops below ``tol``; a matrix that got there takes identity
+    rotations from then on.  Values and vectors are ordered by one stable
+    sort of the values, descending.  When its stack mates leave the
     components of its own pattern unchanged, a matrix's values and vectors
     equal those it gets alone (``np.array_equal``), though not always
     bitwise: an identity rotation can turn a +0.0 entry into -0.0.  A mate
@@ -461,39 +468,33 @@ def _jacobi(h, tol: float, max_sweeps: int, with_vectors: bool) -> tuple:
     """(values, vectors) of ``eig_hermitian``; vectors None without ``with_vectors``."""
     single, h, groups = _gather(h, tol)
     m, n = h.shape[:2]
-    values = np.empty((m, n))
-    solved = []  # (k, (row start, column) of each entry, h's blocks, values, vectors)
-    blocks = []  # (k, members, (row start, column), h's blocks, state) of the larger ones
-    for k, members, place, blk, a in groups:
-        if k == 1:
-            # its own eigenvalue, and the identity its vector, as for a block
-            # that no sweep rotated; the reconstruction misses h by the
-            # imaginary part, which the Hermitian check bounds by tol / 2
-            values[:, members[:, 0]] = a
-            solved.append((k, place, blk.reshape(-1, 1, 1), a.reshape(-1, 1), None))
-            continue
-        # a 2 x 2 block is held as its diagonal and its upper entry, a larger
-        # one whole; each with its vectors, None for the identity
-        state = [a[:, 0, 0].real, a[:, 1, 1].real, a[:, 0, 1], None] if k == 2 else [a, None]
-        blocks.append((k, members, place, blk, state))
-
+    # each group's [values (m c, k), vectors], vectors None for the identity.
+    # A 1 x 1 block is its own eigenvalue; the reconstruction misses h by the
+    # imaginary part, which the Hermitian check bounds by tol / 2.  A larger
+    # group holds its Hermitian parts (m c, k, k) in place of its values
+    # until solved: a 2 x 2 block by one closed-form rotation in the first
+    # sweep, and only the larger ones in the sweeps
+    solved = [[a.reshape(-1, 1) if k == 1 else a, None] for k, *_, a in groups]
+    pairs = [state for (k, *_), state in zip(groups, solved) if k == 2]
+    sweeping = [state for (k, *_), state in zip(groups, solved) if k > 2]
+    # the off-diagonal norm is summed directly over off-diagonal entries (total
+    # minus diagonal would cancel catastrophically once it is tiny), the 2 x 2
+    # blocks' entries first in the first sweep
+    off = np.zeros(m)
+    for a, _ in pairs:
+        sq = np.abs(a[:, 0, 1])
+        sq *= sq
+        sq *= 2.0
+        off += sq.reshape(m, -1).sum(axis=1)
     done = np.zeros(m, dtype=bool)  # converged matrices stay converged
     for sweep in range(max_sweeps + 1):
-        # summed directly over off-diagonal entries; total minus diagonal
-        # would cancel catastrophically once the off-diagonal part is tiny.
-        # A rotated 2 x 2 block's entry is an exact zero
-        off = np.zeros(m)
-        for k, _, _, _, state in blocks:
-            if k == 2:
-                sq = np.abs(state[2])
-                sq *= sq
-                sq *= 2.0
-            else:
-                sq = np.abs(state[0]).reshape(-1, k * k)
-                sq *= sq
-                sq[:, ::k + 1] = 0.0
+        for a, _ in sweeping:
+            k = a.shape[1]
+            sq = np.abs(a).reshape(-1, k * k)
+            sq *= sq
+            sq[:, ::k + 1] = 0.0
             off += sq.reshape(m, -1).sum(axis=1)
-        norms = np.sqrt(off)
+        norms, off = np.sqrt(off), np.zeros(m)
         done |= norms < tol
         finished = np.count_nonzero(done)
         if finished == m:
@@ -502,25 +503,26 @@ def _jacobi(h, tol: float, max_sweeps: int, with_vectors: bool) -> tuple:
             raise JacobiConvergenceError(
                 f"off-diagonal norm {np.max(norms[~done]):.3e} after {max_sweeps} sweeps (target {tol:.1e})"
             )
-        for k, members, _, _, state in blocks:
-            hold = np.repeat(done, len(members))[:, None] if finished else None
-            if k > 2:
-                for step in _jacobi_schedule(k):
-                    state[:] = _rotate(*state, step, hold)
-            elif state[3] is None:
-                state[:] = _rotate_pairs(*state[:3], None if hold is None else hold[:, 0])
-
-    for k, members, place, blk, state in blocks:
-        vals = np.array(state[:2]).T if k == 2 else state[0].diagonal(axis1=1, axis2=2).real
+        # a matrix that is done takes identity rotations (``hold``)
+        for state in pairs:
+            state[:] = _rotate_pairs(state[0], np.repeat(done, len(state[0]) // m)[:, None] if finished else None)
+        pairs = []  # solved, and out of the sweeps
+        for state in sweeping:
+            hold = np.repeat(done, len(state[0]) // m)[:, None] if finished else None
+            for step in _jacobi_schedule(state[0].shape[1]):
+                state[:] = _rotate(*state, step, hold)
+    for state in pairs + sweeping:  # the 2 x 2 blocks if no sweep rotated, and the larger ones
+        state[0] = state[0].diagonal(axis1=1, axis2=2).real
+    values = np.empty((m, n))
+    for (k, members, *_), (vals, _) in zip(groups, solved):
         values[:, members] = vals.reshape(m, -1, k)
-        solved.append((k, place, blk, vals, state[-1]))
 
     # a block that no sweep rotated keeps the identity, and the stop test and
     # the Hermitian check bound its residual by 1.5 tol; the budget is
     # 10 tol max(1, max|h|), so max|h| matters only above 10 tol, and a NaN
     # residual is over too
     residual = np.zeros(m)
-    for _, _, blk, vals, vecs in solved:
+    for (*_, blk, _), (vals, vecs) in zip(groups, solved):
         if vecs is not None:
             err = np.abs((vecs * vals[:, None, :]) @ vecs.conj().swapaxes(1, 2) - blk)
             np.maximum(residual, err.reshape(m, -1).max(axis=1), out=residual)
@@ -532,12 +534,11 @@ def _jacobi(h, tol: float, max_sweeps: int, with_vectors: bool) -> tuple:
 
     # descending order, ties in index order (a stable sort keeps -0.0 and
     # 0.0 where they were); eigenvalue j of matrix b is the rank[b, j]-th
-    if not with_vectors:
-        values = -np.sort(-values, axis=1, kind="stable")
-        return (values[0] if single else values), None
     order = (-values).argsort(axis=1, kind="stable")
     rows = np.arange(m)[:, None]
     values = values[rows, order]
+    if not with_vectors:
+        return (values[0] if single else values), None
     rank = np.empty_like(order)
     rank[rows, order] = np.arange(n)
 
@@ -545,9 +546,9 @@ def _jacobi(h, tol: float, max_sweeps: int, with_vectors: bool) -> tuple:
     # each becomes real nonnegative (a unit vector has one of magnitude
     # >= 1/sqrt(k)); then put each vector in the column of its rank
     vectors = np.zeros((m, n * n), dtype=complex)
-    for k, (start, col), blk, vals, vecs in solved:
+    for (k, _, (start, col), _, _), (vals, vecs) in zip(groups, solved):
         if vecs is None:
-            vecs = np.broadcast_to(np.eye(k), blk.shape)
+            vecs = np.broadcast_to(np.eye(k), (len(vals), k, k))
         else:
             # vecs[b, :, i] is eigenvector i of block b, and its largest
             # entry sits in row lead[b, i]

@@ -356,6 +356,16 @@ def test_holevo_form_validation():
         HolevoForm(outputs=(eye,), effects=(eye,))  # output trace 2
 
 
+def test_holevo_form_refuses_outputs_of_unequal_shapes():
+    # holevo_apply sums the outputs, so they must share one shape
+    effects = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    with pytest.raises(ValueError, match=r"^outputs must be an array of 3 dimensions"):
+        HolevoForm(outputs=(np.diag([1.0, 0.0]), np.diag([1.0, 0.0, 0.0])), effects=effects)
+    form = HolevoForm(outputs=[np.diag([0.5, 0.5, 0.0])] * 2, effects=effects)  # a 2-level input, 3-level output
+    assert form.outputs.shape == (2, 3, 3) and form.effects.shape == (2, 2, 2)
+    assert max_abs(holevo_apply(form, np.diag([0.25, 0.75])) - np.diag([0.5, 0.5, 0.0])) < 1e-15
+
+
 def test_holevo_kraus_matches_asymptotic_operators():
     form = holevo_point_form()
     ks = holevo_kraus(form)

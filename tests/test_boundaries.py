@@ -112,7 +112,7 @@ CALLS = {
     # fold and unfold move entries and compute nothing from them: a
     # non-finite entry is moved as any other
     "fold": (linalg.fold, dict(v=np.arange(4.0)),
-             dict(v=st.sampled_from([np.arange(3.0), np.eye(2), None]))),
+             dict(v=st.sampled_from([np.arange(3.0), np.eye(2), None, "x"]))),
     "unfold": (linalg.unfold, dict(a=HERM), dict(a=arrays(HERM, finite=False))),
     "is_hermitian": (linalg.is_hermitian, dict(a=HERM), dict(tol=reals(0.0))),
     "is_psd": (linalg.is_psd, dict(h=HERM, tol=1e-10), dict(h=arrays(HERM), tol=reals(0.0))),
@@ -134,7 +134,7 @@ CALLS = {
     "ad2_apply": (channels.ad2_apply, dict(rho=STATE4, co=CO), dict(rho=arrays(STATE4, finite=False))),
     "ad2_coefficients": (ad2_coefficients, dict(params=PARAMS),
                          dict(t=st.sampled_from([np.array([0.5, math.nan]), np.array([math.inf]),
-                                                 np.array([-1.0, 1.0]), np.array([[1.0]])]))),
+                                                 np.array([-1.0, 1.0]), np.array([[1.0]]), "x"]))),
     "apply_signed_kraus": (channels.apply_signed_kraus, dict(rho=STATE2, ks=KS),
                            dict(rho=arrays(STATE2, finite=False))),
     "check_density_matrix": (channels.check_density_matrix, dict(rho=STATE2), dict(rho=arrays(STATE2))),
@@ -237,8 +237,6 @@ UNDRAWN = {
 # drawn parameters that take a kind of bad value without a ValueError, which
 # is therefore not drawn, with the reason
 ACCEPTED = {
-    ("ad2_coefficients", "t"): "a string: numpy converts it, and its ValueError names no argument",
-    ("fold", "v"): "a string: numpy converts it, and its ValueError names no argument",
     ("ad2_apply", "rho"): "a non-finite entry: a check would cost every verify call a pass over the "
                           "states random_density_matrix made",
     ("apply_signed_kraus", "rho"): "a non-finite entry: a check would cost every verify call a pass over the "

@@ -41,7 +41,7 @@ from sumdiff.choi import (
     trace_preservation_residual,
 )
 import sumdiff.choi as choi_module
-from sumdiff.linalg import dagger, eig_rank2_pair, eigvals_hermitian, fold, max_abs, unfold
+from sumdiff.linalg import dagger, eig_hermitian, eig_rank2_pair, eigvals_hermitian, fold, max_abs, unfold
 
 
 def random_params(rng):
@@ -492,6 +492,58 @@ def test_ad2_signed_kraus_cutoff_drops_decayed_blocks():
         want = np.zeros((4, 4), dtype=complex)
         want[targets[label]] = 1.0
         assert max_abs(op - want) < 1e-8
+
+
+def _cutoff_rule_case(kind):
+    """(element, slot and label of one of its operators, that operator's
+    eigenvalue) of a diagonal, a pair and a general 3 x 3 element."""
+    element = np.zeros((4, 4), dtype=complex)
+    if kind == "diag":
+        element[[1, 2], [1, 2]] = -0.3, 0.7
+        return element, 1, "x[1]", -0.3
+    if kind == "pair":
+        element[1, 3], element[3, 1] = 0.3 + 0.4j, 0.3 - 0.4j  # |z| = 0.5 exactly
+        return element, 5, "x-", -0.5  # after the four diagonal slots, + then -
+    element[1:, 1:] = [[0.5, 0.2j, 0.1], [-0.2j, -0.4, 0.3], [0.1, 0.3, 0.2]]
+    return element, 3, "x[3]", eig_hermitian(element).values[3]
+
+
+def _element_operators(kind, element, cutoff):
+    """The (operators, signs) of every slot of one element, as extraction makes them."""
+    if kind == "general":
+        sys = eig_hermitian(element)
+        return choi_module._signed_operators(sys.values, sys.vectors.T, cutoff)
+    rows, cols = np.nonzero(np.triu(element, 1))
+    ops, signs = choi_module._closed_form(4, np.diagonal(element).real[None], np.arange(4),
+                                          element[rows, cols][None], rows, cols, cutoff)
+    return ops[0], signs[0]
+
+
+@pytest.mark.parametrize("kind", ["diag", "pair", "general"])
+def test_an_eigenvalue_at_the_cutoff_is_dropped_and_one_above_it_kept(kind):
+    # one rule for every kind of element: an eigenpair is kept if |value| > cutoff
+    element, slot, label, value = _cutoff_rule_case(kind)
+    assert value < 0.0
+    anchor = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)  # a positive operator at every cutoff
+    partition = partition_from_elements([anchor, element], ["a", "x"])
+    for cutoff, sign in ((abs(value), 0), (float(np.nextafter(abs(value), 0.0)), -1)):
+        ops, signs = _element_operators(kind, element, cutoff)
+        assert signs[slot] == sign and bool(ops[slot].any()) == bool(sign)
+        ks = extract_signed_kraus(partition, cutoff=cutoff)
+        assert (label in ks.negative_labels) == bool(sign)
+        assert kind != "pair" or ("x+" in ks.positive_labels) == bool(sign)  # +|z| goes with -|z|
+
+
+def test_both_ad2_paths_drop_a_population_equal_to_the_cutoff():
+    co = ad2_coefficients(PROBE)
+    ops, signs = ad2_diag_pairs_operators(choi_2ad(co)[None], cutoff=co.C)
+    ks = ad2_signed_kraus(co, cutoff=co.C)
+    labels = [AD2_DIAG_LABELS[r] for r in AD2_DIAG_EXPORT_ORDER] + [
+        f"{label}{s}" for label in AD2_PAIR_LABELS.values() for s in "+-"]
+    assert {label: sign for label, sign in zip(labels, signs[0].tolist()) if sign} == {
+        **dict.fromkeys(ks.positive_labels, 1), **dict.fromkeys(ks.negative_labels, -1)}
+    slot = labels.index("C")
+    assert signs[0, slot] == 0 and not ops[0, slot].any()
 
 
 def test_ad2_diag_pairs_operators_stack_rows_match_solo_extraction():

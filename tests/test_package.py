@@ -139,6 +139,20 @@ def test_size_report_prints_the_deltas_against_a_parent(tmp_path, capsys):
     assert size_report.main([str(new), str(tmp_path / "none")]) == 1
 
 
+def test_size_report_lists_functions_largest_first(tmp_path, capsys):
+    (tmp_path / "a.py").write_text("def small():\n    return 1\n\n\nclass K:\n    @staticmethod\n"
+                                   "    def method(x):\n        if x:\n            return 1\n"
+                                   "        return 2 if x else 3\n")
+    (tmp_path / "b.py").write_text("def big(x):\n    def inner():\n        return x if x else 0\n"
+                                   "    y = [v for v in x if v]\n    while x:\n        x -= 1\n    return inner()\n")
+    size_report = _size_report()
+    assert size_report.main(["--functions", str(tmp_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["function", "lines", "branches"], ["b.py:big", "7", "1"], ["a.py:K.method", "5", "2"],
+                    ["b.py:big.inner", "2", "1"], ["a.py:small", "2", "0"]]
+    assert size_report.main(["--functions", str(tmp_path / "none")]) == 1
+
+
 def test_every_traced_name_is_in_its_module():
     # the benchmark's tracer rebinds these names by module; a cut that deletes
     # one would break only a traced benchmark run, so it fails here first
