@@ -254,10 +254,10 @@ class HolevoForm:
     effects: np.ndarray
 
     def __post_init__(self):
-        if len(self.outputs) != len(self.effects) or not len(self.outputs):
-            raise ValueError("need matching nonempty outputs and effects")
         outs = _matrix("outputs", self.outputs, ndims=(3,))
         effs = _matrix("effects", self.effects, ndims=(3,))
+        if len(outs) != len(effs) or not len(outs):
+            raise ValueError("need matching nonempty outputs and effects")
         if max_abs(outs - dagger(outs)) > 1e-10 or max_abs(np.trace(outs, axis1=1, axis2=2) - 1.0) > 1e-10:
             raise ValueError("outputs must be unit-trace Hermitian")
         if max_abs(effs - dagger(effs)) > 1e-10:

@@ -344,10 +344,10 @@ def ad2_partition(co: Ad2Coefficients, strategy: str = "diag-pairs", b=None) -> 
 
 
 def _signed_operators(values, vectors, cutoff: float) -> tuple:
-    """The one rule from eigenpairs, ``values`` (..., s) and unit ``vectors``
-    (..., s, n) as rows, n = d^2, to signed operators: a pair is kept if
-    |value| exceeds ``cutoff``.  Returns fold(sqrt(|value|) * vector), (..., s,
-    d, d), and the signs (..., s) in {1, -1, 0}, 0 and a zero operator if dropped."""
+    """Signed operators of eigenpairs, ``values`` (..., s) and unit ``vectors``
+    (..., s, n) as rows, n = d^2, by one rule: a pair is kept if |value|
+    exceeds ``cutoff``.  Returns fold(sqrt(|value|) * vector), (..., s, d, d),
+    and the signs (..., s) in {1, -1}, 0 and a zero operator if dropped."""
     size = np.abs(values)
     keep = ~(size <= cutoff)
     # a product, not the vectors weighted in place: ``_closed_form``'s zeroed buffer as

@@ -102,7 +102,7 @@ def fold(v) -> np.ndarray:
     try:
         v = np.asarray(v, dtype=complex)
     except (TypeError, ValueError):  # a string, or lists of unequal lengths
-        v = np.zeros((0, 0))  # fails the check below
+        v = np.zeros(())  # fails the check below
     d = math.isqrt(v.size)
     if v.ndim != 1 or d * d != v.size:
         raise ValueError(f"v must be a vector of perfect-square length, got shape {v.shape}")
@@ -258,8 +258,8 @@ def _rotate_pairs(a: np.ndarray, hold) -> tuple:
     new diagonal is c^2 p + s^2 q + 2 c s |b| and s^2 p + c^2 q - 2 c s |b|.
     Equal diagonal entries take c = s = 1/sqrt(2), the value of
     ``eig_rank2_pair``, which cos(pi/4) misses by one bit.  ``hold`` is as
-    for ``_rotate``.  Returns the diagonals (m, 2), the eigenvalues, and the
-    rotations (m, 2, 2), whose columns are the eigenvectors.
+    for ``_rotate``.  Returns the new diagonals (m, 2), which are the
+    eigenvalues, and the rotations (m, 2, 2), whose columns are the vectors.
     """
     p, q, b = a[:, 0, :1].real, a[:, 1, 1:].real, a[:, 0, 1:]
     if hold is not None:

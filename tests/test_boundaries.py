@@ -167,7 +167,8 @@ CALLS = {
     "trace_preservation_residual": (choi.trace_preservation_residual, dict(b=B4),
                                     dict(b=arrays(B4, finite=False, shapes=[B4.ravel(), B4[:3, :3]]))),
     "HolevoForm": (analysis.HolevoForm, dict(outputs=(STATE2,), effects=(np.eye(2),)),
-                   dict(outputs=sequences((STATE2,)), effects=sequences((np.eye(2),)))),
+                   dict(outputs=sequences((STATE2,)) | st.just(None),
+                        effects=sequences((np.eye(2),)) | st.just(None))),
     "concurrence": (analysis.concurrence, dict(rho=STATE4), dict(rho=arrays(STATE4))),
     "eb_report": (analysis.eb_report, dict(b=B4),
                   dict(b=arrays(B4, finite=False, shapes=[B4.ravel(), B4[:3, :3]]), tol=reals(0.0))),
